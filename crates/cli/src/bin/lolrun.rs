@@ -15,8 +15,7 @@
 //! The program is compiled once (parse + sema + lazy bytecode/C
 //! lowering) and the resulting artifact is run on the selected
 //! engine(s); `--sweep` fans a whole config matrix out over a worker
-//! pool under a global thread budget. The old `--backend both` is
-//! deprecated sugar for a two-backend sweep.
+//! pool under a global thread budget.
 
 use lolcode::{
     compile, engine_for, jsonl_record, parse_jsonl_done, Backend, BarrierKind, ClockMode, Compiled,
@@ -39,8 +38,8 @@ usage: lolrun [-np <N>] [--backend interp|vm|c|sim] [--sim-jobs <N>]
                    C compiler and run as a native binary), or sim
                    (discrete-event simulator: a small shard-worker
                    pool sweeps 1k-1M PEs; implies virtual timing).
-                   `both` is deprecated: it now warns and forwards to
-                   an equivalent --sweep \"backend=interp,vm\" run
+                   To compare engines, sweep the backend axis:
+                   --sweep \"backend=interp,vm\"
   --sim-jobs <N>   sim scheduler workers: 0 (default) picks from the
                    PE count and host cores, 1 forces the sequential
                    scheduler, N shards PEs over N workers. Results are
@@ -123,11 +122,6 @@ usage: lolrun [-np <N>] [--backend interp|vm|c|sim] [--sim-jobs <N>]
                    a final summary record
 ";
 
-enum BackendChoice {
-    One(Backend),
-    Both,
-}
-
 /// `--trace[=FORMAT]` renderings.
 #[derive(Clone, Copy)]
 enum TraceFormat {
@@ -142,7 +136,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut input: Option<String> = None;
     let mut n_pes = 4usize;
-    let mut backend = BackendChoice::One(Backend::Interp);
+    let mut backend = Backend::Interp;
     let mut seed = 0xC47_F00Du64;
     let mut latency = LatencyModel::Off;
     let mut barrier = BarrierKind::default();
@@ -178,21 +172,11 @@ fn main() -> ExitCode {
             }
             "--backend" => {
                 i += 1;
-                backend = match args.get(i).map(|s| s.as_str()) {
-                    Some("both") => BackendChoice::Both,
-                    Some(name) => match name.parse::<Backend>() {
-                        Ok(b) => BackendChoice::One(b),
-                        Err(_) => {
-                            eprintln!(
-                                "O NOES! --backend IZ interp, vm, c OR sim, NOT {name}\n{USAGE}"
-                            );
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    None => {
-                        eprintln!(
-                            "O NOES! --backend IZ interp, vm, c OR sim, NOT (nothing)\n{USAGE}"
-                        );
+                backend = match args.get(i).map(|s| s.parse::<Backend>()) {
+                    Some(Ok(b)) => b,
+                    _ => {
+                        let got = args.get(i).map(|s| s.as_str()).unwrap_or("(nothing)");
+                        eprintln!("O NOES! --backend IZ interp, vm, c OR sim, NOT {got}\n{USAGE}");
                         return ExitCode::FAILURE;
                     }
                 };
@@ -442,76 +426,47 @@ fn main() -> ExitCode {
             );
             return ExitCode::FAILURE;
         }
-        let base = match &backend {
-            BackendChoice::One(b) => cfg.clone().backend(*b),
-            BackendChoice::Both => {
-                warn_both_deprecated();
-                cfg.clone()
-            }
-        };
-        let both = matches!(backend, BackendChoice::Both);
-        let opts = SweepOpts { both_backends: both, jobs, resume, json, json_lines };
-        return run_sweep(&artifact, &spec, base, opts);
+        let opts = SweepOpts { jobs, resume, json, json_lines };
+        return run_sweep(&artifact, &spec, cfg.backend(backend), opts);
     }
-    match backend {
-        BackendChoice::One(b) => {
-            // Sweep-only presentation flags make no sense on a single
-            // run (but DO work with `--backend both`, which forwards
-            // to a sweep below). `--json` is fine: it selects the
-            // stable single-run report form.
-            if jobs.is_some() || json_lines {
-                eprintln!(
-                    "O NOES! --jobs AN --json-lines ONLY MEAN SOMETHING WIF --sweep\n{USAGE}"
-                );
-                return ExitCode::FAILURE;
+    // Sweep-only presentation flags make no sense on a single run.
+    // `--json` is fine: it selects the stable single-run report form.
+    if jobs.is_some() || json_lines {
+        eprintln!("O NOES! --jobs AN --json-lines ONLY MEAN SOMETHING WIF --sweep\n{USAGE}");
+        return ExitCode::FAILURE;
+    }
+    match engine_for(backend).run(&artifact, &cfg.backend(backend)) {
+        Ok(mut report) => {
+            if json {
+                // The byte-stable report (`timing: false`) — keep in
+                // lockstep with the lold service so `lolrun --json` and
+                // `POST /run` diff clean. `--timings` opts into the
+                // timing form (wall_ns, phases, sim, profile riders).
+                println!("{}", lolcode::service::run_report_json(&report, timings));
+                return ExitCode::SUCCESS;
             }
-            match engine_for(b).run(&artifact, &cfg.backend(b)) {
-                Ok(mut report) => {
-                    if json {
-                        // The byte-stable report (`timing: false`) —
-                        // keep in lockstep with the lold service so
-                        // `lolrun --json` and `POST /run` diff clean.
-                        // `--timings` opts into the timing form
-                        // (wall_ns, phases, sim, profile riders).
-                        println!("{}", lolcode::service::run_report_json(&report, timings));
-                        return ExitCode::SUCCESS;
-                    }
-                    let render_t0 = std::time::Instant::now();
-                    print_outputs(&report, tag);
-                    report.phases.render_ns = render_t0.elapsed().as_nanos() as u64;
-                    if stats {
-                        print_stats(&report);
-                    }
-                    if timings || profile {
-                        print_timings(&report);
-                    }
-                    if profile {
-                        print_profile(&report);
-                    }
-                    if let Some(fmt) = trace {
-                        if print_trace(&report, fmt, trace_out.as_deref()).is_err() {
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
+            let render_t0 = std::time::Instant::now();
+            print_outputs(&report, tag);
+            report.phases.render_ns = render_t0.elapsed().as_nanos() as u64;
+            if stats {
+                print_stats(&report);
+            }
+            if timings || profile {
+                print_timings(&report);
+            }
+            if profile {
+                print_profile(&report);
+            }
+            if let Some(fmt) = trace {
+                if print_trace(&report, fmt, trace_out.as_deref()).is_err() {
+                    return ExitCode::FAILURE;
                 }
             }
+            ExitCode::SUCCESS
         }
-        // Deprecated: forward to the equivalent two-backend sweep at
-        // the requested PE count (same artifact, same diff — the sweep
-        // report's output hashes are the agreement check).
-        BackendChoice::Both => {
-            if stats || tag || trace.is_some() {
-                eprintln!("O NOES! --stats, --tag AN --trace DONT WORK WIF --backend both ANYMOAR (IT IZ A SWEEP NAO)\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-            warn_both_deprecated();
-            let opts = SweepOpts { both_backends: false, jobs, resume: None, json, json_lines };
-            run_sweep(&artifact, "backend=interp,vm", cfg, opts)
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -519,7 +474,6 @@ fn main() -> ExitCode {
 /// Presentation/scheduling options forwarded from the flag parser to
 /// [`run_sweep`].
 struct SweepOpts {
-    both_backends: bool,
     jobs: Option<usize>,
     resume: Option<String>,
     json: bool,
@@ -629,13 +583,6 @@ fn print_profile(report: &RunReport) {
     }
 }
 
-fn warn_both_deprecated() {
-    eprintln!(
-        "HMM... --backend both IZ DEPRECATED: FORWARDIN 2 AN EKWIVALENT \
-         --sweep \"backend=interp,vm\" RUN (DA REPORT'S output_hash COLUMN IZ DA DIFF)"
-    );
-}
-
 /// `--sweep`: parse the spec over the base config, fan the matrix out
 /// over the worker pool, and print a scaling table (or JSON / JSONL).
 ///
@@ -644,7 +591,7 @@ fn warn_both_deprecated() {
 /// have (e.g. `backend=c` without a C compiler) are reported as
 /// UNSUPPORTED entries and don't fail the sweep.
 fn run_sweep(artifact: &Compiled, spec: &str, base: RunConfig, opts: SweepOpts) -> ExitCode {
-    let SweepOpts { both_backends, jobs, resume, json, json_lines } = opts;
+    let SweepOpts { jobs, resume, json, json_lines } = opts;
     let mut spec = match SweepSpec::parse(spec, base) {
         Ok(s) => s,
         Err(e) => {
@@ -652,12 +599,6 @@ fn run_sweep(artifact: &Compiled, spec: &str, base: RunConfig, opts: SweepOpts) 
             return ExitCode::FAILURE;
         }
     };
-    // `--backend both` fills the backend axis only when the spec
-    // itself didn't set one (unset axes inherit the flags; set axes
-    // win).
-    if both_backends && spec.backends_requested().is_empty() {
-        spec = spec.backends([Backend::Interp, Backend::Vm]);
-    }
     if let Some(j) = jobs {
         spec = spec.jobs(j);
     }
@@ -706,10 +647,9 @@ fn run_sweep(artifact: &Compiled, spec: &str, base: RunConfig, opts: SweepOpts) 
     // Cross-backend agreement: interp and vm share the substrate (and
     // its RNG), and sim replays the same per-PE RNG stream, so any two
     // ok entries that differ only in those backends must have
-    // identical per-PE output — the old `--backend both` diff,
-    // generalized to the whole matrix. The C backend is exempt: its
-    // WHATEVR stream is the stub's own RNG, so only the equivalence
-    // tests (which avoid WHATEVR) pin it.
+    // identical per-PE output, across the whole matrix. The C
+    // backend is exempt: its WHATEVR stream is the stub's own RNG, so
+    // only the equivalence tests (which avoid WHATEVR) pin it.
     let mut disagreement = false;
     let diffable = [Backend::Interp, Backend::Vm, Backend::Sim];
     for (i, a) in report.entries.iter().enumerate() {

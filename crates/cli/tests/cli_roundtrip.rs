@@ -57,34 +57,43 @@ fn lolrun_stats_prints_per_pe_comm_stats_on_stderr() {
     assert!(stderr.contains("[job]"), "{stderr}");
 }
 
-#[test]
-fn lolrun_backend_both_is_deprecated_and_forwards_to_a_sweep() {
+/// `--backend both` was removed: it must exit non-zero with the generic
+/// `--backend` usage error and print nothing on stdout.
+fn assert_backend_both_is_a_usage_error(extra: &[&str]) {
     let prog = write_temp("both.lol", HELLO);
     let out = Command::new(env!("CARGO_BIN_EXE_lolrun"))
-        .args(["-np", "3", "--backend", "both"])
+        .args(["--backend", "both"])
+        .args(extra)
         .arg(&prog)
         .output()
         .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(!out.status.success(), "{extra:?}");
+    assert!(out.stdout.is_empty(), "{extra:?}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("DEPRECATED"), "{stderr}");
-    assert!(stderr.contains("backend=interp,vm"), "{stderr}");
-    // The forwarded sweep runs both engines at the requested PE count
-    // and prints the scaling report, not raw program output.
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("x-interp"), "{stdout}");
-    assert!(stdout.contains("2 configs, 2 ok"), "{stdout}");
-    assert!(stdout.contains("interp") && stdout.contains("vm"), "{stdout}");
+    assert!(stderr.contains("--backend IZ interp, vm, c OR sim, NOT both"), "{stderr}");
+    assert!(stderr.contains("usage: lolrun"), "{stderr}");
 }
 
 #[test]
-fn lolrun_backend_both_rejects_interp_only_programs() {
+fn lolrun_backend_both_is_a_usage_error() {
+    assert_backend_both_is_a_usage_error(&[]);
+}
+
+#[test]
+fn lolrun_backend_both_with_sweep_is_a_usage_error() {
+    // A sweep spec no longer has a `--backend both` flag to override:
+    // the flag is rejected before the spec is looked at.
+    assert_backend_both_is_a_usage_error(&["--sweep", "backend=vm;pes=1,2"]);
+}
+
+#[test]
+fn lolrun_interp_vm_sweep_rejects_interp_only_programs() {
     // SRS runs on the interpreter but cannot lower to bytecode, so the
-    // forwarded sweep must fail loudly (FAILED vm entry) rather than
-    // silently compare one engine against nothing.
+    // sweep must fail loudly (FAILED vm entry) rather than silently
+    // compare one engine against nothing.
     let prog = write_temp("srs.lol", "HAI 1.2\nI HAS A x ITZ 1\nVISIBLE SRS \"x\"\nKTHXBYE\n");
     let out = Command::new(env!("CARGO_BIN_EXE_lolrun"))
-        .args(["--backend", "both"])
+        .args(["--sweep", "backend=interp,vm"])
         .arg(&prog)
         .output()
         .unwrap();
@@ -118,8 +127,7 @@ fn lolrun_c_backend_runs_or_reports_unsupported() {
 
 #[test]
 fn lolrun_three_backend_sweep_reports_all_engines() {
-    // The blessed replacement for `--backend both`, now covering all
-    // three of the paper's execution paths in one matrix.
+    // All three of the paper's execution paths in one matrix.
     let prog = write_temp("sweep3.lol", HELLO);
     let out = Command::new(env!("CARGO_BIN_EXE_lolrun"))
         .args(["--sweep", "pes=1,2;backend=interp,vm,c", "--json"])
@@ -217,23 +225,6 @@ fn lolrun_sweep_json_is_machine_readable() {
     assert!(stdout.contains("\"configs\": 4"), "{stdout}");
     assert!(stdout.contains("\"latency\": \"torus:2x1:50:11\""), "{stdout}");
     assert!(stdout.contains("\"output_hash\""), "{stdout}");
-}
-
-#[test]
-fn lolrun_sweep_spec_backend_clause_beats_backend_both_flag() {
-    // `--backend both` only fills the axis when the spec leaves it
-    // unset; an explicit backend= clause wins.
-    let prog = write_temp("sweepb.lol", HELLO);
-    let out = Command::new(env!("CARGO_BIN_EXE_lolrun"))
-        .args(["--backend", "both", "--sweep", "backend=vm;pes=1,2", "--json"])
-        .arg(&prog)
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"configs\": 2"), "{stdout}");
-    assert!(stdout.contains("\"backend\": \"vm\""), "{stdout}");
-    assert!(!stdout.contains("\"backend\": \"interp\""), "{stdout}");
 }
 
 #[test]

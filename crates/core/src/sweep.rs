@@ -225,13 +225,6 @@ impl SweepSpec {
         }
     }
 
-    /// The explicitly-set backend axis (empty = inherit the base
-    /// config's backend). Lets callers distinguish "unset" from "set"
-    /// before layering their own default on top.
-    pub fn backends_requested(&self) -> &[Backend] {
-        &self.backends
-    }
-
     /// The worker count a sweep of `n_configs` would actually use.
     pub fn effective_jobs(&self, n_configs: usize) -> usize {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -1667,7 +1660,7 @@ mod tests {
             vec![Backend::Interp, Backend::Vm, Backend::C]
         );
         let all = SweepSpec::parse("backend=all", base()).unwrap();
-        assert_eq!(all.backends_requested(), &Backend::ALL);
+        assert_eq!(all.configs().iter().map(|c| c.backend).collect::<Vec<_>>(), Backend::ALL);
         assert!(SweepSpec::parse("backend=fortran", base()).is_err());
     }
 

@@ -42,6 +42,10 @@ impl Conn {
     /// Connect to `addr` (e.g. `127.0.0.1:4040`).
     pub fn connect(addr: &str) -> std::io::Result<Conn> {
         let stream = TcpStream::connect(addr)?;
+        // Requests go out in one write and wait for their answer, so
+        // Nagle's algorithm would only hold a segment back for the
+        // peer's delayed ACK.
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(Duration::from_secs(60)))?;
         stream.set_write_timeout(Some(Duration::from_secs(60)))?;
         Ok(Conn { reader: BufReader::new(stream), addr: addr.to_string() })
@@ -60,16 +64,17 @@ impl Conn {
     /// close before we finish sending, which surfaces here as a broken
     /// pipe — the response is still in our receive buffer.
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> std::io::Result<Response> {
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: {}\r\n", self.addr);
+        let mut req = format!("{method} {path} HTTP/1.1\r\nHost: {}\r\n", self.addr);
         if method == "POST" || !body.is_empty() {
-            head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+            req.push_str(&format!("Content-Length: {}\r\n", body.len()));
         }
-        head.push_str("\r\n");
+        req.push_str("\r\n");
+        // Head and body in one buffer, one write: one segment for the
+        // server to read, not two.
+        let mut req = req.into_bytes();
+        req.extend_from_slice(body);
         let stream = self.reader.get_mut();
-        let sent = stream
-            .write_all(head.as_bytes())
-            .and_then(|()| stream.write_all(body))
-            .and_then(|()| stream.flush());
+        let sent = stream.write_all(&req).and_then(|()| stream.flush());
         match self.read_response() {
             Ok(resp) => Ok(resp),
             // If the read also fails, the write error (if any) is the
@@ -152,4 +157,17 @@ pub fn get(addr: &str, path: &str) -> std::io::Result<Response> {
 /// One-shot `POST` on a fresh connection.
 pub fn post(addr: &str, path: &str, body: &str) -> std::io::Result<Response> {
     Conn::connect(addr)?.request("POST", path, body.as_bytes())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    #[test]
+    fn connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let conn = Conn::connect(&listener.local_addr().unwrap().to_string()).unwrap();
+        assert!(conn.reader.get_ref().nodelay().unwrap());
+    }
 }

@@ -102,10 +102,7 @@ impl<'a> SpinGuard<'a> {
             }
             if Instant::now() > self.deadline {
                 self.abort.store(true, Ordering::Relaxed);
-                panic!(
-                    "O NOES! [RUN0191] PE {} WAITED 2 LONG AT {} — SUM PE NEVER SHOWED UP (DEADLOCK?)",
-                    self.pe, self.what
-                );
+                panic!("{}", crate::diag::deadlock(self.pe, self.what));
             }
             std::thread::yield_now();
         } else {

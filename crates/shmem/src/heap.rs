@@ -44,11 +44,7 @@ impl Heap {
     pub(crate) fn word(&self, addr: SymAddr) -> &AtomicU64 {
         match self.words.get(addr.index()) {
             Some(w) => w,
-            None => panic!(
-                "O NOES! [RUN0100] SYMMETRIC ADDRESS {} IZ OUTSIDE DA HEAP ({} WORDS)",
-                addr.0,
-                self.words.len()
-            ),
+            None => panic!("{}", crate::diag::heap_bound(addr, self.words.len())),
         }
     }
 

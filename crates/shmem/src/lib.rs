@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod barrier;
+pub mod diag;
 pub mod heap;
 pub mod latency;
 pub mod lock;

@@ -136,13 +136,7 @@ impl<'a> LockWords<'a> {
     pub(crate) fn release(&self, kind: LockKind, me: usize) {
         let holder = self.owner.load(Ordering::Relaxed);
         if holder != encode(me) {
-            if holder == 0 {
-                panic!("O NOES! [RUN0180] PE {me} DID DUN MESIN WIF BUT NOBODY WUZ MESIN WIF IT");
-            }
-            panic!(
-                "O NOES! [RUN0181] PE {me} TRIED TO DUN MESIN WIF A LOCK HELD BY PE {}",
-                holder - 1
-            );
+            panic!("{}", crate::diag::unlock_not_held(me, holder));
         }
         match kind {
             LockKind::SpinCas => self.owner.store(0, Ordering::Release),

@@ -121,18 +121,6 @@ pub trait Substrate {
 
     /// `WHATEVAR`: uniform float in `[0, 1)`.
     fn rand_f64(&self) -> f64;
-
-    /// Shard-aware delivery hook: which worker shard owns `pe`'s
-    /// partition. Unsharded substrates (the threaded world, the
-    /// sequential simulator) keep everything in shard 0; sharded
-    /// engines override this with their [`crate::shard::ShardPlan`]
-    /// so callers can tell same-shard delivery (applied inline by the
-    /// owning worker) from cross-shard delivery (exchanged through
-    /// the shared heap and merged at window boundaries in canonical
-    /// `(t_ns, tie, pe)` order).
-    fn shard_of(&self, _pe: usize) -> usize {
-        0
-    }
 }
 
 /// The threaded world blocks inside each call, so every operation is
@@ -213,17 +201,6 @@ mod tests {
         assert!(!Progress::<()>::Pending.is_ready());
         assert!(Progress::<()>::Pending.is_pending());
         assert!(!Progress::Ready(0).is_pending());
-    }
-
-    /// The threaded world is unsharded: every PE lives in shard 0.
-    #[test]
-    fn threaded_substrate_is_unsharded() {
-        run_spmd(ShmemConfig::new(3), |pe| {
-            for p in 0..3 {
-                assert_eq!(Substrate::shard_of(pe, p), 0);
-            }
-        })
-        .unwrap();
     }
 
     /// Locks through the trait: try, blocking acquire, release.

@@ -9,6 +9,7 @@
 //! first PE that died.
 
 use crate::barrier::{BarrierKind, CentralBarrier, DisseminationBarrier, SpinGuard};
+use crate::diag::{self, panic_message};
 use crate::heap::{f64_to_word, i64_to_word, word_to_f64, word_to_i64, Heap, SymAddr};
 use crate::latency::LatencyModel;
 use crate::lock::{LockKind, LockWords, LOCK_WORDS};
@@ -354,16 +355,6 @@ where
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "PE panicked with a non-string payload".to_string()
-    }
-}
-
 /// One processing element's handle onto the job: its identity, its RNG,
 /// and its window onto the partitioned global address space.
 ///
@@ -498,11 +489,7 @@ impl<'w> Pe<'w> {
             if let Some(&prev) = log.get(seq) {
                 if prev as usize != words {
                     self.world.abort_job();
-                    panic!(
-                        "O NOES! [RUN0110] COLLECTIVE ALLOCASHUN MISMATCH AT CALL #{seq}: \
-                         PE {} WANTS {words} WORDS BUT DA JOB ALREADY AGREED ON {prev}",
-                        self.id
-                    );
+                    panic!("{}", diag::alloc_mismatch(seq, self.id, words, prev as usize));
                 }
             } else {
                 log.push(words as u32);
@@ -513,11 +500,7 @@ impl<'w> Pe<'w> {
         let end = offset + words;
         if end > self.world.cfg.heap_words {
             self.world.abort_job();
-            panic!(
-                "O NOES! [RUN0111] NOT ENUF SYMMETRIC HEAP: PE {} NEEDS {end} WORDS \
-                 BUT ONLY HAS {} (GROW heap_words)",
-                self.id, self.world.cfg.heap_words
-            );
+            panic!("{}", diag::heap_exhausted(self.id, end, self.world.cfg.heap_words));
         }
         self.heap_cursor.set(end);
         // Internal fence: counted in the stats (it *is* a barrier), but
@@ -701,12 +684,12 @@ impl<'w> Pe<'w> {
         match self.world.cfg.barrier {
             BarrierKind::Centralized => {
                 let mut sense = self.sense.get();
-                self.world.central.wait(&mut sense, self.guard("HUGZ (barrier)"));
+                self.world.central.wait(&mut sense, self.guard(diag::BARRIER_WAIT));
                 self.sense.set(sense);
             }
             BarrierKind::Dissemination => {
                 let mut gen = self.generation.get();
-                let mut guard = self.guard("HUGZ (barrier)");
+                let mut guard = self.guard(diag::BARRIER_WAIT);
                 self.world.dissem.wait(self.id, &mut gen, &mut guard);
                 self.generation.set(gen);
             }
@@ -762,7 +745,7 @@ impl<'w> Pe<'w> {
         self.lock_words(addr, target).acquire(
             self.world.cfg.lock,
             self.id,
-            self.guard("IM SRSLY MESIN WIF (lock)"),
+            self.guard(diag::LOCK_WAIT),
         );
         self.trace(EventKind::LockAcquire, target, addr, 0);
     }

@@ -11,24 +11,29 @@
 //! ## How it works
 //!
 //! Each PE is a resumable [`lol_vm::Machine`] (no OS thread, no
-//! stack). The sequential scheduler resumes the PE with the earliest
-//! pending event `(t_ns, tie, pe)`; the machine runs until it would
-//! block — at an allocation fence, an explicit barrier, or a
-//! contended lock (the only three blocking points; see
-//! `lol_shmem::substrate`). The substrate parks the PE, remembers
-//! why, and the scheduler wakes it when the blocking condition
-//! resolves.
+//! stack) plus one lane of a per-PE lane table: clock, `CommStats`,
+//! RNG, trace buffer, and why it is parked. One substrate implements
+//! every PGAS operation on a lane — charging, tracing, barrier
+//! arrival, put/get accounting — and the machine runs until it would
+//! block: at an allocation fence, an explicit barrier, or a contended
+//! lock (the only three blocking points; see `lol_shmem::substrate`).
+//! The substrate parks the PE, remembers why, and a scheduler wakes
+//! it when the blocking condition resolves. Allocation checks,
+//! deadlock diagnosis and the report are shared routines too; only
+//! where heap words live and how locks hand off differ per scheduler.
 //!
-//! Barrier episodes are O(1) scheduler work: arrivals bump an episode
-//! counter (plus a running clock max), and the episode's completion
-//! releases the whole cohort through a single release cursor — PEs
-//! re-synchronize their clocks lazily when next resumed, so no
-//! per-PE wake events ever touch the event heap. The heap carries
-//! only lock hand-offs.
+//! There are two schedulers over that one core. The sequential one
+//! keeps a single lane table over all PEs and resumes the PE with the
+//! earliest pending event `(t_ns, tie, pe)`. Barrier episodes are O(1)
+//! scheduler work: arrivals bump an episode counter (plus a running
+//! clock max), and the episode's completion releases the whole cohort
+//! through a single release cursor — PEs re-synchronize their clocks
+//! lazily when next resumed, so no per-PE wake events ever touch the
+//! event heap. The heap carries only lock hand-offs.
 //!
 //! The sharded scheduler ([`run_module_sharded`], picked automatically
-//! by [`run_module`] for big lock-free jobs) partitions PEs across
-//! workers and runs whole barrier-to-barrier windows in parallel; see
+//! by [`run_module`] for big lock-free jobs) keeps one lane table per
+//! shard and runs whole barrier-to-barrier windows in parallel; see
 //! [`par`] for the determinism argument. `sim_jobs = 1` takes the
 //! exact sequential path.
 //!
@@ -66,472 +71,15 @@
 #![warn(missing_docs)]
 
 use lol_shmem::shard::ShardPlan;
-use lol_shmem::substrate::{Progress, Substrate};
-use lol_shmem::{CommStats, LockKind, PeTrace, ShmemConfig, SpmdError, SymAddr, TraceBuffer};
-use lol_trace::{EventKind, VIRT_BARRIER_NS, VIRT_OP_NS};
-use lol_vm::machine::{Machine, Step};
+use lol_shmem::{CommStats, PeTrace, ShmemConfig, SpmdError};
 use lol_vm::ops::Op;
 use lol_vm::Module;
-use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use lol_shmem::rng::PeRng;
-
+mod lane;
 pub mod par;
+mod seq;
 
-/// Owner-word encoding shared with the threaded lock implementation:
-/// 0 = free, `pe + 1` = held by `pe`.
-#[inline]
-fn encode(pe: usize) -> u64 {
-    pe as u64 + 1
-}
-
-/// Why a PE is not currently runnable (or how its pending call ended).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Block {
-    /// Runnable; no substrate call outstanding.
-    Run,
-    /// Parked inside a barrier episode (explicit or allocation fence).
-    BarrierWait,
-    /// The episode completed; the next re-issued call consumes this.
-    BarrierDone,
-    /// Parked on a lock waiter queue.
-    LockWait,
-    /// The lock was granted; the re-issued `lock` call consumes this.
-    LockDone,
-}
-
-/// PEs waiting on one lock instance, in arrival order; ticket-lock
-/// waiters carry their ticket so releases can grant by serving order.
-type LockQueue = VecDeque<(usize, Option<u64>)>;
-
-/// Mutable world state shared by all PEs (single-threaded, so one
-/// `RefCell` suffices). Per-PE bookkeeping is SoA — parallel arrays
-/// indexed by PE — so a million idle PEs stay cache- and
-/// footprint-cheap.
-struct SimState {
-    heap_words: usize,
-    /// Per-PE symmetric heaps, grown lazily on first touch.
-    heaps: Vec<Vec<u64>>,
-    /// Shared symmetric allocation cursor (identical on every PE).
-    cursor: usize,
-    /// Collective-allocation validation: words requested per call
-    /// index, plus the offset each call resolved to. Doubles as the
-    /// blocked-op scratch: a PE re-issuing `shmalloc` after its fence
-    /// reads its offset back from here instead of carrying a
-    /// per-PE pending slot.
-    alloc_log: Vec<u32>,
-    alloc_offsets: Vec<u32>,
-    /// Barrier episode accounting — O(1) per arrival: a count, a
-    /// running clock max, and the episode kind. Completion flips
-    /// `episode_done`; the engine releases the cohort with a single
-    /// cursor instead of one wake event per parked PE.
-    bar_count: usize,
-    bar_max: u64,
-    bar_explicit: bool,
-    episode_done: bool,
-    /// FIFO waiter queues per lock instance `(owner_pe, word_offset)`;
-    /// ticket-lock waiters carry their ticket.
-    lock_waiters: HashMap<(usize, u32), LockQueue>,
-    // ---- per-PE bookkeeping, SoA ----
-    vclock: Vec<u64>,
-    stats: Vec<CommStats>,
-    rng: Vec<PeRng>,
-    /// One buffer per PE when tracing is on (zero-capacity for
-    /// sampled-out PEs so their events still *count* as dropped);
-    /// empty when tracing is off — no per-PE `Option` overhead.
-    tracers: Vec<TraceBuffer>,
-    block: Vec<Block>,
-    alloc_seq: Vec<u32>,
-    /// Lock-grant wake-ups scheduled during the current resume,
-    /// drained into the event queue by the engine after each step.
-    wakes: Vec<(u64, usize)>,
-}
-
-impl SimState {
-    /// The heap word at `target`'s instance of `addr`, growing the
-    /// heap to the allocation cursor on first touch. Panics with the
-    /// same `RUN0100` diagnostic as the threaded heap on addresses
-    /// beyond the configured bound.
-    fn word(&mut self, target: usize, addr: SymAddr) -> &mut u64 {
-        let idx = addr.index();
-        if idx >= self.heap_words {
-            panic!(
-                "O NOES! [RUN0100] SYMMETRIC ADDRESS {} IZ OUTSIDE DA HEAP ({} WORDS)",
-                addr.0, self.heap_words
-            );
-        }
-        let need = self.cursor.max(idx + 1);
-        let h = &mut self.heaps[target];
-        if h.len() < need {
-            h.resize(need, 0);
-        }
-        &mut h[idx]
-    }
-
-    /// One acquisition attempt for a *blocking* lock; on failure the
-    /// PE is enqueued as a waiter. Mirrors the threaded algorithms:
-    /// ticket acquirers always take a ticket, CAS acquirers just look
-    /// at the owner word.
-    fn blocking_acquire(
-        &mut self,
-        kind: LockKind,
-        me: usize,
-        target: usize,
-        addr: SymAddr,
-    ) -> bool {
-        match kind {
-            LockKind::SpinCas => {
-                if *self.word(target, addr) == 0 {
-                    *self.word(target, addr) = encode(me);
-                    true
-                } else {
-                    self.lock_waiters.entry((target, addr.0)).or_default().push_back((me, None));
-                    false
-                }
-            }
-            LockKind::Ticket => {
-                let t = *self.word(target, addr.offset(1));
-                *self.word(target, addr.offset(1)) = t + 1;
-                if *self.word(target, addr.offset(2)) == t {
-                    *self.word(target, addr) = encode(me);
-                    true
-                } else {
-                    self.lock_waiters.entry((target, addr.0)).or_default().push_back((me, Some(t)));
-                    false
-                }
-            }
-        }
-    }
-
-    /// Trylock: succeeds only when the lock is immediately available
-    /// (a ticket trylock refuses to queue, like the threaded one).
-    fn try_acquire(&mut self, kind: LockKind, me: usize, target: usize, addr: SymAddr) -> bool {
-        match kind {
-            LockKind::SpinCas => {
-                if *self.word(target, addr) == 0 {
-                    *self.word(target, addr) = encode(me);
-                    true
-                } else {
-                    false
-                }
-            }
-            LockKind::Ticket => {
-                let next = *self.word(target, addr.offset(1));
-                let serving = *self.word(target, addr.offset(2));
-                if next == serving {
-                    *self.word(target, addr.offset(1)) = next + 1;
-                    *self.word(target, addr) = encode(me);
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Release, with the threaded world's `RUN0180`/`RUN0181`
-    /// diagnostics; returns the PE the lock was handed to, if any.
-    fn release(
-        &mut self,
-        kind: LockKind,
-        me: usize,
-        target: usize,
-        addr: SymAddr,
-    ) -> Option<usize> {
-        let holder = *self.word(target, addr);
-        if holder != encode(me) {
-            if holder == 0 {
-                panic!("O NOES! [RUN0180] PE {me} DID DUN MESIN WIF BUT NOBODY WUZ MESIN WIF IT");
-            }
-            panic!(
-                "O NOES! [RUN0181] PE {me} TRIED TO DUN MESIN WIF A LOCK HELD BY PE {}",
-                holder - 1
-            );
-        }
-        *self.word(target, addr) = 0;
-        match kind {
-            LockKind::SpinCas => {
-                let g = self.lock_waiters.get_mut(&(target, addr.0)).and_then(|q| q.pop_front());
-                if let Some((g, _)) = g {
-                    *self.word(target, addr) = encode(g);
-                    return Some(g);
-                }
-                None
-            }
-            LockKind::Ticket => {
-                let serving = *self.word(target, addr.offset(2)) + 1;
-                *self.word(target, addr.offset(2)) = serving;
-                let g = self.lock_waiters.get_mut(&(target, addr.0)).and_then(|q| {
-                    // serving - 1 is the ticket now being served (the
-                    // counter we just advanced past was the holder's).
-                    q.iter()
-                        .position(|&(_, t)| t == Some(serving - 1))
-                        .and_then(|pos| q.remove(pos))
-                });
-                if let Some((g, _)) = g {
-                    *self.word(target, addr) = encode(g);
-                    return Some(g);
-                }
-                None
-            }
-        }
-    }
-}
-
-/// The simulated job: configuration plus all mutable state.
-struct SimWorld {
-    cfg: ShmemConfig,
-    state: RefCell<SimState>,
-}
-
-/// Build the per-PE trace buffers for a configuration: one per PE
-/// when tracing (zero-capacity for sampled-out PEs), none otherwise.
-fn make_tracers(cfg: &ShmemConfig) -> Vec<TraceBuffer> {
-    if !cfg.trace {
-        return Vec::new();
-    }
-    (0..cfg.n_pes)
-        .map(|id| {
-            let cap = if cfg.traces_pe(id) { cfg.trace_capacity } else { 0 };
-            TraceBuffer::new(id, cap)
-        })
-        .collect()
-}
-
-/// The per-PE RNG, seeded identically on every scheduler.
-fn make_rng(cfg: &ShmemConfig, id: usize) -> PeRng {
-    PeRng::seed_from_u64(cfg.seed ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-impl SimWorld {
-    fn new(cfg: &ShmemConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("{e}");
-        }
-        let n = cfg.n_pes;
-        SimWorld {
-            state: RefCell::new(SimState {
-                heap_words: cfg.heap_words,
-                heaps: (0..n).map(|_| Vec::new()).collect(),
-                cursor: 0,
-                alloc_log: Vec::new(),
-                alloc_offsets: Vec::new(),
-                bar_count: 0,
-                bar_max: 0,
-                bar_explicit: false,
-                episode_done: false,
-                lock_waiters: HashMap::new(),
-                vclock: vec![0; n],
-                stats: vec![CommStats::default(); n],
-                rng: (0..n).map(|id| make_rng(cfg, id)).collect(),
-                tracers: make_tracers(cfg),
-                block: vec![Block::Run; n],
-                alloc_seq: vec![0; n],
-                wakes: Vec::new(),
-            }),
-            cfg: cfg.clone(),
-        }
-    }
-}
-
-/// One PE's non-blocking substrate handle into the simulated world.
-struct SimPe<'w> {
-    world: &'w SimWorld,
-    id: usize,
-}
-
-impl SimPe<'_> {
-    /// Advance this PE's logical clock for touching `target` — the
-    /// exact accounting rule of the threaded world's virtual mode.
-    /// The simulator always accounts on the logical clock (event
-    /// ordering needs it); under `ClockMode::Wall` the engine reports
-    /// the resulting makespan as the simulated wall time.
-    fn charge(&self, st: &mut SimState, target: usize) {
-        if target != self.id {
-            let delay = self.world.cfg.latency.delay_ns(self.id, target);
-            st.vclock[self.id] += delay + VIRT_OP_NS;
-        }
-    }
-
-    fn trace(&self, st: &mut SimState, kind: EventKind, peer: usize, addr: SymAddr, bytes: u32) {
-        if st.tracers.is_empty() {
-            return;
-        }
-        let now = st.vclock[self.id];
-        st.tracers[self.id].record(kind, peer, addr.0, bytes, now);
-    }
-
-    /// Join the current barrier episode. The PE always parks — even
-    /// the last arriver — so the event accounting is identical on
-    /// every scheduler; completion flips `episode_done` and the
-    /// engine releases the whole cohort through one cursor.
-    fn enter_barrier(&self, st: &mut SimState, explicit: bool) {
-        st.stats[self.id].barriers += 1;
-        if st.bar_count == 0 {
-            st.bar_explicit = explicit;
-        }
-        debug_assert_eq!(
-            st.bar_explicit, explicit,
-            "SPMD programs cannot mix barrier kinds within one episode"
-        );
-        st.bar_count += 1;
-        st.bar_max = st.bar_max.max(st.vclock[self.id]);
-        st.block[self.id] = Block::BarrierWait;
-        if st.bar_count == self.world.cfg.n_pes {
-            st.episode_done = true;
-        }
-    }
-}
-
-impl Substrate for SimPe<'_> {
-    fn id(&self) -> usize {
-        self.id
-    }
-
-    fn n_pes(&self) -> usize {
-        self.world.cfg.n_pes
-    }
-
-    fn shmalloc(&self, words: usize) -> Progress<SymAddr> {
-        let mut st = self.world.state.borrow_mut();
-        if st.block[self.id] == Block::BarrierDone {
-            // Re-issued after the allocation fence released us: the
-            // offset for our call is in the shared allocation log.
-            st.block[self.id] = Block::Run;
-            let seq = st.alloc_seq[self.id] as usize - 1;
-            return Progress::Ready(SymAddr(st.alloc_offsets[seq]));
-        }
-        // First attempt: validate the collective call, claim the
-        // offset, then enter the allocation fence (counted in the
-        // barrier stats, untraced, free in virtual time — identical to
-        // the threaded world).
-        let seq = st.alloc_seq[self.id] as usize;
-        if let Some(&prev) = st.alloc_log.get(seq) {
-            if prev as usize != words {
-                panic!(
-                    "O NOES! [RUN0110] COLLECTIVE ALLOCASHUN MISMATCH AT CALL #{seq}: \
-                     PE {} WANTS {words} WORDS BUT DA JOB ALREADY AGREED ON {prev}",
-                    self.id
-                );
-            }
-        } else {
-            st.alloc_log.push(words as u32);
-        }
-        st.alloc_seq[self.id] = seq as u32 + 1;
-        if st.alloc_offsets.get(seq).is_none() {
-            let off = st.cursor;
-            let end = off + words;
-            if end > self.world.cfg.heap_words {
-                panic!(
-                    "O NOES! [RUN0111] NOT ENUF SYMMETRIC HEAP: PE {} NEEDS {end} WORDS \
-                     BUT ONLY HAS {} (GROW heap_words)",
-                    self.id, self.world.cfg.heap_words
-                );
-            }
-            st.cursor = end;
-            st.alloc_offsets.push(off as u32);
-        }
-        self.enter_barrier(&mut st, false);
-        Progress::Pending
-    }
-
-    fn put_u64(&self, addr: SymAddr, target: usize, value: u64) {
-        let mut st = self.world.state.borrow_mut();
-        if target == self.id {
-            st.stats[self.id].local_puts += 1;
-        } else {
-            st.stats[self.id].remote_puts += 1;
-        }
-        self.charge(&mut st, target);
-        *st.word(target, addr) = value;
-        if target != self.id {
-            self.trace(&mut st, EventKind::Put, target, addr, 8);
-        }
-    }
-
-    fn get_u64(&self, addr: SymAddr, target: usize) -> u64 {
-        let mut st = self.world.state.borrow_mut();
-        if target == self.id {
-            st.stats[self.id].local_gets += 1;
-        } else {
-            st.stats[self.id].remote_gets += 1;
-        }
-        self.charge(&mut st, target);
-        let v = *st.word(target, addr);
-        if target != self.id {
-            self.trace(&mut st, EventKind::Get, target, addr, 8);
-        }
-        v
-    }
-
-    fn barrier(&self) -> Progress<()> {
-        let mut st = self.world.state.borrow_mut();
-        if st.block[self.id] == Block::BarrierDone {
-            st.block[self.id] = Block::Run;
-            self.trace(&mut st, EventKind::BarrierExit, self.id, SymAddr(0), 0);
-            return Progress::Ready(());
-        }
-        self.trace(&mut st, EventKind::BarrierEnter, self.id, SymAddr(0), 0);
-        self.enter_barrier(&mut st, true);
-        Progress::Pending
-    }
-
-    fn lock(&self, addr: SymAddr, target: usize) -> Progress<()> {
-        let mut st = self.world.state.borrow_mut();
-        if st.block[self.id] == Block::LockDone {
-            // Granted while parked; the clock does not advance while
-            // waiting (same as the threaded virtual accounting).
-            st.block[self.id] = Block::Run;
-            self.trace(&mut st, EventKind::LockAcquire, target, addr, 0);
-            return Progress::Ready(());
-        }
-        st.stats[self.id].lock_acquires += 1;
-        self.charge(&mut st, target);
-        if st.blocking_acquire(self.world.cfg.lock, self.id, target, addr) {
-            self.trace(&mut st, EventKind::LockAcquire, target, addr, 0);
-            Progress::Ready(())
-        } else {
-            st.block[self.id] = Block::LockWait;
-            Progress::Pending
-        }
-    }
-
-    fn try_lock(&self, addr: SymAddr, target: usize) -> bool {
-        let mut st = self.world.state.borrow_mut();
-        st.stats[self.id].lock_tries += 1;
-        self.charge(&mut st, target);
-        let got = st.try_acquire(self.world.cfg.lock, self.id, target, addr);
-        self.trace(&mut st, EventKind::LockTry, target, addr, got as u32);
-        got
-    }
-
-    fn unlock(&self, addr: SymAddr, target: usize) {
-        let mut st = self.world.state.borrow_mut();
-        st.stats[self.id].lock_releases += 1;
-        self.charge(&mut st, target);
-        if let Some(g) = st.release(self.world.cfg.lock, self.id, target, addr) {
-            st.block[g] = Block::LockDone;
-            // The grantee resumes at the hand-off, but its own clock
-            // is untouched — waiting is free in virtual time.
-            let t = st.vclock[g].max(st.vclock[self.id]);
-            st.wakes.push((t, g));
-        }
-        self.trace(&mut st, EventKind::LockRelease, target, addr, 0);
-    }
-
-    fn rand_i64(&self) -> i64 {
-        let mut st = self.world.state.borrow_mut();
-        st.rng[self.id].gen_i64_below(1i64 << 31)
-    }
-
-    fn rand_f64(&self) -> f64 {
-        let mut st = self.world.state.borrow_mut();
-        st.rng[self.id].gen_unit_f64()
-    }
-}
+use seq::run_sequential;
 
 /// Everything a finished simulation knows, in PE order.
 #[derive(Debug)]
@@ -571,16 +119,6 @@ pub struct SchedStats {
     /// Single-threaded merge windows the sharded scheduler settled
     /// between phases (0 on the sequential path).
     pub merge_windows: u64,
-}
-
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "PE panicked with a non-string payload".to_string()
-    }
 }
 
 /// Does the module contain lock opcodes? Lock grant order is defined
@@ -666,144 +204,13 @@ pub fn run_module_with_order(
     run_sequential(module, cfg, input, Some(order))
 }
 
-/// The sequential scheduler: a lock-wake event heap plus a cohort
-/// release cursor for barrier episodes. Handles every program
-/// (including locks) and any tie-break order; `order = None` is the
-/// canonical ascending-PE order.
-fn run_sequential(
-    module: &Module,
-    cfg: &ShmemConfig,
-    input: &[String],
-    order: Option<&dyn Fn(usize) -> u64>,
-) -> Result<SimReport, SpmdError> {
-    let world = SimWorld::new(cfg);
-    let n = cfg.n_pes;
-    let key = |pe: usize| order.map_or(pe as u64, |f| f(pe));
-    let mut machines: Vec<Machine<'_>> = (0..n).map(|_| Machine::new(module, input)).collect();
-    let mut outputs = vec![String::new(); n];
-    let mut done = vec![false; n];
-    let mut n_done = 0usize;
-    let mut events = 0u64;
-    // The cohort: PEs released together by a completed barrier
-    // episode (program start is episode zero at t = 0). All of them
-    // resume at the same synchronized time, so the canonical order is
-    // just ascending PE — one cursor, no heap traffic. A custom
-    // tie-break re-sorts once (test-only path).
-    let mut cohort: Vec<usize> = (0..n).collect();
-    if order.is_some() {
-        cohort.sort_by_key(|&p| (key(p), p));
-    }
-    let mut cohort_time = 0u64;
-    let mut cohort_next = 0usize;
-    let mut sched = SchedStats::default();
-    // Min-heap over (t_ns, tie, pe) — lock hand-offs only.
-    let mut queue: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    loop {
-        // Next event: the smaller of the cohort cursor and the heap
-        // head, compared on the same (t_ns, tie, pe) key.
-        let cohort_key = (cohort_next < cohort.len()).then(|| {
-            let p = cohort[cohort_next];
-            (cohort_time, key(p), p)
-        });
-        let queue_key = queue.peek().map(|&Reverse(k)| k);
-        let pe = match (cohort_key, queue_key) {
-            (None, None) => break,
-            (Some(ck), qk) if qk.is_none() || ck <= qk.unwrap() => {
-                cohort_next += 1;
-                // Lazy clock max-sync to the episode's release time.
-                let mut st = world.state.borrow_mut();
-                st.vclock[ck.2] = st.vclock[ck.2].max(cohort_time);
-                ck.2
-            }
-            _ => queue.pop().expect("peeked").0 .2,
-        };
-        events += 1;
-        let sub = SimPe { world: &world, id: pe };
-        let machine = &mut machines[pe];
-        let step = catch_unwind(AssertUnwindSafe(|| machine.resume(&sub)));
-        match step {
-            Err(payload) => {
-                // Substrate diagnostics (heap bounds, allocation
-                // mismatch, lock misuse) panic exactly like the
-                // threaded world; the first one aborts the job.
-                return Err(SpmdError { pe, message: panic_message(payload) });
-            }
-            Ok(Err(e)) => return Err(SpmdError { pe, message: e.to_string() }),
-            Ok(Ok(Step::Done)) => {
-                outputs[pe] = machines[pe].take_output();
-                done[pe] = true;
-                n_done += 1;
-            }
-            Ok(Ok(Step::Blocked)) => {
-                debug_assert_ne!(
-                    world.state.borrow().block[pe],
-                    Block::Run,
-                    "machine blocked but the substrate did not park PE {pe}"
-                );
-            }
-        }
-        let mut st = world.state.borrow_mut();
-        for (t, p) in st.wakes.drain(..) {
-            queue.push(Reverse((t, key(p), p)));
-        }
-        sched.heap_peak = sched.heap_peak.max(queue.len() as u64);
-        if st.episode_done {
-            // All n PEs arrived, which means every prior release was
-            // consumed and no lock hand-off can be pending: release
-            // the whole cohort with one cursor reset.
-            st.episode_done = false;
-            sched.barrier_episodes += 1;
-            debug_assert!(queue.is_empty() && cohort_next == cohort.len());
-            let sync = st.bar_max + if st.bar_explicit { VIRT_BARRIER_NS } else { 0 };
-            st.bar_count = 0;
-            st.bar_max = 0;
-            for p in 0..n {
-                st.block[p] = Block::BarrierDone;
-            }
-            cohort_time = sync;
-            cohort_next = 0;
-        }
-    }
-    if n_done < n {
-        // The queue drained with parked PEs left: a deadlock, detected
-        // *exactly* instead of by the threaded world's watchdog — one
-        // of the perks of simulation.
-        let st = world.state.borrow();
-        let pe = (0..n).find(|&p| !done[p]).expect("some PE is unfinished");
-        let what = match st.block[pe] {
-            Block::LockWait | Block::LockDone => "IM SRSLY MESIN WIF (lock)",
-            _ => "HUGZ (barrier)",
-        };
-        return Err(SpmdError {
-            pe,
-            message: format!(
-                "O NOES! [RUN0191] PE {pe} WAITED 2 LONG AT {what} — SUM PE NEVER SHOWED UP \
-                 (DEADLOCK?)"
-            ),
-        });
-    }
-    let mut st = world.state.borrow_mut();
-    let stats = std::mem::take(&mut st.stats);
-    let virtual_ns = std::mem::take(&mut st.vclock);
-    let makespan_ns = virtual_ns.iter().copied().max().unwrap_or(0);
-    let traces: Vec<Option<PeTrace>> = if st.tracers.is_empty() {
-        (0..n).map(|_| None).collect()
-    } else {
-        std::mem::take(&mut st.tracers)
-            .into_iter()
-            .enumerate()
-            .map(|(p, buf)| Some(buf.finish(virtual_ns[p])))
-            .collect()
-    };
-    Ok(SimReport { outputs, stats, traces, virtual_ns, makespan_ns, events, sched })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use lol_ast::{BinOp, LolType};
     use lol_interp::Value;
-    use lol_shmem::{run_spmd, ClockMode, LatencyModel};
+    use lol_shmem::{run_spmd, ClockMode, LatencyModel, LockKind};
+    use lol_trace::{VIRT_BARRIER_NS, VIRT_OP_NS};
     use lol_vm::ops::{Chunk, Op};
 
     fn cfg(n: usize) -> ShmemConfig {
@@ -1006,6 +413,70 @@ mod tests {
             assert!(err.message.contains("HUGZ"), "jobs {jobs}: {}", err.message);
             assert_eq!(err.pe, 1, "jobs {jobs}: first unfinished PE");
         }
+    }
+
+    /// The PGAS diagnostics give the same `(pe, message)` on the
+    /// threaded VM and on both schedulers.
+    #[test]
+    fn diagnostics_match_the_threaded_world() {
+        let module = |shared_words, consts, code| Module {
+            consts,
+            main: Chunk { code, n_slots: 1, n_arrays: 0 },
+            funcs: vec![],
+            shared_words,
+        };
+        // RUN0100: PE 2 alone stores past a 4-word heap.
+        let bound = module(
+            1,
+            vec![Value::Numbr(2)],
+            vec![
+                Op::Me,
+                Op::Const(0),
+                Op::Bin(BinOp::BothSaem),
+                Op::JumpIfFalse(6),
+                Op::Const(0),
+                Op::SharedStore { off: 8, ty: LolType::Numbr, remote: false },
+                Op::Halt,
+            ],
+        );
+        // RUN0111: every PE's startup allocation overflows the heap.
+        let exhausted = module(8, vec![], vec![Op::Halt]);
+        // RUN0191: PE 0 skips the barrier PE 1 waits at.
+        let deadlock = module(0, vec![], vec![Op::Me, Op::JumpIfFalse(3), Op::Barrier, Op::Halt]);
+        let cases = [
+            ("RUN0100", &bound, cfg(4).heap_words(4), 2),
+            ("RUN0111", &exhausted, cfg(4).heap_words(4), 0),
+            ("RUN0191", &deadlock, cfg(2).timeout(std::time::Duration::from_millis(200)), 1),
+        ];
+        for (code, m, c, pe) in cases {
+            let threaded = run_spmd(c.clone(), |p| lol_vm::run_on_pe(m, p, &[]).unwrap());
+            let threaded = threaded.unwrap_err();
+            assert_eq!(threaded.pe, pe, "{code}: {}", threaded.message);
+            assert!(threaded.message.contains(code), "{code}: {}", threaded.message);
+            for jobs in [1usize, 2] {
+                let sim = run_module_jobs(m, &c, &[], jobs).unwrap_err();
+                assert_eq!(sim, threaded, "{code}, jobs {jobs}");
+            }
+        }
+        // RUN0110 cannot come from one module (every PE allocates its
+        // `shared_words`), so the threaded world's mismatch is checked
+        // against the routine both schedulers settle allocations with.
+        // Which PE the threaded world blames depends on which call it
+        // logged first; the simulator settles in PE order.
+        let threaded = run_spmd(cfg(2).timeout(std::time::Duration::from_secs(5)), |p| {
+            p.shmalloc(2 + p.id());
+        })
+        .unwrap_err();
+        let settle = |reqs: &[lane::AllocReq]| {
+            lane::AllocLog::default().settle(reqs, 16).expect_err("sizes differ")
+        };
+        let in_pe_order = settle(&[(0, 0, 2), (0, 1, 3)]);
+        assert_eq!(in_pe_order.pe, 1);
+        assert!(in_pe_order.message.contains("RUN0110"), "{}", in_pe_order.message);
+        assert!(
+            threaded == in_pe_order || threaded == settle(&[(0, 1, 3), (0, 0, 2)]),
+            "{threaded:?}"
+        );
     }
 
     #[test]

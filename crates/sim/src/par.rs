@@ -13,11 +13,12 @@
 //! scheduling inside the window.
 //!
 //! Each phase runs one segment per live PE, sharded across workers by
-//! a [`ShardPlan`]; a single-threaded merge then settles the window
-//! boundary: it validates collective allocations in canonical PE
-//! order, advances the release clock, and re-opens every shard. The
-//! merge sees per-shard "inboxes" — arrival records, allocation
-//! requests, and errors — and processes them in canonical
+//! a [`ShardPlan`], each shard over its own lane table; a
+//! single-threaded merge then settles the window boundary: it
+//! validates collective allocations in canonical PE order, advances
+//! the release clock, and re-opens every shard. The merge sees what
+//! each shard left — arrivals and allocation requests in its lane
+//! table, the phase's first error — and processes them in canonical
 //! `(t_ns, tie, pe)` order, which within a window (all arrivals share
 //! the window's release time, and the tie-break is the PE id) is just
 //! ascending PE. That makes every merge decision — error attribution,
@@ -44,16 +45,14 @@
 //! statically and uses the sequential scheduler, whatever `sim_jobs`
 //! says.
 
-use crate::{make_rng, panic_message, Block, SchedStats, SimReport};
+use crate::lane::{assemble, deadlock, step, AllocLog, Arrivals, Block, Lane, Lanes, World};
+use crate::{SchedStats, SimReport};
 use lol_shmem::shard::ShardPlan;
-use lol_shmem::substrate::{Progress, Substrate};
-use lol_shmem::{CommStats, PeTrace, ShmemConfig, SpmdError, SymAddr, TraceBuffer};
-use lol_trace::{EventKind, VIRT_BARRIER_NS, VIRT_OP_NS};
-use lol_vm::machine::{Machine, Step};
+use lol_shmem::{diag, ShmemConfig, SpmdError, SymAddr};
+use lol_vm::machine::Machine;
 use lol_vm::Module;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -69,11 +68,8 @@ struct ParWorld {
     /// sequential heap's lazy growth); entries migrate into `heaps`
     /// when a merge advances the cursor past them.
     overflow: Mutex<HashMap<(u32, u32), u64>>,
-    /// Collective-allocation log (words per call) and resolved
-    /// offsets — read-only during phases, appended at merges.
-    alloc_log: Vec<u32>,
-    alloc_offsets: Vec<u32>,
-    cursor: usize,
+    /// Read-only during phases, settled at merges.
+    alloc: AllocLog,
     /// The synchronized clock of the last completed episode; every PE
     /// lazily max-syncs to it at its next segment.
     release_time: u64,
@@ -83,36 +79,15 @@ impl ParWorld {
     fn check(&self, addr: SymAddr) -> usize {
         let idx = addr.index();
         if idx >= self.heap_words {
-            panic!(
-                "O NOES! [RUN0100] SYMMETRIC ADDRESS {} IZ OUTSIDE DA HEAP ({} WORDS)",
-                addr.0, self.heap_words
-            );
+            panic!("{}", diag::heap_bound(addr, self.heap_words));
         }
         idx
-    }
-
-    fn load(&self, pe: usize, addr: SymAddr) -> u64 {
-        let idx = self.check(addr);
-        if let Some(w) = self.heaps[pe].get(idx) {
-            w.load(Ordering::Relaxed)
-        } else {
-            *self.overflow.lock().unwrap().get(&(pe as u32, idx as u32)).unwrap_or(&0)
-        }
-    }
-
-    fn store(&self, pe: usize, addr: SymAddr, value: u64) {
-        let idx = self.check(addr);
-        if let Some(w) = self.heaps[pe].get(idx) {
-            w.store(value, Ordering::Relaxed);
-        } else {
-            self.overflow.lock().unwrap().insert((pe as u32, idx as u32), value);
-        }
     }
 
     /// Resize every heap to the (grown) cursor and migrate overflow
     /// words the cursor has caught up with. Merge-only.
     fn grow_heaps(&mut self) {
-        let cur = self.cursor;
+        let cur = self.alloc.cursor;
         for h in &mut self.heaps {
             if h.len() < cur {
                 let mut grown: Vec<AtomicU64> = Vec::with_capacity(cur);
@@ -133,219 +108,52 @@ impl ParWorld {
     }
 }
 
-/// One PE's first arrival record for a phase: `(pe, explicit)`.
-type Arrival = (usize, bool);
-
-/// Per-shard mutable state: SoA vectors indexed by *local* member
-/// position, plus the phase "inbox" the merge consumes.
-struct ShardLocal {
-    vclock: Vec<u64>,
-    stats: Vec<CommStats>,
-    rng: Vec<crate::PeRng>,
-    tracers: Vec<TraceBuffer>,
-    block: Vec<Block>,
-    alloc_seq: Vec<u32>,
-    outputs: Vec<String>,
-    done: Vec<bool>,
-    done_count: usize,
-    // ---- phase inbox, reset by `begin_phase` ----
-    segments: u64,
-    arrivals: usize,
-    arrive_max: u64,
-    first_arrival: Option<Arrival>,
-    /// At most one per member per phase (`shmalloc` parks): `(seq,
-    /// pe, words)`, pe-ascending because members run in order.
-    alloc_reqs: Vec<(u32, usize, usize)>,
-    error: Option<(usize, String)>,
-}
-
-impl ShardLocal {
-    fn new(members: &[usize], cfg: &ShmemConfig) -> Self {
-        let k = members.len();
-        let tracers = if cfg.trace {
-            members
-                .iter()
-                .map(|&pe| {
-                    let cap = if cfg.traces_pe(pe) { cfg.trace_capacity } else { 0 };
-                    TraceBuffer::new(pe, cap)
-                })
-                .collect()
+impl World for ParWorld {
+    fn load(&self, pe: usize, addr: SymAddr) -> u64 {
+        let idx = self.check(addr);
+        if let Some(w) = self.heaps[pe].get(idx) {
+            w.load(Ordering::Relaxed)
         } else {
-            Vec::new()
-        };
-        ShardLocal {
-            vclock: vec![0; k],
-            stats: vec![CommStats::default(); k],
-            rng: members.iter().map(|&pe| make_rng(cfg, pe)).collect(),
-            tracers,
-            block: vec![Block::Run; k],
-            alloc_seq: vec![0; k],
-            outputs: vec![String::new(); k],
-            done: vec![false; k],
-            done_count: 0,
-            segments: 0,
-            arrivals: 0,
-            arrive_max: 0,
-            first_arrival: None,
-            alloc_reqs: Vec::new(),
-            error: None,
+            *self.overflow.lock().unwrap().get(&(pe as u32, idx as u32)).unwrap_or(&0)
         }
     }
 
-    fn begin_phase(&mut self) {
-        self.segments = 0;
-        self.arrivals = 0;
-        self.arrive_max = 0;
-        self.first_arrival = None;
-        self.alloc_reqs.clear();
-        self.error = None;
+    fn store(&self, pe: usize, addr: SymAddr, value: u64) {
+        let idx = self.check(addr);
+        if let Some(w) = self.heaps[pe].get(idx) {
+            w.store(value, Ordering::Relaxed);
+        } else {
+            self.overflow.lock().unwrap().insert((pe as u32, idx as u32), value);
+        }
+    }
+
+    fn alloc_offset(&self, seq: usize) -> u32 {
+        self.alloc.offset(seq)
+    }
+
+    fn acquire(&self, _me: usize, _target: usize, _addr: SymAddr) -> bool {
+        unreachable!("lock-using modules are routed to the sequential scheduler")
+    }
+
+    fn try_acquire(&self, _me: usize, _target: usize, _addr: SymAddr) -> bool {
+        unreachable!("lock-using modules are routed to the sequential scheduler")
+    }
+
+    fn release(&self, _lanes: &mut Lanes, _me: usize, _target: usize, _addr: SymAddr) {
+        unreachable!("lock-using modules are routed to the sequential scheduler")
     }
 }
 
-/// One shard: its member PEs (ascending), their machines, and their
-/// SoA state. Owned by the orchestrator, lent to one worker per
-/// phase.
+/// One shard: its machines and lane table (members ascending), plus
+/// what its last phase leaves for the merge. Owned by the
+/// orchestrator, lent to one worker per phase.
 struct Shard<'m> {
-    members: &'m [usize],
     /// Created inside the shard's first phase so mega-scale machine
     /// construction parallelizes too.
     machines: Vec<Machine<'m>>,
-    local: RefCell<ShardLocal>,
-}
-
-/// One PE's substrate handle during a sharded phase.
-struct ParPe<'a> {
-    world: &'a ParWorld,
-    cfg: &'a ShmemConfig,
-    plan: &'a ShardPlan,
-    local: &'a RefCell<ShardLocal>,
-    /// Local member index within the shard.
-    li: usize,
-    pe: usize,
-}
-
-impl ParPe<'_> {
-    fn charge(&self, l: &mut ShardLocal, target: usize) {
-        if target != self.pe {
-            let delay = self.cfg.latency.delay_ns(self.pe, target);
-            l.vclock[self.li] += delay + VIRT_OP_NS;
-        }
-    }
-
-    fn trace(&self, l: &mut ShardLocal, kind: EventKind, peer: usize, addr: SymAddr, bytes: u32) {
-        if l.tracers.is_empty() {
-            return;
-        }
-        let now = l.vclock[self.li];
-        l.tracers[self.li].record(kind, peer, addr.0, bytes, now);
-    }
-
-    /// Record this PE's arrival at the window boundary; the merge
-    /// counts arrivals across shards and completes the episode.
-    fn enter_barrier(&self, l: &mut ShardLocal, explicit: bool) {
-        l.stats[self.li].barriers += 1;
-        l.arrivals += 1;
-        l.arrive_max = l.arrive_max.max(l.vclock[self.li]);
-        if l.first_arrival.is_none() {
-            l.first_arrival = Some((self.pe, explicit));
-        }
-        l.block[self.li] = Block::BarrierWait;
-    }
-}
-
-impl Substrate for ParPe<'_> {
-    fn id(&self) -> usize {
-        self.pe
-    }
-
-    fn n_pes(&self) -> usize {
-        self.cfg.n_pes
-    }
-
-    fn shmalloc(&self, words: usize) -> Progress<SymAddr> {
-        let mut l = self.local.borrow_mut();
-        if l.block[self.li] == Block::BarrierDone {
-            l.block[self.li] = Block::Run;
-            let seq = l.alloc_seq[self.li] as usize - 1;
-            return Progress::Ready(SymAddr(self.world.alloc_offsets[seq]));
-        }
-        // First attempt: park at the allocation fence and hand the
-        // request to the merge, which validates all of them in
-        // canonical PE order (so RUN0110/RUN0111 attribution matches
-        // the sequential scheduler exactly).
-        let seq = l.alloc_seq[self.li];
-        l.alloc_seq[self.li] = seq + 1;
-        l.alloc_reqs.push((seq, self.pe, words));
-        self.enter_barrier(&mut l, false);
-        Progress::Pending
-    }
-
-    fn put_u64(&self, addr: SymAddr, target: usize, value: u64) {
-        let mut l = self.local.borrow_mut();
-        if target == self.pe {
-            l.stats[self.li].local_puts += 1;
-        } else {
-            l.stats[self.li].remote_puts += 1;
-        }
-        self.charge(&mut l, target);
-        self.world.store(target, addr, value);
-        if target != self.pe {
-            self.trace(&mut l, EventKind::Put, target, addr, 8);
-        }
-    }
-
-    fn get_u64(&self, addr: SymAddr, target: usize) -> u64 {
-        let mut l = self.local.borrow_mut();
-        if target == self.pe {
-            l.stats[self.li].local_gets += 1;
-        } else {
-            l.stats[self.li].remote_gets += 1;
-        }
-        self.charge(&mut l, target);
-        let v = self.world.load(target, addr);
-        if target != self.pe {
-            self.trace(&mut l, EventKind::Get, target, addr, 8);
-        }
-        v
-    }
-
-    fn barrier(&self) -> Progress<()> {
-        let mut l = self.local.borrow_mut();
-        if l.block[self.li] == Block::BarrierDone {
-            l.block[self.li] = Block::Run;
-            self.trace(&mut l, EventKind::BarrierExit, self.pe, SymAddr(0), 0);
-            return Progress::Ready(());
-        }
-        self.trace(&mut l, EventKind::BarrierEnter, self.pe, SymAddr(0), 0);
-        self.enter_barrier(&mut l, true);
-        Progress::Pending
-    }
-
-    fn lock(&self, _addr: SymAddr, _target: usize) -> Progress<()> {
-        unreachable!("lock-using modules are routed to the sequential scheduler")
-    }
-
-    fn try_lock(&self, _addr: SymAddr, _target: usize) -> bool {
-        unreachable!("lock-using modules are routed to the sequential scheduler")
-    }
-
-    fn unlock(&self, _addr: SymAddr, _target: usize) {
-        unreachable!("lock-using modules are routed to the sequential scheduler")
-    }
-
-    fn rand_i64(&self) -> i64 {
-        let mut l = self.local.borrow_mut();
-        l.rng[self.li].gen_i64_below(1i64 << 31)
-    }
-
-    fn rand_f64(&self) -> f64 {
-        let mut l = self.local.borrow_mut();
-        l.rng[self.li].gen_unit_f64()
-    }
-
-    fn shard_of(&self, pe: usize) -> usize {
-        self.plan.shard_of(pe)
-    }
+    lanes: RefCell<Lanes>,
+    segments: u64,
+    error: Option<SpmdError>,
 }
 
 /// One shard's phase: run one segment per live member, in ascending
@@ -354,58 +162,29 @@ fn run_phase<'m>(
     shard: &mut Shard<'m>,
     world: &ParWorld,
     cfg: &ShmemConfig,
-    plan: &ShardPlan,
     module: &'m Module,
     input: &'m [String],
 ) {
-    if shard.machines.is_empty() && !shard.members.is_empty() {
-        shard.machines = shard.members.iter().map(|_| Machine::new(module, input)).collect();
+    let k = shard.lanes.get_mut().pes.len();
+    if shard.machines.is_empty() {
+        shard.machines = (0..k).map(|_| Machine::new(module, input)).collect();
     }
-    shard.local.get_mut().begin_phase();
-    for li in 0..shard.members.len() {
-        let pe = shard.members[li];
-        {
-            let mut l = shard.local.borrow_mut();
-            if l.done[li] {
-                continue;
-            }
-            debug_assert!(
-                matches!(l.block[li], Block::Run | Block::BarrierDone),
-                "PE {pe} entered a phase still parked"
-            );
-            // Lazy clock max-sync to the last episode's release time
-            // (same rule as the sequential cohort pop).
-            l.vclock[li] = l.vclock[li].max(world.release_time);
-            l.segments += 1;
+    shard.segments = 0;
+    for li in 0..k {
+        let l = shard.lanes.get_mut();
+        if l.done[li] {
+            continue;
         }
-        let sub = ParPe { world, cfg, plan, local: &shard.local, li, pe };
-        let machine = &mut shard.machines[li];
-        let step = catch_unwind(AssertUnwindSafe(|| machine.resume(&sub)));
-        let mut l = shard.local.borrow_mut();
-        match step {
-            Err(payload) => {
-                l.error = Some((pe, panic_message(payload)));
-                break;
-            }
-            Ok(Err(e)) => {
-                l.error = Some((pe, e.to_string()));
-                break;
-            }
-            Ok(Ok(Step::Done)) => {
-                drop(l);
-                let out = shard.machines[li].take_output();
-                let mut l = shard.local.borrow_mut();
-                l.outputs[li] = out;
-                l.done[li] = true;
-                l.done_count += 1;
-            }
-            Ok(Ok(Step::Blocked)) => {
-                debug_assert_eq!(
-                    l.block[li],
-                    Block::BarrierWait,
-                    "machine blocked but the substrate did not park PE {pe}"
-                );
-            }
+        let pe = l.pes[li];
+        debug_assert!(
+            matches!(l.block[li], Block::Run | Block::BarrierDone),
+            "PE {pe} entered a phase still parked"
+        );
+        shard.segments += 1;
+        let lane = Lane { world, cfg, lanes: &shard.lanes, li, pe };
+        if let Err(e) = step(&mut shard.machines[li], &lane, world.release_time) {
+            shard.error = Some(e);
+            break;
         }
     }
 }
@@ -428,16 +207,15 @@ pub(crate) fn run_sharded(
         heap_words: cfg.heap_words,
         heaps: (0..n).map(|_| Vec::new().into_boxed_slice()).collect(),
         overflow: Mutex::new(HashMap::new()),
-        alloc_log: Vec::new(),
-        alloc_offsets: Vec::new(),
-        cursor: 0,
+        alloc: AllocLog::default(),
         release_time: 0,
     };
     let mut shards: Vec<Shard<'_>> = (0..plan.jobs())
         .map(|s| Shard {
-            members: plan.members(s),
             machines: Vec::new(),
-            local: RefCell::new(ShardLocal::new(plan.members(s), cfg)),
+            lanes: RefCell::new(Lanes::new(cfg, plan.members(s).to_vec())),
+            segments: 0,
+            error: None,
         })
         .collect();
     let mut events = 0u64;
@@ -446,149 +224,54 @@ pub(crate) fn run_sharded(
         // ---- phase: one segment per live PE, sharded ----
         std::thread::scope(|scope| {
             let world = &world;
-            for shard in shards.iter_mut().filter(|s| !s.members.is_empty()) {
-                scope.spawn(move || run_phase(shard, world, cfg, plan, module, input));
+            for shard in shards.iter_mut().filter(|s| !s.lanes.borrow().pes.is_empty()) {
+                scope.spawn(move || run_phase(shard, world, cfg, module, input));
             }
         });
         // ---- merge: settle the window boundary, single-threaded ----
         sched.merge_windows += 1;
-        let mut arrivals = 0usize;
-        let mut arrive_max = 0u64;
-        let mut first_arrival: Option<Arrival> = None;
-        let mut done_total = 0usize;
-        let mut run_err: Option<(usize, String)> = None;
-        let mut reqs: Vec<(u32, usize, usize)> = Vec::new();
+        let mut arrivals = Arrivals::default();
+        let mut done = 0usize;
+        let mut errors: Vec<SpmdError> = Vec::new();
+        let mut reqs = Vec::new();
         for shard in &mut shards {
-            let l = shard.local.get_mut();
-            events += l.segments;
-            arrivals += l.arrivals;
-            arrive_max = arrive_max.max(l.arrive_max);
-            done_total += l.done_count;
-            if let Some(a) = l.first_arrival {
-                if first_arrival.is_none_or(|b| a.0 < b.0) {
-                    first_arrival = Some(a);
-                }
-            }
-            if let Some(e) = l.error.take() {
-                if run_err.as_ref().is_none_or(|r| e.0 < r.0) {
-                    run_err = Some(e);
-                }
-            }
+            events += shard.segments;
+            errors.extend(shard.error.take());
+            let l = shard.lanes.get_mut();
+            arrivals.merge(l.arrivals);
+            done += l.done_count;
             reqs.append(&mut l.alloc_reqs);
         }
-        // Allocation requests validated in canonical PE order — the
-        // exact call order the sequential scheduler would have seen,
-        // so mismatch/exhaustion diagnostics attribute identically.
+        // Allocation requests settle in canonical PE order — the exact
+        // call order the sequential scheduler would have seen, so
+        // mismatch/exhaustion diagnostics attribute identically.
         reqs.sort_unstable_by_key(|&(_, pe, _)| pe);
-        let mut alloc_err: Option<(usize, String)> = None;
-        for &(seq, pe, words) in &reqs {
-            let seq = seq as usize;
-            if let Some(&prev) = world.alloc_log.get(seq) {
-                if prev as usize != words {
-                    alloc_err = Some((
-                        pe,
-                        format!(
-                            "O NOES! [RUN0110] COLLECTIVE ALLOCASHUN MISMATCH AT CALL \
-                             #{seq}: PE {pe} WANTS {words} WORDS BUT DA JOB ALREADY \
-                             AGREED ON {prev}"
-                        ),
-                    ));
-                    break;
-                }
-            } else {
-                world.alloc_log.push(words as u32);
-            }
-            if world.alloc_offsets.get(seq).is_none() {
-                let off = world.cursor;
-                let end = off + words;
-                if end > cfg.heap_words {
-                    alloc_err = Some((
-                        pe,
-                        format!(
-                            "O NOES! [RUN0111] NOT ENUF SYMMETRIC HEAP: PE {pe} NEEDS \
-                             {end} WORDS BUT ONLY HAS {} (GROW heap_words)",
-                            cfg.heap_words
-                        ),
-                    ));
-                    break;
-                }
-                world.cursor = end;
-                world.alloc_offsets.push(off as u32);
-            }
-        }
+        errors.extend(world.alloc.settle(&reqs, cfg.heap_words).err());
         // A phase error surfaces at its PE's segment, an allocation
         // error at the requesting PE's — canonical order picks the
         // smaller PE, like the sequential scheduler aborting at the
         // first erroring segment.
-        if let Some((pe, message)) =
-            [run_err, alloc_err].into_iter().flatten().min_by_key(|&(pe, _)| pe)
-        {
-            return Err(SpmdError { pe, message });
+        if let Some(e) = errors.into_iter().min_by_key(|e| e.pe) {
+            return Err(e);
         }
-        if done_total == n {
+        if done == n {
             break;
         }
-        if arrivals == n {
-            // Episode complete: grow the shared heaps to the new
-            // cursor, then release every PE through the window clock.
-            debug_assert_eq!(done_total, 0, "a done PE cannot also arrive");
-            sched.barrier_episodes += 1;
-            world.grow_heaps();
-            let explicit = first_arrival.map(|(_, e)| e).unwrap_or(false);
-            world.release_time = arrive_max + if explicit { VIRT_BARRIER_NS } else { 0 };
-            for shard in &mut shards {
-                for b in shard.local.get_mut().block.iter_mut() {
-                    *b = Block::BarrierDone;
-                }
-            }
-            continue;
+        if arrivals.count != n {
+            // Partial arrival with unfinished PEs: the job can never
+            // make progress again — the sequential scheduler's
+            // drained-queue deadlock, at the same first unfinished PE.
+            return Err(deadlock(shards.iter_mut().map(|s| &*s.lanes.get_mut())));
         }
-        // Partial arrival with unfinished PEs: the job can never make
-        // progress again — the sequential scheduler's drained-queue
-        // deadlock, detected at the same first unfinished PE.
-        let (pe, what) = shards
-            .iter_mut()
-            .flat_map(|s| {
-                let l = s.local.get_mut();
-                s.members
-                    .iter()
-                    .zip(l.done.iter().zip(l.block.iter()))
-                    .filter(|(_, (&d, _))| !d)
-                    .map(|(&pe, (_, &b))| (pe, b))
-                    .collect::<Vec<_>>()
-            })
-            .min_by_key(|&(pe, _)| pe)
-            .expect("done_total < n leaves an unfinished PE");
-        let what = match what {
-            Block::LockWait | Block::LockDone => "IM SRSLY MESIN WIF (lock)",
-            _ => "HUGZ (barrier)",
-        };
-        return Err(SpmdError {
-            pe,
-            message: format!(
-                "O NOES! [RUN0191] PE {pe} WAITED 2 LONG AT {what} — SUM PE NEVER SHOWED UP \
-                 (DEADLOCK?)"
-            ),
-        });
-    }
-    // ---- assemble, scattering shard-local state back to PE order ----
-    let mut outputs = vec![String::new(); n];
-    let mut stats = vec![CommStats::default(); n];
-    let mut virtual_ns = vec![0u64; n];
-    let mut traces: Vec<Option<PeTrace>> = (0..n).map(|_| None).collect();
-    for shard in &mut shards {
-        let l = shard.local.get_mut();
-        let tracers = std::mem::take(&mut l.tracers);
-        for (li, &pe) in shard.members.iter().enumerate() {
-            outputs[pe] = std::mem::take(&mut l.outputs[li]);
-            stats[pe] = l.stats[li];
-            virtual_ns[pe] = l.vclock[li];
-        }
-        for (li, buf) in tracers.into_iter().enumerate() {
-            let pe = shard.members[li];
-            traces[pe] = Some(buf.finish(virtual_ns[pe]));
+        // Episode complete: grow the shared heaps to the new cursor,
+        // then release every PE through the window clock.
+        debug_assert_eq!(done, 0, "a done PE cannot also arrive");
+        sched.barrier_episodes += 1;
+        world.grow_heaps();
+        world.release_time = arrivals.release_time();
+        for shard in &mut shards {
+            shard.lanes.get_mut().release();
         }
     }
-    let makespan_ns = virtual_ns.iter().copied().max().unwrap_or(0);
-    Ok(SimReport { outputs, stats, traces, virtual_ns, makespan_ns, events, sched })
+    Ok(assemble(n, shards.iter_mut().map(|s| s.lanes.get_mut()), events, sched))
 }
