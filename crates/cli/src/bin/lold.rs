@@ -32,8 +32,8 @@ usage: lold [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
   --thread-budget <N>   global run-admission thread budget, sweep
                         semantics (0 = host cores; default 0)
   --max-pes <N>         per-request PE cap (default 65536)
-  --max-wall-ms <N>     per-request host wall cap, clamps the deadlock
-                        watchdog (default 10000)
+  --max-wall-ms <N>     per-request cap on the deadlock watchdog, which
+                        bounds spin-waits only, not compute (default 10000)
   --max-body <N>        request body cap in bytes (default 1048576)
   --max-configs <N>     per-sweep config-count cap (default 64)
   --idle-timeout-ms <N> idle keep-alive connection allowance (default 30000)

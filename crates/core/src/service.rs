@@ -36,16 +36,18 @@ use std::time::Duration;
 pub struct Quotas {
     /// Largest PE count a single run may request.
     pub max_pes: usize,
-    /// Host wall-clock cap per run: [`RunConfig::timeout`] is clamped
-    /// to this, so the substrate's deadlock watchdog doubles as the
-    /// service's execution deadline.
+    /// Cap on the deadlock watchdog: [`RunConfig::timeout`] is clamped
+    /// to this. The watchdog only supervises spin-waits (barriers,
+    /// locks, allocation fences), so this bounds how long a run may
+    /// wait on its peers, *not* how long it may compute: a run that
+    /// loops forever without waiting is not stopped by it.
     pub max_wall: Duration,
     /// Simulated/virtual wall cap in nanoseconds: a run whose virtual
     /// wall (or simulated makespan, on [`Backend::Sim`]) exceeds this
-    /// is reported as a quota violation after the fact. The *host*
-    /// cost is already bounded by [`Quotas::max_wall`]; this bounds
+    /// is reported as a quota violation after the fact. This bounds
     /// the response's claim to simulated time (a classroom `1s/hop ×
-    /// 1M PEs` request shouldn't "succeed" with a thousand-year wall).
+    /// 1M PEs` request shouldn't "succeed" with a thousand-year wall),
+    /// not the host cost of producing it.
     pub max_virtual_ns: u64,
     /// Largest HTTP request body the service will read, in bytes.
     pub max_body_bytes: usize,
@@ -177,9 +179,9 @@ impl Quotas {
         Ok(())
     }
 
-    /// Post-run hook: the virtual/simulated wall cap. The host cost
-    /// was already bounded by the clamped timeout; this rejects
-    /// responses that *claim* more simulated time than policy allows.
+    /// Post-run hook: the virtual/simulated wall cap. It rejects
+    /// responses that *claim* more simulated time than policy allows;
+    /// it does not bound the host time the run took.
     pub fn check_report(&self, r: &RunReport) -> Result<(), QuotaViolation> {
         let simulated_ns = match r.virtual_wall {
             Some(vw) => Some(vw.as_nanos() as u64),

@@ -116,7 +116,7 @@ impl std::error::Error for JsonError {}
 /// Parse exactly one JSON value from `input` (leading/trailing
 /// whitespace allowed, anything else after the value is an error).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -127,6 +127,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src` as bytes: the grammar's punctuation is all ASCII.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -291,13 +293,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("RAW CONTROL CHAR IN STRING")),
                 Some(_) => {
-                    // Multi-byte UTF-8 is already valid (input is &str);
-                    // copy the whole scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a &str");
-                    let ch = s.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole unescaped run as one slice. It ends
+                    // at an ASCII byte (or the end), never inside a
+                    // multi-byte scalar, whose bytes are all >= 0x80.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -431,6 +434,20 @@ mod tests {
         assert!(parse("01").is_err() || parse("01").is_ok()); // lenient leading zero, but total
         assert!(parse("").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn a_1_mib_string_parses_in_linear_time() {
+        // One string field the size of lold's default body limit, with
+        // multi-byte scalars and escapes mixed into the plain runs.
+        let line = r"IM IN YR loop UPPIN YR i \u00e9 😀 é\n";
+        let body = format!("{{\"source\": \"{}\"}}", line.repeat((1 << 20) / line.len()));
+        let t = std::time::Instant::now();
+        let v = parse(&body).unwrap();
+        let elapsed = t.elapsed();
+        let want = "IM IN YR loop UPPIN YR i é 😀 é\n".repeat((1 << 20) / line.len());
+        assert_eq!(v.get("source").unwrap().as_str(), Some(want.as_str()));
+        assert!(elapsed < std::time::Duration::from_secs(1), "took {elapsed:?}");
     }
 
     #[test]

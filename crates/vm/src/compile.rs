@@ -7,15 +7,38 @@
 //! constructs that cannot be resolved statically (`SRS`) are rejected
 //! with a compile error — the documented compiled-subset restriction
 //! (DESIGN.md §3.11).
+//!
+//! # Typed lowering
+//!
+//! [`FnCompiler::expr`] returns each expression's static type ([`Ty`])
+//! bottom-up in the same pass that emits it, and the compiler emits no
+//! coercion the types prove redundant: the `Cast` before a pinned store
+//! or a typed declaration's initializer, the per-element cast of a
+//! local-array store, and interpolation's `Cast(Yarn)`. The type facts
+//! are literals, pinned locals (sema's SEM0024 forbids retyping them),
+//! local-array elements (every store casts to the element type),
+//! symmetric scalars and arrays (typed as `shared_read` materializes
+//! them), `MAEK`, arithmetic promotion, the TROOF/YARN/NUMBAR results of
+//! the logic, `SMOOSH` and root/reciprocal operators, `ME`/`MAH FRENZ`/
+//! `WHATEVR`/`WHATEVAR`, and counted-loop counters the loop body never
+//! stores to. Calls, parameters and unpinned locals are unknown. On
+//! `nbody_bench` this leaves no cast in any innermost loop and cuts a
+//! 1-PE run from 8.80M to 8.08M dispatches (see docs/PERF.md).
 
 use crate::ops::{ArrLoc, Chunk, Module, Op};
 use lol_ast::diag::Diagnostic;
+use lol_ast::visit::{walk_stmt, Visitor};
 use lol_ast::*;
 use lol_interp::Value;
 use lol_sema::{Analysis, SharedKind, SharedVar};
 use std::collections::HashMap;
 
 type CResult<T> = Result<T, Diagnostic>;
+
+/// The static type of an expression's value: `Some(ty)` when every
+/// evaluation that yields a value yields a `ty` (one that faults yields
+/// none), `None` when unknown.
+type Ty = Option<LolType>;
 
 /// Compile an analyzed program to bytecode.
 pub fn compile(program: &Program, analysis: &Analysis) -> CResult<Module> {
@@ -42,7 +65,7 @@ pub fn compile(program: &Program, analysis: &Analysis) -> CResult<Module> {
         let mut c = FnCompiler::new(analysis, &func_ids, &mut module.consts, true);
         c.enter_scope();
         for p in &f.params {
-            let slot = c.alloc_slot(p.sym, SlotKind::Scalar { pinned: None });
+            let slot = c.alloc_slot(p.sym, SlotKind::UNTYPED);
             debug_assert!(slot >= 1);
         }
         for s in &f.body {
@@ -65,8 +88,15 @@ pub fn compile(program: &Program, analysis: &Analysis) -> CResult<Module> {
 
 #[derive(Clone)]
 enum SlotKind {
-    Scalar { pinned: Option<LolType> },
-    Array,
+    /// `ty` is the type every value in the slot has, when known;
+    /// `pinned` slots (`ITZ SRSLY A`) coerce every store to it.
+    Scalar { ty: Ty, pinned: bool },
+    /// A local array; its elements are always of type `elem`.
+    Array { elem: LolType },
+}
+
+impl SlotKind {
+    const UNTYPED: SlotKind = SlotKind::Scalar { ty: None, pinned: false };
 }
 
 #[derive(Clone)]
@@ -123,7 +153,7 @@ impl<'a> FnCompiler<'a> {
     fn alloc_slot(&mut self, name: Symbol, kind: SlotKind) -> u16 {
         let counter = match kind {
             SlotKind::Scalar { .. } => &mut self.n_slots,
-            SlotKind::Array => &mut self.n_arrays,
+            SlotKind::Array { .. } => &mut self.n_arrays,
         };
         let slot = *counter;
         *counter += 1;
@@ -137,7 +167,7 @@ impl<'a> FnCompiler<'a> {
         }
         // `IT` is implicitly slot 0 of every frame.
         if name == Symbol::it() {
-            return Some(LocalSlot { slot: 0, kind: SlotKind::Scalar { pinned: None } });
+            return Some(LocalSlot { slot: 0, kind: SlotKind::UNTYPED });
         }
         None
     }
@@ -154,6 +184,20 @@ impl<'a> FnCompiler<'a> {
     fn emit_const(&mut self, v: Value) {
         let k = self.konst(v);
         self.code.push(Op::Const(k));
+    }
+
+    /// Emit `op`, whose result has type `ty`.
+    fn typed(&mut self, op: Op, ty: LolType) -> Ty {
+        self.code.push(op);
+        Some(ty)
+    }
+
+    /// Coerce stack-top, of static type `src`, to `ty` — unless it
+    /// already is one.
+    fn coerce(&mut self, src: Ty, ty: LolType) {
+        if src != Some(ty) {
+            self.code.push(Op::Cast(ty));
+        }
     }
 
     fn here(&self) -> usize {
@@ -198,7 +242,7 @@ impl<'a> FnCompiler<'a> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(ls) = self.lookup(name) {
-                return Ok(matches!(ls.kind, SlotKind::Array));
+                return Ok(matches!(ls.kind, SlotKind::Array { .. }));
             }
         }
         Ok(self.shared(name).map(|sv| matches!(sv.kind, SharedKind::Array { .. })).unwrap_or(false))
@@ -208,7 +252,7 @@ impl<'a> FnCompiler<'a> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(ls) = self.lookup(name) {
-                if matches!(ls.kind, SlotKind::Array) {
+                if matches!(ls.kind, SlotKind::Array { .. }) {
                     return Ok(ArrLoc::Local { arr: ls.slot });
                 }
             }
@@ -229,8 +273,9 @@ impl<'a> FnCompiler<'a> {
 
     // -- expressions ---------------------------------------------------
 
-    fn expr(&mut self, e: &Expr) -> CResult<()> {
-        match &e.kind {
+    /// Emit `e` and return its static type.
+    fn expr(&mut self, e: &Expr) -> CResult<Ty> {
+        Ok(match &e.kind {
             ExprKind::Lit(l) => self.literal(l, e.span)?,
             ExprKind::Var(vr) => self.var_read(vr)?,
             ExprKind::Index { arr, idx } => {
@@ -238,10 +283,10 @@ impl<'a> FnCompiler<'a> {
                 if arr.locality != Locality::Ur {
                     if let Some(ls) = self.lookup(name) {
                         match ls.kind {
-                            SlotKind::Array => {
+                            SlotKind::Array { elem } => {
                                 self.expr(idx)?;
                                 self.code.push(Op::LocalArrLoad { arr: ls.slot });
-                                return Ok(());
+                                return Ok(Some(elem));
                             }
                             SlotKind::Scalar { .. } => {
                                 return Err(self.err(
@@ -266,30 +311,38 @@ impl<'a> FnCompiler<'a> {
                     ty: sv.ty,
                     remote: arr.locality == Locality::Ur,
                 });
+                Some(shared_ty(sv.ty))
             }
             ExprKind::Bin { op, lhs, rhs } => {
-                self.expr(lhs)?;
-                self.expr(rhs)?;
+                let a = self.expr(lhs)?;
+                let b = self.expr(rhs)?;
                 self.code.push(Op::Bin(*op));
+                bin_ty(*op, a, b)
             }
             ExprKind::Un { op, expr } => {
-                self.expr(expr)?;
+                let t = self.expr(expr)?;
                 self.code.push(Op::Un(*op));
+                match op {
+                    UnOp::Not => Some(LolType::Troof),
+                    UnOp::Squar => bin_ty(BinOp::Produkt, t, t),
+                    UnOp::Unsquar | UnOp::Flip => Some(LolType::Numbar),
+                }
             }
             ExprKind::Nary { op, args } => {
                 for a in args {
                     self.expr(a)?;
                 }
                 let n = args.len() as u8;
-                self.code.push(match op {
-                    NaryOp::AllOf => Op::AllOf(n),
-                    NaryOp::AnyOf => Op::AnyOf(n),
-                    NaryOp::Smoosh => Op::Smoosh(n),
-                });
+                match op {
+                    NaryOp::AllOf => self.typed(Op::AllOf(n), LolType::Troof),
+                    NaryOp::AnyOf => self.typed(Op::AnyOf(n), LolType::Troof),
+                    NaryOp::Smoosh => self.typed(Op::Smoosh(n), LolType::Yarn),
+                }
             }
             ExprKind::Cast { expr, ty } => {
-                self.expr(expr)?;
-                self.code.push(Op::Cast(*ty));
+                let src = self.expr(expr)?;
+                self.coerce(src, *ty);
+                Some(*ty)
             }
             ExprKind::Call { name, args } => {
                 let Some(&func) = self.func_ids.get(&name.sym) else {
@@ -303,21 +356,21 @@ impl<'a> FnCompiler<'a> {
                     self.expr(a)?;
                 }
                 self.code.push(Op::Call { func, argc: args.len() as u8 });
+                None
             }
-            ExprKind::Me => self.code.push(Op::Me),
-            ExprKind::MahFrenz => self.code.push(Op::MahFrenz),
-            ExprKind::Whatevr => self.code.push(Op::RandI),
-            ExprKind::Whatevar => self.code.push(Op::RandF),
-        }
-        Ok(())
+            ExprKind::Me => self.typed(Op::Me, LolType::Numbr),
+            ExprKind::MahFrenz => self.typed(Op::MahFrenz, LolType::Numbr),
+            ExprKind::Whatevr => self.typed(Op::RandI, LolType::Numbr),
+            ExprKind::Whatevar => self.typed(Op::RandF, LolType::Numbar),
+        })
     }
 
-    fn literal(&mut self, l: &Lit, span: Span) -> CResult<()> {
-        match l {
-            Lit::Numbr(n) => self.emit_const(Value::Numbr(*n)),
-            Lit::Numbar(f) => self.emit_const(Value::Numbar(*f)),
-            Lit::Troof(b) => self.emit_const(Value::Troof(*b)),
-            Lit::Noob => self.emit_const(Value::Noob),
+    fn literal(&mut self, l: &Lit, span: Span) -> CResult<Ty> {
+        let (v, ty) = match l {
+            Lit::Numbr(n) => (Value::Numbr(*n), LolType::Numbr),
+            Lit::Numbar(f) => (Value::Numbar(*f), LolType::Numbar),
+            Lit::Troof(b) => (Value::Troof(*b), LolType::Troof),
+            Lit::Noob => (Value::Noob, LolType::Noob),
             Lit::Yarn(parts) => {
                 // Pure text folds to one constant; interpolation
                 // becomes loads + SMOOSH.
@@ -330,7 +383,7 @@ impl<'a> FnCompiler<'a> {
                             YarnPart::Var(_) => unreachable!(),
                         })
                         .collect();
-                    self.emit_const(Value::yarn(text));
+                    (Value::yarn(text), LolType::Yarn)
                 } else {
                     let mut n = 0u8;
                     for p in parts {
@@ -341,29 +394,31 @@ impl<'a> FnCompiler<'a> {
                             YarnPart::Var(id) => {
                                 let vr = VarRef::named(*id);
                                 let vr = VarRef { span, ..vr };
-                                self.var_read(&vr)?;
-                                self.code.push(Op::Cast(LolType::Yarn));
+                                let t = self.var_read(&vr)?;
+                                self.coerce(t, LolType::Yarn);
                             }
                         }
                         n += 1;
                     }
                     self.code.push(Op::Smoosh(n));
+                    return Ok(Some(LolType::Yarn));
                 }
             }
-        }
-        Ok(())
+        };
+        self.emit_const(v);
+        Ok(Some(ty))
     }
 
-    fn var_read(&mut self, vr: &VarRef) -> CResult<()> {
+    fn var_read(&mut self, vr: &VarRef) -> CResult<Ty> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(ls) = self.lookup(name) {
                 return match ls.kind {
-                    SlotKind::Scalar { .. } => {
+                    SlotKind::Scalar { ty, .. } => {
                         self.code.push(Op::LoadLocal(ls.slot));
-                        Ok(())
+                        Ok(ty)
                     }
-                    SlotKind::Array => Err(self.err(
+                    SlotKind::Array { .. } => Err(self.err(
                         "VMC0004",
                         format!("{name} IZ A WHOLE ARRAY, NOT A VALUE"),
                         vr.span,
@@ -381,7 +436,7 @@ impl<'a> FnCompiler<'a> {
                     ty: sv.ty,
                     remote: vr.locality == Locality::Ur,
                 });
-                Ok(())
+                Ok(Some(shared_ty(sv.ty)))
             }
             SharedKind::Array { .. } => {
                 Err(self.err("VMC0004", format!("{name} IZ A WHOLE ARRAY, NOT A VALUE"), vr.span))
@@ -389,20 +444,21 @@ impl<'a> FnCompiler<'a> {
         }
     }
 
-    /// Store the value on top of the stack into a scalar variable.
-    fn var_store(&mut self, vr: &VarRef) -> CResult<()> {
+    /// Store the value on top of the stack, of static type `src`, into
+    /// a scalar variable.
+    fn var_store(&mut self, vr: &VarRef, src: Ty) -> CResult<()> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(ls) = self.lookup(name) {
                 return match ls.kind {
-                    SlotKind::Scalar { pinned } => {
-                        if let Some(ty) = pinned {
-                            self.code.push(Op::Cast(ty));
+                    SlotKind::Scalar { ty, pinned } => {
+                        if let (true, Some(ty)) = (pinned, ty) {
+                            self.coerce(src, ty);
                         }
                         self.code.push(Op::StoreLocal(ls.slot));
                         Ok(())
                     }
-                    SlotKind::Array => Err(self.err(
+                    SlotKind::Array { .. } => Err(self.err(
                         "VMC0004",
                         format!("{name} IZ A WHOLE ARRAY — ASSIGN ELEMENTS"),
                         vr.span,
@@ -430,19 +486,23 @@ impl<'a> FnCompiler<'a> {
         }
     }
 
-    /// Store stack-top into an lvalue. For indexed stores the compiler
-    /// pushes value first, then the index.
-    fn store_lvalue(&mut self, lv: &LValue) -> CResult<()> {
+    /// Store stack-top, of static type `src`, into an lvalue. For
+    /// indexed stores the compiler pushes value first, then the index.
+    fn store_lvalue(&mut self, lv: &LValue, src: Ty) -> CResult<()> {
         match lv {
-            LValue::Var(vr) => self.var_store(vr),
+            LValue::Var(vr) => self.var_store(vr, src),
             LValue::Index { arr, idx, .. } => {
                 let name = self.named(arr)?;
                 self.expr(idx)?;
                 if arr.locality != Locality::Ur {
                     if let Some(ls) = self.lookup(name) {
                         return match ls.kind {
-                            SlotKind::Array => {
-                                self.code.push(Op::LocalArrStore { arr: ls.slot });
+                            SlotKind::Array { elem } => {
+                                // The cast (when needed) stays inside the
+                                // op, after the index check, so faults
+                                // keep their order.
+                                let cast = src != Some(elem);
+                                self.code.push(Op::LocalArrStore { arr: ls.slot, cast });
                                 Ok(())
                             }
                             SlotKind::Scalar { .. } => Err(self.err(
@@ -499,7 +559,7 @@ impl<'a> FnCompiler<'a> {
             }
             StmtKind::Gimmeh(lv) => {
                 self.code.push(Op::ReadLine);
-                self.store_lvalue(lv)
+                self.store_lvalue(lv, Some(LolType::Yarn))
             }
             StmtKind::If(ifs) => self.if_stmt(ifs),
             StmtKind::Switch(sw) => self.switch(sw),
@@ -532,8 +592,10 @@ impl<'a> FnCompiler<'a> {
             StmtKind::IsNowA { target, ty } => match target {
                 LValue::Var(vr) => {
                     let name = self.named(vr)?;
+                    // Pinned slots never get here (sema's SEM0024), and
+                    // typed lowering relies on that.
                     match self.lookup(name) {
-                        Some(LocalSlot { slot, kind: SlotKind::Scalar { .. } }) => {
+                        Some(LocalSlot { slot, kind: SlotKind::Scalar { pinned: false, .. } }) => {
                             self.code.push(Op::LoadLocal(slot));
                             self.code.push(Op::Cast(*ty));
                             self.code.push(Op::StoreLocal(slot));
@@ -541,7 +603,7 @@ impl<'a> FnCompiler<'a> {
                         }
                         _ => Err(self.err(
                             "VMC0007",
-                            format!("{name} CANT CHANGE TYPE (SHARED/ARRAY TYPES R FIXED)"),
+                            format!("{name} CANT CHANGE TYPE (SRSLY/SHARED/ARRAY TYPES R FIXED)"),
                             vr.span,
                         )),
                     }
@@ -627,16 +689,19 @@ impl<'a> FnCompiler<'a> {
             DeclScope::I => {
                 if let Some(size) = &d.array_size {
                     self.expr(size)?;
-                    let arr = self.alloc_slot(d.name.sym, SlotKind::Array);
-                    self.code.push(Op::LocalArrNew { arr, ty: d.ty.unwrap_or(LolType::Noob) });
+                    let elem = d.ty.unwrap_or(LolType::Noob);
+                    let arr = self.alloc_slot(d.name.sym, SlotKind::Array { elem });
+                    self.code.push(Op::LocalArrNew { arr, ty: elem });
                     Ok(())
                 } else {
                     match (&d.init, d.ty) {
                         (Some(init), Some(ty)) => {
-                            self.expr(init)?;
-                            self.code.push(Op::Cast(ty));
+                            let src = self.expr(init)?;
+                            self.coerce(src, ty);
                         }
-                        (Some(init), None) => self.expr(init)?,
+                        (Some(init), None) => {
+                            self.expr(init)?;
+                        }
                         (None, Some(ty)) => {
                             let v = lol_interp::value::default_for(ty);
                             self.emit_const(v);
@@ -644,7 +709,8 @@ impl<'a> FnCompiler<'a> {
                         (None, None) => self.emit_const(Value::Noob),
                     }
                     let pinned = if d.srsly { d.ty } else { None };
-                    let slot = self.alloc_slot(d.name.sym, SlotKind::Scalar { pinned });
+                    let kind = SlotKind::Scalar { ty: pinned, pinned: pinned.is_some() };
+                    let slot = self.alloc_slot(d.name.sym, kind);
                     self.code.push(Op::StoreLocal(slot));
                     Ok(())
                 }
@@ -681,22 +747,29 @@ impl<'a> FnCompiler<'a> {
                 ));
             }
         }
-        self.expr(value)?;
-        self.store_lvalue(target)
+        let src = self.expr(value)?;
+        self.store_lvalue(target, src)
     }
 
     fn if_stmt(&mut self, ifs: &IfStmt) -> CResult<()> {
-        // IT is the scrutinee.
+        // IT is the scrutinee. An arm jumps to the end only when another
+        // arm follows it: the last one falls through.
+        let n_arms = 1 + ifs.mebbes.len() + ifs.else_block.is_some() as usize;
         self.code.push(Op::LoadLocal(0));
         let to_next = self.emit_jump_placeholder(Op::JumpIfFalse);
         self.block(&ifs.then_block)?;
-        let mut to_end = vec![self.emit_jump_placeholder(Op::Jump)];
+        let mut to_end = Vec::new();
+        if n_arms > 1 {
+            to_end.push(self.emit_jump_placeholder(Op::Jump));
+        }
         self.patch_jump(to_next);
-        for m in &ifs.mebbes {
+        for (i, m) in ifs.mebbes.iter().enumerate() {
             self.expr(&m.cond)?;
             let skip = self.emit_jump_placeholder(Op::JumpIfFalse);
             self.block(&m.body)?;
-            to_end.push(self.emit_jump_placeholder(Op::Jump));
+            if i + 2 < n_arms {
+                to_end.push(self.emit_jump_placeholder(Op::Jump));
+            }
             self.patch_jump(skip);
         }
         if let Some(e) = &ifs.else_block {
@@ -745,7 +818,11 @@ impl<'a> FnCompiler<'a> {
         self.enter_scope();
         let update_slot = match &lp.update {
             Some((_, var)) => {
-                let slot = self.alloc_slot(var.sym, SlotKind::Scalar { pinned: None });
+                // The counter starts at NUMBR 0 and only ever steps by
+                // NUMBR 1 unless the body stores to it.
+                let ty = (var.sym != Symbol::it() && !may_store(&lp.body, var.sym))
+                    .then_some(LolType::Numbr);
+                let slot = self.alloc_slot(var.sym, SlotKind::Scalar { ty, pinned: false });
                 self.emit_const(Value::Numbr(0));
                 self.code.push(Op::StoreLocal(slot));
                 Some(slot)
@@ -785,6 +862,70 @@ impl<'a> FnCompiler<'a> {
         self.leave_scope();
         Ok(())
     }
+}
+
+/// How `shared_read` materializes an element of a symmetric variable
+/// of declared type `ty`.
+fn shared_ty(ty: LolType) -> LolType {
+    match ty {
+        LolType::Numbar | LolType::Troof => ty,
+        _ => LolType::Numbr,
+    }
+}
+
+/// The static result type of `a op b`: arithmetic promotes NUMBR×NUMBR
+/// to NUMBR and NUMBAR with any number to NUMBAR (TROOF and YARN
+/// operands coerce at run time, so their result is unknown); every
+/// other binary operator yields a TROOF.
+fn bin_ty(op: BinOp, a: Ty, b: Ty) -> Ty {
+    use LolType::{Numbar, Numbr};
+    match op {
+        BinOp::Sum
+        | BinOp::Diff
+        | BinOp::Produkt
+        | BinOp::Quoshunt
+        | BinOp::Mod
+        | BinOp::BiggrOf
+        | BinOp::SmallrOf => match (a?, b?) {
+            (Numbr, Numbr) => Some(Numbr),
+            (Numbar, Numbr | Numbar) | (Numbr, Numbar) => Some(Numbar),
+            _ => None,
+        },
+        _ => Some(LolType::Troof),
+    }
+}
+
+/// May `body` store to the local `name`? A conservative syntactic scan:
+/// `name` is the target of `R`, `GIMMEH` or `IS NOW A`, is redeclared,
+/// or is reused as a nested loop's counter. Expressions cannot store to
+/// a local, so the scan never descends into them.
+fn may_store(body: &Block, name: Symbol) -> bool {
+    struct Scan {
+        name: Symbol,
+        hit: bool,
+    }
+    impl Visitor for Scan {
+        fn visit_stmt(&mut self, s: &Stmt) {
+            let names = |lv: &LValue| match lv {
+                LValue::Var(vr) | LValue::Index { arr: vr, .. } => {
+                    matches!(&vr.name, VarName::Named(id) if id.sym == self.name)
+                }
+            };
+            self.hit |= match &s.kind {
+                StmtKind::Declare(d) => d.name.sym == self.name,
+                StmtKind::Assign { target: lv, .. }
+                | StmtKind::Gimmeh(lv)
+                | StmtKind::IsNowA { target: lv, .. } => names(lv),
+                StmtKind::Loop(lp) => lp.update.as_ref().is_some_and(|(_, v)| v.sym == self.name),
+                _ => false,
+            };
+            walk_stmt(self, s);
+        }
+        fn visit_expr(&mut self, _: &Expr) {}
+    }
+    let mut scan = Scan { name, hit: false };
+    scan.visit_block(body);
+    scan.hit
 }
 
 /// Fuse common instruction idioms into superinstructions.
@@ -862,8 +1003,8 @@ fn peephole(code: Vec<Op>) -> Vec<Op> {
             [Op::LoadLocal(idx), Op::LocalArrLoad { arr }, ..] if free(2) => {
                 Some((Op::LocalArrLoadL { arr: *arr, idx: *idx }, 2))
             }
-            [Op::LoadLocal(idx), Op::LocalArrStore { arr }, ..] if free(2) => {
-                Some((Op::LocalArrStoreL { arr: *arr, idx: *idx }, 2))
+            [Op::LoadLocal(idx), Op::LocalArrStore { arr, cast }, ..] if free(2) => {
+                Some((Op::LocalArrStoreL { arr: *arr, idx: *idx, cast: *cast }, 2))
             }
             [Op::LoadLocal(idx), Op::SharedLoadIdx { off, len, ty, remote }, ..] if free(2) => {
                 Some((

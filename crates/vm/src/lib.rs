@@ -373,6 +373,265 @@ mod tests {
     }
 
     // -----------------------------------------------------------------
+    // Typed lowering: casts the static types prove redundant are gone,
+    // every other cast stays, and both run byte-identical to the
+    // interpreter
+    // -----------------------------------------------------------------
+
+    /// Compile `src`, run it on one PE with `input` on the VM and the
+    /// interpreter, assert identical output, and return the module.
+    fn typed_differential(src: &str, input: &[&str]) -> (Module, String) {
+        let (p, a) = build(src);
+        let m = compile(&p, &a).expect("compile failed");
+        let input: Vec<String> = input.iter().map(|s| s.to_string()).collect();
+        let vm = run_spmd(cfg(1), |pe| run_on_pe(&m, pe, &input).map_err(|e| e.to_string()))
+            .unwrap()
+            .pop()
+            .unwrap();
+        let interp = run_spmd(cfg(1), |pe| {
+            lol_interp::run_on_pe(&p, &a, pe, &input).map_err(|e| e.to_string())
+        })
+        .unwrap()
+        .pop()
+        .unwrap();
+        assert_eq!(vm, interp, "interp/VM divergence on:\n{src}");
+        (m, vm.expect("program should run clean"))
+    }
+
+    /// Every chunk's code, main first.
+    fn all_code(m: &Module) -> impl Iterator<Item = &Op> {
+        m.main.code.iter().chain(m.funcs.iter().flat_map(|(_, c, _)| c.code.iter()))
+    }
+
+    /// The coercions to `ty` left in the module. A local-array store
+    /// that casts counts for any `ty` (the op does not name its element
+    /// type), so cases that use one keep `ty` its element type.
+    fn casts_to(m: &Module, ty: lol_ast::LolType) -> usize {
+        all_code(m)
+            .filter(|op| match op {
+                Op::Cast(t) | Op::CastStore { ty: t, .. } => *t == ty,
+                Op::LocalArrStore { cast, .. } | Op::LocalArrStoreL { cast, .. } => *cast,
+                _ => false,
+            })
+            .count()
+    }
+
+    /// The pcs of `Cast`/`CastStore` ops inside a loop of `code` (the
+    /// range a backward `Jump` closes), each with whether that loop is
+    /// innermost (contains no other loop).
+    fn casts_in_loops(code: &[Op]) -> Vec<(usize, bool)> {
+        let loops: Vec<(usize, usize)> = code
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, op)| match op {
+                Op::Jump(t) if *t as usize <= pc => Some((*t as usize, pc)),
+                _ => None,
+            })
+            .collect();
+        let innermost = |&(a, b): &(usize, usize)| {
+            !loops.iter().any(|&(c, d)| (c, d) != (a, b) && a <= c && d <= b)
+        };
+        code.iter()
+            .enumerate()
+            .filter(|(_, op)| matches!(op, Op::Cast(_) | Op::CastStore { .. }))
+            .filter_map(|(pc, _)| {
+                let around: Vec<_> = loops.iter().filter(|&&(a, b)| a <= pc && pc <= b).collect();
+                (!around.is_empty()).then(|| (pc, around.into_iter().any(innermost)))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bench_kernels_cast_nothing_in_their_loops() {
+        for (name, src) in [
+            ("nbody_bench", include_str!("../../../corpus/nbody_bench.lol")),
+            ("heat2d_bench", include_str!("../../../corpus/heat2d_bench.lol")),
+        ] {
+            let (p, a) = build(src);
+            let m = compile(&p, &a).unwrap();
+            let code = &m.main.code;
+            for (pc, innermost) in casts_in_loops(code) {
+                // The one cast a loop keeps is a NUMBR literal stored to
+                // a NUMBAR (`ax R 0` in n-body's particle loop): the
+                // value is converted, so the cast is not redundant. No
+                // innermost (hot) loop keeps any.
+                assert!(!innermost, "{name}: cast in an innermost loop at pc {pc}");
+                let lit = match (&code[pc], pc.checked_sub(1).map(|i| &code[i])) {
+                    (Op::CastStore { ty: lol_ast::LolType::Numbar, .. }, Some(Op::Const(k))) => {
+                        &m.consts[*k as usize]
+                    }
+                    (op, _) => panic!("{name}: unexpected cast {op:?} in a loop at pc {pc}"),
+                };
+                assert!(matches!(lit, lol_interp::Value::Numbr(_)), "{name}: pc {pc}");
+            }
+            assert!(
+                !all_code(&m).any(|op| matches!(
+                    op,
+                    Op::LocalArrStore { cast: true, .. } | Op::LocalArrStoreL { cast: true, .. }
+                )),
+                "{name}: a typed array store still casts"
+            );
+        }
+    }
+
+    #[test]
+    fn redundant_casts_are_dropped() {
+        use lol_ast::LolType::*;
+        // (body, type whose casts must all be gone, expected output)
+        let cases = [
+            // Pinned NUMBAR from NUMBAR arithmetic and a NUMBAR literal.
+            (
+                "I HAS A x ITZ SRSLY A NUMBAR AN ITZ 1.5\nx R PRODUKT OF x AN 2\nVISIBLE x",
+                Numbar,
+                "3.00",
+            ),
+            // Pinned NUMBR from counters, ME and MAH FRENZ.
+            (
+                "I HAS A n ITZ SRSLY A NUMBR\n\
+                 IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3\n\
+                 n R SUM OF n AN SUM OF PRODUKT OF i AN MAH FRENZ AN ME\nIM OUTTA YR l\nVISIBLE n",
+                Numbr,
+                "3",
+            ),
+            // NUMBR wrap-around stays NUMBR: the store needs no cast.
+            (
+                "I HAS A n ITZ SRSLY A NUMBR AN ITZ 9223372036854775807\n\
+                 n R SUM OF n AN 1\nVISIBLE n",
+                Numbr,
+                "-9223372036854775808",
+            ),
+            // Typed local-array elements, and NUMBAR roots.
+            (
+                "I HAS A a ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 2\n\
+                 a'Z 1 R UNSQUAR OF 2.25\na'Z 0 R FLIP OF a'Z 1\n\
+                 I HAS A x ITZ SRSLY A NUMBAR AN ITZ a'Z 0\nVISIBLE x",
+                Numbar,
+                "0.67",
+            ),
+            // Comparisons and TROOF logic into a pinned TROOF.
+            (
+                "I HAS A t ITZ SRSLY A TROOF\nt R BOTH OF BIGGER 2 AN 1 AN NOT FAIL\nVISIBLE t",
+                Troof,
+                "WIN",
+            ),
+            // SMOOSH into a pinned YARN, and interpolation of one.
+            (
+                "I HAS A s ITZ SRSLY A YARN\ns R SMOOSH \"O\" AN \"HAI\" MKAY\nVISIBLE \":{s}!\"",
+                Yarn,
+                "OHAI!",
+            ),
+        ];
+        for (body, ty, want) in cases {
+            let (m, out) = typed_differential(&prog(body), &[]);
+            assert_eq!(out, format!("{want}\n"), "on:\n{body}");
+            assert_eq!(casts_to(&m, ty), 0, "a redundant {ty:?} cast survived in:\n{body}");
+        }
+    }
+
+    #[test]
+    fn unproven_casts_stay() {
+        use lol_ast::LolType::*;
+        // (body, stdin, type whose cast must stay, expected output)
+        let cases = [
+            // A counter the body reassigns is no longer a NUMBR: `n R i`
+            // must truncate 1.5 to 1. GTFO ends the loop, as the counter
+            // never meets its integral bound.
+            (
+                "I HAS A n ITZ SRSLY A NUMBR\n\
+                 IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 100\n\
+                 n R i\nVISIBLE n\ni R SUM OF i AN 0.5\n\
+                 BOTH SAEM i AN 3.5, O RLY?\nYA RLY\nGTFO\nOIC\nIM OUTTA YR l",
+                vec![],
+                Numbr,
+                "0\n1\n3",
+            ),
+            // GIMMEH into a counter makes it a YARN.
+            (
+                "I HAS A n ITZ SRSLY A NUMBR\n\
+                 IM IN YR l UPPIN YR i TIL BIGGER i AN 2\n\
+                 GIMMEH i\nn R i\nVISIBLE n\nIM OUTTA YR l",
+                vec!["1.5"],
+                Numbr,
+                "1",
+            ),
+            // A NUMBR literal into a pinned NUMBAR.
+            ("I HAS A x ITZ SRSLY A NUMBAR\nx R 3\nVISIBLE x", vec![], Numbar, "3.00"),
+            // A call result is unknown.
+            (
+                "HOW IZ I inc YR a\nFOUND YR SUM OF a AN 1\nIF U SAY SO\n\
+                 I HAS A x ITZ SRSLY A NUMBAR\nx R I IZ inc YR 2 MKAY\nVISIBLE x",
+                vec![],
+                Numbar,
+                "3.00",
+            ),
+            // A numeric YARN into a pinned NUMBAR.
+            ("I HAS A x ITZ SRSLY A NUMBAR\nx R \"2\"\nVISIBLE x", vec![], Numbar, "2.00"),
+            // TROOF arithmetic is unknown (here it yields a NUMBR).
+            (
+                "I HAS A x ITZ SRSLY A NUMBAR\nx R SUM OF WIN AN 1\nVISIBLE x",
+                vec![],
+                Numbar,
+                "2.00",
+            ),
+            // NUMBR wrap-around into a pinned NUMBR through an unknown
+            // (TROOF) operand.
+            (
+                "I HAS A n ITZ SRSLY A NUMBR\nn R SUM OF 9223372036854775807 AN WIN\nVISIBLE n",
+                vec![],
+                Numbr,
+                "-9223372036854775808",
+            ),
+            // A NUMBR into a NUMBAR array element.
+            (
+                "I HAS A a ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 1\na'Z 0 R 7\nVISIBLE a'Z 0",
+                vec![],
+                Numbar,
+                "7.00",
+            ),
+        ];
+        for (body, input, ty, want) in cases {
+            let (m, out) = typed_differential(&prog(body), &input);
+            assert_eq!(out, format!("{want}\n"), "on:\n{body}");
+            assert!(casts_to(&m, ty) > 0, "the {ty:?} cast was dropped in:\n{body}");
+        }
+    }
+
+    #[test]
+    fn typed_array_stores_keep_their_fault_order() {
+        // The element cast stays inside the op, after the index check:
+        // an out-of-range index faults (RUN0123) before the bad value
+        // would (RUN0004), on both engines.
+        let src = prog("I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 2\na'Z 5 R \"nope\"");
+        let (p, a) = build(&src);
+        let m = compile(&p, &a).unwrap();
+        let vm = run_spmd(cfg(1), |pe| run_on_pe(&m, pe, &[]).unwrap_err()).unwrap().pop().unwrap();
+        let interp = run_spmd(cfg(1), |pe| lol_interp::run_on_pe(&p, &a, pe, &[]).unwrap_err())
+            .unwrap()
+            .pop()
+            .unwrap();
+        assert_eq!((vm.code, interp.code), ("RUN0123", "RUN0123"));
+    }
+
+    #[test]
+    fn if_without_else_falls_through_without_a_jump() {
+        for src in [
+            prog("BOTH SAEM 1 AN 1, O RLY?\nYA RLY\nVISIBLE 1\nOIC\nVISIBLE 2"),
+            prog("FAIL, O RLY?\nYA RLY\nVISIBLE 1\nMEBBE WIN\nVISIBLE 3\nOIC\nVISIBLE 2"),
+            include_str!("../../../corpus/nbody_bench.lol").to_string(),
+        ] {
+            let (p, a) = build(&src);
+            let m = compile(&p, &a).unwrap();
+            for (pc, op) in m.main.code.iter().enumerate() {
+                assert_ne!(op, &Op::Jump(pc as u32 + 1), "no-op jump at pc {pc} in:\n{src}");
+            }
+        }
+        differential(
+            1,
+            &prog("FAIL, O RLY?\nYA RLY\nVISIBLE 1\nMEBBE WIN\nVISIBLE 3\nOIC\nVISIBLE 2"),
+        );
+    }
+
+    // -----------------------------------------------------------------
     // Fault paths: malformed bytecode must die with RUN0192, not a
     // naked panic
     // -----------------------------------------------------------------

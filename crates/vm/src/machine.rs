@@ -256,13 +256,13 @@ impl<'a> Machine<'a> {
                     }
                     Op::SharedLoadIdx { off, len, ty, remote } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(pop(stack)?.to_numbr()?, *len)?;
+                        let i = bounds(index(&pop(stack)?)?, *len)?;
                         let v = shared_read(base, sub, *off, i, *ty, t);
                         stack.push(v);
                     }
                     Op::SharedStoreIdx { off, len, ty, remote } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(pop(stack)?.to_numbr()?, *len)?;
+                        let i = bounds(index(&pop(stack)?)?, *len)?;
                         let v = pop(stack)?;
                         shared_write(base, sub, *off, i, *ty, t, &v)?;
                     }
@@ -281,18 +281,18 @@ impl<'a> Machine<'a> {
                             Some(LocalArr { elems: vec![default_for(*ty); n as usize], ty: *ty });
                     }
                     Op::LocalArrLoad { arr: a } => {
-                        let i = pop(stack)?.to_numbr()?;
+                        let i = index(&pop(stack)?)?;
                         let la = arr(frame, *a)?;
                         let i = bounds(i, la.elems.len() as u32)?;
                         let v = la.elems[i].clone();
                         stack.push(v);
                     }
-                    Op::LocalArrStore { arr: a } => {
-                        let i = pop(stack)?.to_numbr()?;
+                    Op::LocalArrStore { arr: a, cast: c } => {
+                        let i = index(&pop(stack)?)?;
                         let v = pop(stack)?;
                         let la = arr_mut(frame, *a)?;
                         let i = bounds(i, la.elems.len() as u32)?;
-                        la.elems[i] = cast(&v, la.ty)?;
+                        la.elems[i] = if *c { cast(&v, la.ty)? } else { v };
                     }
                     Op::ArrayCopy { dst, src } => array_copy(frame, sub, base, bff, dst, src)?,
                     Op::Bin(op) => {
@@ -353,28 +353,28 @@ impl<'a> Machine<'a> {
                         }
                     }
                     Op::LocalArrLoadL { arr: a, idx } => {
-                        let i = slot(frame, *idx)?.to_numbr()?;
+                        let i = index(slot(frame, *idx)?)?;
                         let la = arr(frame, *a)?;
                         let i = bounds(i, la.elems.len() as u32)?;
                         let v = la.elems[i].clone();
                         stack.push(v);
                     }
-                    Op::LocalArrStoreL { arr: a, idx } => {
-                        let i = slot(frame, *idx)?.to_numbr()?;
+                    Op::LocalArrStoreL { arr: a, idx, cast: c } => {
+                        let i = index(slot(frame, *idx)?)?;
                         let v = pop(stack)?;
                         let la = arr_mut(frame, *a)?;
                         let i = bounds(i, la.elems.len() as u32)?;
-                        la.elems[i] = cast(&v, la.ty)?;
+                        la.elems[i] = if *c { cast(&v, la.ty)? } else { v };
                     }
                     Op::SharedLoadIdxL { off, len, ty, remote, idx } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(slot(frame, *idx)?.to_numbr()?, *len)?;
+                        let i = bounds(index(slot(frame, *idx)?)?, *len)?;
                         let v = shared_read(base, sub, *off, i, *ty, t);
                         stack.push(v);
                     }
                     Op::SharedStoreIdxL { off, len, ty, remote, idx } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(slot(frame, *idx)?.to_numbr()?, *len)?;
+                        let i = bounds(index(slot(frame, *idx)?)?, *len)?;
                         let v = pop(stack)?;
                         shared_write(base, sub, *off, i, *ty, t, &v)?;
                     }
@@ -608,6 +608,16 @@ fn shared_write<S: Substrate + ?Sized>(
         _ => sub.put_i64(addr, target, v.to_numbr()?),
     }
     Ok(())
+}
+
+/// An array index: a NUMBR (every index the compiler types as one) is
+/// read in place; anything else coerces like `MAEK .. A NUMBR`.
+#[inline(always)]
+fn index(v: &Value) -> RResult<i64> {
+    match v {
+        Value::Numbr(i) => Ok(*i),
+        _ => v.to_numbr(),
+    }
 }
 
 fn bounds(idx: i64, len: u32) -> RResult<usize> {

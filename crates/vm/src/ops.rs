@@ -71,9 +71,12 @@ pub enum Op {
     LocalArrLoad {
         arr: u16,
     },
-    /// Pop index then value, store element of local array `arr`.
+    /// Pop index then value, store element of local array `arr`,
+    /// cast to the element type after the index check unless the
+    /// compiler proved the value already has it (`cast == false`).
     LocalArrStore {
         arr: u16,
+        cast: bool,
     },
     /// Whole-array copy (Section VI.A).
     ArrayCopy {
@@ -128,8 +131,8 @@ pub enum Op {
         k: u16,
         dst: u16,
     },
-    /// `Cast(ty); StoreLocal(slot)` — every store to a pinned
-    /// (`ITZ SRSLY A`) variable.
+    /// `Cast(ty); StoreLocal(slot)` — a store to a pinned
+    /// (`ITZ SRSLY A`) variable from a source not statically `ty`.
     CastStore {
         ty: LolType,
         slot: u16,
@@ -160,10 +163,11 @@ pub enum Op {
         arr: u16,
         idx: u16,
     },
-    /// `LoadLocal idx; LocalArrStore { arr }` — stencil writes.
+    /// `LoadLocal idx; LocalArrStore { arr, cast }` — stencil writes.
     LocalArrStoreL {
         arr: u16,
         idx: u16,
+        cast: bool,
     },
     /// `LoadLocal idx; SharedLoadIdx { .. }` — symmetric-array reads
     /// indexed by a loop variable.

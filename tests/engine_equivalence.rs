@@ -135,6 +135,11 @@ enum GenBucket {
     /// backend must wrap identically (wrapping, like C's eventual
     /// two's-complement behaviour, is the pinned semantics).
     OverflowHeavy,
+    /// `SRSLY A NUMBR/NUMBAR/TROOF/YARN` locals `p0..p3` and a NUMBAR
+    /// array `a1` as leaves and store targets, NUMBAR literals, and loop
+    /// counters some bodies retype to NUMBAR — the paths the VM's typed
+    /// lowering compiles without a runtime cast.
+    Pinned,
 }
 
 impl ProgramGen {
@@ -178,6 +183,43 @@ impl ProgramGen {
         format!("{op} {} AN {}", self.overflow_expr(depth - 1), self.expr(depth - 1))
     }
 
+    /// A pinned-flavoured expression: the typed locals, NUMBAR literals
+    /// and the operators whose result types the VM compiler infers.
+    fn pinned_expr(&mut self, depth: u32) -> String {
+        if depth == 0 || self.rng.below(3) == 0 {
+            return match self.rng.below(4) {
+                0 => format!("p{}", self.rng.below(4)),
+                1 => format!("a1'Z {}", self.rng.below(4)),
+                2 => self.pick(&["2.5", "-0.75", "0.0", "10.125"]).to_string(),
+                _ => format!("MAEK {} A NUMBAR", self.expr(0)),
+            };
+        }
+        match self.rng.below(3) {
+            0 => {
+                let op = self.pick(&["SUM OF", "DIFF OF", "PRODUKT OF", "BIGGR OF", "SMALLR OF"]);
+                format!("{op} {} AN {}", self.pinned_expr(depth - 1), self.expr(depth - 1))
+            }
+            1 => {
+                let op = self.pick(&["SQUAR OF", "UNSQUAR OF", "FLIP OF"]);
+                format!("{op} {}", self.pinned_expr(depth - 1))
+            }
+            _ => {
+                let op = self.pick(&["BIGGER", "SMALLR", "BOTH SAEM"]);
+                format!("{op} {} AN {}", self.pinned_expr(depth - 1), self.expr(depth - 1))
+            }
+        }
+    }
+
+    /// A store to a typed local or array element, or a print of every
+    /// typed local through YARN interpolation.
+    fn pinned_stmt(&mut self) -> String {
+        match self.rng.below(6) {
+            0 => format!("a1'Z {} R {}", self.rng.below(4), self.expr(2)),
+            1 => "VISIBLE \"P :{p0} :{p1} :{p2} :{p3}\"".to_string(),
+            _ => format!("p{} R {}", self.rng.below(4), self.expr(2)),
+        }
+    }
+
     fn pick<'a>(&mut self, options: &[&'a str]) -> &'a str {
         options[self.rng.below(options.len() as u64) as usize]
     }
@@ -189,6 +231,7 @@ impl ProgramGen {
         match self.bucket {
             GenBucket::YarnHeavy if self.rng.below(2) == 0 => return self.yarn_expr(depth),
             GenBucket::OverflowHeavy if self.rng.below(2) == 0 => return self.overflow_expr(depth),
+            GenBucket::Pinned if self.rng.below(2) == 0 => return self.pinned_expr(depth),
             _ => {}
         }
         if depth == 0 || self.rng.below(3) == 0 {
@@ -233,6 +276,9 @@ impl ProgramGen {
 
     /// One statement; `depth` bounds nesting.
     fn stmt(&mut self, depth: u32) -> String {
+        if self.bucket == GenBucket::Pinned && self.rng.below(3) == 0 {
+            return self.pinned_stmt();
+        }
         let simple_kinds = 6u64;
         let kinds = if depth == 0 { simple_kinds } else { simple_kinds + 3 };
         match self.rng.below(kinds) {
@@ -264,7 +310,18 @@ impl ProgramGen {
                 // Bounded counted loop, UPPIN/NERFIN x TIL/WILE.
                 let id = self.next_loop;
                 self.next_loop += 1;
-                let body = self.block(depth - 1);
+                let mut body = self.block(depth - 1);
+                if self.bucket == GenBucket::Pinned {
+                    // Store the counter to a typed local, in some bodies
+                    // after retyping it: it still steps by 1 and meets
+                    // its integral bound, so the loop still ends.
+                    let retype = if self.rng.below(2) == 0 {
+                        format!("x{id} R MAEK x{id} A NUMBAR\n")
+                    } else {
+                        String::new()
+                    };
+                    body = format!("{retype}p0 R x{id}\n{body}");
+                }
                 let n = 1 + self.rng.below(3);
                 if self.rng.below(2) == 0 {
                     format!(
@@ -302,6 +359,23 @@ impl ProgramGen {
         let decls: String = (0..5)
             .map(|i| format!("I HAS A v{i} ITZ {}\n", self.rng.below(100) as i64 - 50))
             .collect();
+        let (pinned_decls, pinned_print) = if self.bucket == GenBucket::Pinned {
+            (
+                format!(
+                    "I HAS A p0 ITZ SRSLY A NUMBR AN ITZ {}\n\
+                     I HAS A p1 ITZ SRSLY A NUMBAR AN ITZ {}\n\
+                     I HAS A p2 ITZ SRSLY A TROOF\n\
+                     I HAS A p3 ITZ SRSLY A YARN AN ITZ \"{}\"\n\
+                     I HAS A a1 ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 4\n",
+                    self.rng.below(100) as i64 - 50,
+                    self.pick(&["2.5", "-0.75", "7"]),
+                    self.pick(&["42", "-3.5"]),
+                ),
+                "VISIBLE p0 \" \" p1 \" \" p2 \" \" p3 \" \" a1'Z 0 \" \" a1'Z 3\n",
+            )
+        } else {
+            (String::new(), "")
+        };
         let phase1 = self.block(2);
         let phase2 = self.block(2);
         format!(
@@ -309,7 +383,7 @@ impl ProgramGen {
              WE HAS A s0 ITZ SRSLY A NUMBR\n\
              I HAS A a0 ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 8\n\
              I HAS A g0 ITZ 0\n\
-             {decls}{phase1}\n\
+             {pinned_decls}{decls}{phase1}\n\
              s0 R SUM OF PRODUKT OF ME AN 10 AN v0\n\
              HUGZ\n\
              TXT MAH BFF MOD OF SUM OF ME AN 1 AN MAH FRENZ, g0 R UR s0\n\
@@ -317,7 +391,7 @@ impl ProgramGen {
              {phase2}\n\
              SUM OF v0 AN 1\n\
              VISIBLE v0 \" \" v1 \" \" v2 \" \" v3 \" \" v4 \" \" s0 \" \" g0 \" \" IT\n\
-             KTHXBYE\n"
+             {pinned_print}KTHXBYE\n"
         )
     }
 }
@@ -328,7 +402,20 @@ impl ProgramGen {
 /// with grammar-directed coverage of casts, switches and loop forms.
 #[test]
 fn generated_grammar_programs_agree_across_engines() {
-    let mut gen = ProgramGen::new(0x1CA4_BEEF);
+    battery(ProgramGen::new(0x1CA4_BEEF));
+}
+
+/// The same 200-program battery over the [`GenBucket::Pinned`] bucket:
+/// typed locals and arrays, NUMBAR literals and retyped loop counters,
+/// where the VM compiles stores without a runtime cast.
+#[test]
+fn pinned_bucket_programs_agree_across_engines() {
+    battery(ProgramGen::bucketed(0x5125_1A7E, GenBucket::Pinned));
+}
+
+/// Drive 200 programs from `gen` through interp, vm and sim at 1 and
+/// 3 PEs.
+fn battery(mut gen: ProgramGen) {
     let mut compiled = 0usize;
     let mut faulted = 0usize;
     for case in 0..200 {
