@@ -1,7 +1,7 @@
 //! `lold` — the playground daemon: parallel LOLCODE as a service.
 //!
-//! Boots the `lol-serve` JSON-over-HTTP server over the full engine
-//! registry and serves until `POST /shutdown` (exit code 0). The
+//! Boots the `lol-serve` JSON-over-HTTP server over every engine
+//! and serves until `POST /shutdown` (exit code 0). The
 //! printed `lold listening on http://ADDR` line is the machine-parsed
 //! readiness signal (tests and the CI smoke job scrape it).
 //!

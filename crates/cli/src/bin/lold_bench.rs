@@ -13,8 +13,9 @@
 
 use std::process::ExitCode;
 
+use lol_json::Writer;
 use lol_serve::bench::{run, BenchSpec};
-use lol_serve::{json, ServeConfig, Server};
+use lol_serve::{ServeConfig, Server};
 
 const USAGE: &str = "\
 usage: lold-bench [--addr HOST:PORT] [--clients N] [--requests M]
@@ -114,13 +115,10 @@ fn main() -> ExitCode {
         },
         None => lolcode::corpus::HELLO_PARALLEL.to_string(),
     };
-    let body = format!(
-        "{{\"source\": \"{}\", \"backend\": \"{}\", \"pes\": {}, \"clock\": \"{}\"}}",
-        json::escape(&source),
-        json::escape(&backend),
-        pes,
-        json::escape(&clock)
-    );
+    let mut body = String::new();
+    let mut w = Writer::new(&mut body);
+    w.begin_obj().key("source").str(&source).key("backend").str(&backend);
+    w.key("pes").num(pes).key("clock").str(&clock).end_obj();
 
     // No --addr: spawn the server in-process, sized so no client ever
     // starves for a worker (each worker pins one connection).

@@ -17,6 +17,7 @@
 //! engine(s); `--sweep` fans a whole config matrix out over a worker
 //! pool under a global thread budget.
 
+use lol_json::Writer;
 use lolcode::{
     compile, engine_for, jsonl_record, parse_jsonl_done, Backend, BarrierKind, ClockMode, Compiled,
     LatencyModel, LockKind, RunConfig, RunReport, SweepSpec, TraceSpec,
@@ -624,16 +625,14 @@ fn run_sweep(artifact: &Compiled, spec: &str, base: RunConfig, opts: SweepOpts) 
         let report = spec.run_resumable(artifact, &done, |i, cfg, result| {
             println!("{}", jsonl_record(i, cfg, result));
         });
-        println!(
-            "{{\"summary\": true, \"configs\": {}, \"ok\": {}, \"unsupported\": {}, \
-             \"skipped\": {}, \"jobs\": {}, \"total_wall_ns\": {}}}",
-            report.entries.len(),
-            report.ok_count(),
-            report.unsupported_count(),
-            report.skipped_count(),
-            report.jobs,
-            report.total_wall.as_nanos()
-        );
+        let mut summary = String::new();
+        let mut w = Writer::new(&mut summary);
+        w.begin_obj().key("summary").bool(true);
+        w.key("configs").num(report.entries.len()).key("ok").num(report.ok_count());
+        w.key("unsupported").num(report.unsupported_count());
+        w.key("skipped").num(report.skipped_count()).key("jobs").num(report.jobs);
+        w.key("total_wall_ns").num(report.total_wall.as_nanos()).end_obj();
+        println!("{summary}");
         report
     } else {
         let report = spec.run_resumable(artifact, &done, |_, _, _| {});

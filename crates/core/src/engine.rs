@@ -22,15 +22,14 @@
 //! wall-clock time, and the effective configuration — where the old
 //! `run_source` API returned bare stdout strings and dropped the rest.
 //!
-//! Engines are looked up through an [`EngineRegistry`] rather than a
-//! hardcoded match, so the paper's full three-path pipeline — interpret
-//! ([`InterpEngine`]), run bytecode ([`VmEngine`]), or translate to C
-//! over the SHMEM runtime and execute the binary ([`CEngine`]) — plus
-//! the mega-scale discrete-event simulator ([`SimEngine`]) sit behind
-//! one dispatch point, and a future backend slots in without touching
-//! callers. [`engine_for`] consults the process-wide standard
-//! registry; embedders that want to substitute or extend engines build
-//! their own [`EngineRegistry`].
+//! Engines are looked up with [`engine_for`], one exhaustive `match`
+//! over [`Backend`], so the paper's full three-path pipeline —
+//! interpret ([`InterpEngine`]), run bytecode ([`VmEngine`]), or
+//! translate to C over the SHMEM runtime and execute the binary
+//! ([`CEngine`]) — plus the mega-scale discrete-event simulator
+//! ([`SimEngine`]) sit behind one dispatch point. A new backend is a
+//! new `Backend` variant, and the compiler points at the one arm to
+//! add.
 
 use crate::{Backend, LolError, RunConfig};
 use lol_ast::{Program, SourceMap};
@@ -698,82 +697,14 @@ impl Engine for SimEngine {
     }
 }
 
-// ---------------------------------------------------------------------
-// Engine registry
-// ---------------------------------------------------------------------
-
-/// A table of execution engines, keyed by the [`Backend`] each one
-/// implements. [`EngineRegistry::standard`] holds the three paper
-/// paths (interp / vm / c) plus the simulator (sim);
-/// [`EngineRegistry::register`] swaps or adds engines, so an embedder
-/// (or a future backend) extends dispatch without touching every call
-/// site.
-pub struct EngineRegistry {
-    engines: Vec<Box<dyn Engine>>,
-}
-
-impl EngineRegistry {
-    /// An empty registry (no engines).
-    pub fn new() -> Self {
-        EngineRegistry { engines: Vec::new() }
-    }
-
-    /// The four standard engines: [`InterpEngine`], [`VmEngine`],
-    /// [`CEngine`], [`SimEngine`].
-    pub fn standard() -> Self {
-        let mut reg = Self::new();
-        reg.register(Box::new(InterpEngine));
-        reg.register(Box::new(VmEngine));
-        reg.register(Box::new(CEngine));
-        reg.register(Box::new(SimEngine));
-        reg
-    }
-
-    /// Add `engine`, replacing any previous engine for the same
-    /// backend.
-    pub fn register(&mut self, engine: Box<dyn Engine>) {
-        let backend = engine.backend();
-        self.engines.retain(|e| e.backend() != backend);
-        self.engines.push(engine);
-    }
-
-    /// The engine for `backend`, if registered.
-    pub fn get(&self, backend: Backend) -> Option<&dyn Engine> {
-        self.engines.iter().find(|e| e.backend() == backend).map(|e| e.as_ref())
-    }
-
-    /// Every registered engine, in registration order.
-    pub fn engines(&self) -> impl Iterator<Item = &dyn Engine> {
-        self.engines.iter().map(|e| e.as_ref())
-    }
-
-    /// The backends this registry can dispatch.
-    pub fn backends(&self) -> Vec<Backend> {
-        self.engines.iter().map(|e| e.backend()).collect()
-    }
-}
-
-impl Default for EngineRegistry {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
-impl std::fmt::Debug for EngineRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineRegistry").field("backends", &self.backends()).finish()
-    }
-}
-
-/// The process-wide standard registry (built once, on first use).
-pub fn registry() -> &'static EngineRegistry {
-    static REGISTRY: OnceLock<EngineRegistry> = OnceLock::new();
-    REGISTRY.get_or_init(EngineRegistry::standard)
-}
-
 /// The standard engine implementing `backend`.
 pub fn engine_for(backend: Backend) -> &'static dyn Engine {
-    registry().get(backend).expect("standard registry covers every Backend variant")
+    match backend {
+        Backend::Interp => &InterpEngine,
+        Backend::Vm => &VmEngine,
+        Backend::C => &CEngine,
+        Backend::Sim => &SimEngine,
+    }
 }
 
 #[cfg(test)]
@@ -869,31 +800,7 @@ mod tests {
     fn standard_registry_covers_all_backends() {
         for b in Backend::ALL {
             assert_eq!(engine_for(b).backend(), b);
-            assert!(registry().get(b).is_some());
         }
-        assert_eq!(registry().backends(), Backend::ALL.to_vec());
-    }
-
-    #[test]
-    fn registry_register_replaces_same_backend() {
-        struct FakeInterp;
-        impl Engine for FakeInterp {
-            fn backend(&self) -> Backend {
-                Backend::Interp
-            }
-            fn available(&self) -> bool {
-                false
-            }
-            fn run(&self, _: &Compiled, _: &RunConfig) -> Result<RunReport, LolError> {
-                Err(LolError::Unsupported("FAKE".into()))
-            }
-        }
-        let mut reg = EngineRegistry::standard();
-        assert!(reg.get(Backend::Interp).unwrap().available());
-        reg.register(Box::new(FakeInterp));
-        assert_eq!(reg.backends().len(), 4, "replacement, not duplication");
-        assert!(!reg.get(Backend::Interp).unwrap().available());
-        assert!(reg.get(Backend::Vm).unwrap().available(), "other engines untouched");
     }
 
     #[test]

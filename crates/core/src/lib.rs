@@ -12,9 +12,8 @@
 //!                        threads, PE counts to ~1M)
 //! ```
 //!
-//! Engines dispatch through the [`EngineRegistry`] ([`engine_for`]
-//! consults the process-wide standard one), so every execution path —
-//! including future backends — sits behind the same [`Engine`] trait.
+//! Engines dispatch through [`engine_for`], so every execution path
+//! sits behind the same [`Engine`] trait.
 //!
 //! ## Compile once, run many
 //!
@@ -88,8 +87,8 @@ pub mod service;
 pub mod sweep;
 
 pub use engine::{
-    engine_for, registry, CEngine, Compiled, Engine, EngineRegistry, HotSpot, InterpEngine,
-    PhaseTimings, ProfileReport, RunReport, SimEngine, SimStats, VmEngine,
+    engine_for, CEngine, Compiled, Engine, HotSpot, InterpEngine, PhaseTimings, ProfileReport,
+    RunReport, SimEngine, SimStats, VmEngine,
 };
 pub use service::{QuotaViolation, Quotas};
 pub use sweep::{
@@ -125,7 +124,7 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Every backend the standard registry ships, in display order.
+    /// Every backend, in display order.
     pub const ALL: [Backend; 4] = [Backend::Interp, Backend::Vm, Backend::C, Backend::Sim];
 }
 

@@ -12,6 +12,7 @@
 
 use crate::sweep;
 use crate::{Backend, LolError, RunConfig, RunReport};
+use lol_json::Writer;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -274,81 +275,60 @@ pub fn error_code(err: &LolError) -> &'static str {
 /// assert!(run_report_json(&a, true).contains("\"host_wall_ns\""));
 /// ```
 pub fn run_report_json(r: &RunReport, timing: bool) -> String {
-    let mut out = String::from("{");
-    // The effective config, pinned to the backend that actually ran
-    // (callers may leave RunConfig::backend at its default).
-    let mut cfg = r.config.clone();
-    cfg.backend = r.backend;
-    sweep::push_config_fields(&mut out, &cfg);
-    out.push_str("\"ok\": true, ");
+    let mut out = String::with_capacity(512 + r.outputs.iter().map(String::len).sum::<usize>());
+    let mut w = Writer::new(&mut out);
+    w.begin_obj();
+    // The backend that actually ran (callers may leave
+    // RunConfig::backend at its default).
+    sweep::push_config_fields(&mut w, r.backend, &r.config);
+    w.key("ok").bool(true);
     if timing {
-        out.push_str(&format!("\"wall_ns\": {}, ", r.wall.as_nanos()));
-        out.push_str(&format!("\"host_wall_ns\": {}, ", r.host_wall.as_nanos()));
+        w.key("wall_ns").num(r.wall.as_nanos());
+        w.key("host_wall_ns").num(r.host_wall.as_nanos());
         // Observability riders: host-dependent like the walls, so they
         // live on the timing form only — the stable form stays pinned.
         let p = &r.phases;
-        out.push_str(&format!(
-            "\"phases\": {{\"lex_ns\": {}, \"parse_ns\": {}, \"sema_ns\": {}, \
-             \"compile_ns\": {}, \"exec_ns\": {}, \"render_ns\": {}}}, ",
-            p.lex_ns, p.parse_ns, p.sema_ns, p.compile_ns, p.exec_ns, p.render_ns
-        ));
+        w.key("phases").begin_obj();
+        w.key("lex_ns").num(p.lex_ns).key("parse_ns").num(p.parse_ns);
+        w.key("sema_ns").num(p.sema_ns).key("compile_ns").num(p.compile_ns);
+        w.key("exec_ns").num(p.exec_ns).key("render_ns").num(p.render_ns);
+        w.end_obj();
         if let Some(s) = &r.sim {
-            out.push_str(&format!(
-                "\"sim\": {{\"events\": {}, \"heap_peak\": {}, \"barrier_episodes\": {}, \
-                 \"merge_windows\": {}, \"events_per_sec\": {}}}, ",
-                s.events,
-                s.heap_peak,
-                s.barrier_episodes,
-                s.merge_windows,
-                s.events_per_sec(r.host_wall)
-            ));
+            w.key("sim").begin_obj();
+            w.key("events").num(s.events).key("heap_peak").num(s.heap_peak);
+            w.key("barrier_episodes").num(s.barrier_episodes);
+            w.key("merge_windows").num(s.merge_windows);
+            w.key("events_per_sec").num(s.events_per_sec(r.host_wall));
+            w.end_obj();
         }
         if let Some(p) = &r.profile {
-            out.push_str(&format!(
-                "\"profile\": {{\"total_ops\": {}, \"super_bp\": {}, \"ops\": [",
-                p.total_ops, p.super_bp
-            ));
-            for (i, (name, count, is_super)) in p.ops.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"op\": \"{}\", \"count\": {count}, \"super\": {is_super}}}",
-                    sweep::json_escape(name)
-                ));
+            w.key("profile").begin_obj();
+            w.key("total_ops").num(p.total_ops).key("super_bp").num(p.super_bp);
+            w.key("ops").begin_arr();
+            for (name, count, is_super) in &p.ops {
+                w.begin_obj().key("op").str(name).key("count").num(count);
+                w.key("super").bool(*is_super).end_obj();
             }
-            out.push_str("], \"hot\": [");
-            for (i, h) in p.hot.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"chunk\": \"{}\", \"start\": {}, \"end\": {}, \"count\": {}}}",
-                    sweep::json_escape(&h.chunk),
-                    h.start,
-                    h.end,
-                    h.count
-                ));
+            w.end_arr().key("hot").begin_arr();
+            for h in &p.hot {
+                w.begin_obj().key("chunk").str(&h.chunk);
+                w.key("start").num(h.start).key("end").num(h.end).key("count").num(h.count);
+                w.end_obj();
             }
-            out.push_str("]}, ");
+            w.end_arr().end_obj();
         }
     }
     if let Some(vw) = r.virtual_wall {
-        out.push_str(&format!("\"virtual_wall_ns\": {}, ", vw.as_nanos()));
+        w.key("virtual_wall_ns").num(vw.as_nanos());
     }
-    out.push_str(&format!("\"output_hash\": \"{:016x}\", ", sweep::output_hash(r)));
-    out.push_str("\"outputs\": [");
-    for (i, o) in r.outputs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        out.push_str(&sweep::json_escape(o));
-        out.push('"');
+    w.key("output_hash").str(format_args!("{:016x}", sweep::output_hash(r)));
+    w.key("outputs").begin_arr();
+    for o in &r.outputs {
+        w.str(o);
     }
-    out.push_str("], ");
-    sweep::push_stats_json(&mut out, r);
-    out.push('}');
+    w.end_arr();
+    sweep::push_stats_json(&mut w, r);
+    w.end_obj();
     out
 }
 

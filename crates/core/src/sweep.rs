@@ -47,6 +47,7 @@ use crate::{
     engine_for, Backend, BarrierKind, ClockMode, Compiled, LatencyModel, LockKind, LolError,
     RunConfig, RunReport,
 };
+use lol_json::{Json, Writer};
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -815,34 +816,28 @@ pub fn config_key(c: &RunConfig) -> String {
 /// configs. Records without a `clock` field (pre-virtual-time files)
 /// parse as `wall`; summary records and malformed lines are ignored.
 pub fn parse_jsonl_done(text: &str) -> HashSet<String> {
-    let str_field = |line: &str, name: &str| -> Option<String> {
-        let tag = format!("\"{name}\": \"");
-        let start = line.find(&tag)? + tag.len();
-        Some(line[start..].split('"').next()?.to_string())
-    };
-    let num_field = |line: &str, name: &str| -> Option<u64> {
-        let tag = format!("\"{name}\": ");
-        let start = line.find(&tag)? + tag.len();
-        let digits: String = line[start..].chars().take_while(char::is_ascii_digit).collect();
-        digits.parse().ok()
-    };
     let mut done = HashSet::new();
     for line in text.lines() {
-        if !line.contains("\"ok\": true") || line.contains("\"summary\"") {
+        let Ok(record) = lol_json::parse(line) else {
+            continue;
+        };
+        // Summary records carry a count in `ok`, never `true`.
+        if record.get("ok").and_then(Json::as_bool) != Some(true) {
             continue;
         }
-        let (Some(backend), Some(latency), Some(barrier), Some(lock)) = (
-            str_field(line, "backend"),
-            str_field(line, "latency"),
-            str_field(line, "barrier"),
-            str_field(line, "lock"),
+        let text = |name| record.get(name).and_then(Json::as_str);
+        let num = |name| record.get(name).and_then(Json::as_u64);
+        let (Some(backend), Some(latency), Some(barrier), Some(lock), Some(seed), Some(pes)) = (
+            text("backend"),
+            text("latency"),
+            text("barrier"),
+            text("lock"),
+            num("seed"),
+            num("pes"),
         ) else {
             continue;
         };
-        let clock = str_field(line, "clock").unwrap_or_else(|| "wall".to_string());
-        let (Some(seed), Some(pes)) = (num_field(line, "seed"), num_field(line, "pes")) else {
-            continue;
-        };
+        let clock = text("clock").unwrap_or("wall");
         done.insert(format!("{backend}|{latency}|{barrier}|{lock}|{clock}|{seed}|{pes}"));
     }
     done
@@ -876,83 +871,86 @@ pub fn jsonl_record(
     config: &RunConfig,
     result: &Result<RunReport, LolError>,
 ) -> String {
-    let mut out = String::from("{");
-    push_config_json(&mut out, index, config);
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.begin_obj().key("index").num(index);
+    push_config_fields(&mut w, config.backend, config);
     match result {
-        Ok(r) => {
-            out.push_str("\"ok\": true, ");
-            out.push_str(&format!("\"wall_ns\": {}, ", r.wall.as_nanos()));
-            // Real host time, distinct from `wall_ns` on the sim
-            // backend (whose wall is the *simulated* makespan) — this
-            // is the number absolute perf gates compare.
-            out.push_str(&format!("\"host_wall_ns\": {}, ", r.host_wall.as_nanos()));
-            if let Some(vw) = r.virtual_wall {
-                out.push_str(&format!("\"virtual_wall_ns\": {}, ", vw.as_nanos()));
-            }
-            out.push_str(&format!("\"output_hash\": \"{:016x}\", ", output_hash(r)));
-            push_stats_json(&mut out, r);
-        }
-        Err(err) => push_error_json(&mut out, err),
+        Ok(r) => push_ok_json(&mut w, r, true, &[]),
+        Err(err) => push_error_json(&mut w, err),
     }
-    out.push('}');
+    w.end_obj();
     out
 }
 
-/// The shared per-entry identification prefix (`"index"` through
-/// `"lock"`), used by both the streaming records and the final
-/// report so the two serializations can never drift apart.
-fn push_config_json(out: &mut String, index: usize, config: &RunConfig) {
-    out.push_str(&format!("\"index\": {index}, "));
-    push_config_fields(out, config);
+/// The config-identity fields (`"backend"` through `"clock"`), shared
+/// by the streaming records, the final report and the single-run
+/// report JSON the playground service and `lolrun --json` emit
+/// ([`crate::service::run_report_json`]) — one serialization, three
+/// surfaces, so they can never drift apart. `backend` is the engine
+/// that ran, which the single-run report takes from the report.
+pub(crate) fn push_config_fields(w: &mut Writer, backend: Backend, config: &RunConfig) {
+    w.key("backend").str(backend);
+    w.key("pes").num(config.n_pes);
+    w.key("seed").num(config.seed);
+    w.key("latency").str(config.latency);
+    w.key("barrier").str(config.barrier);
+    w.key("lock").str(config.lock);
+    w.key("clock").str(config.clock);
 }
 
-/// The config-identity fields alone (`"backend"` through `"clock"`),
-/// shared with the single-run report JSON the playground service and
-/// `lolrun --json` emit ([`crate::service::run_report_json`]) — one
-/// serialization, three surfaces.
-pub(crate) fn push_config_fields(out: &mut String, config: &RunConfig) {
-    out.push_str(&format!("\"backend\": \"{}\", ", config.backend));
-    out.push_str(&format!("\"pes\": {}, ", config.n_pes));
-    out.push_str(&format!("\"seed\": {}, ", config.seed));
-    out.push_str(&format!("\"latency\": \"{}\", ", config.latency));
-    out.push_str(&format!("\"barrier\": \"{}\", ", config.barrier));
-    out.push_str(&format!("\"lock\": \"{}\", ", config.lock));
-    out.push_str(&format!("\"clock\": \"{}\", ", config.clock));
+/// The shared success arm: `"ok": true`; with `timing`, the host
+/// walls (the sim's `wall_ns` is the *simulated* makespan,
+/// `host_wall_ns` the real host time absolute perf gates compare)
+/// followed by the matrix-derived `ratios`; then the virtual wall,
+/// the output hash and the stats.
+fn push_ok_json(w: &mut Writer, r: &RunReport, timing: bool, ratios: &[(&str, Option<f64>)]) {
+    w.key("ok").bool(true);
+    if timing {
+        w.key("wall_ns").num(r.wall.as_nanos());
+        w.key("host_wall_ns").num(r.host_wall.as_nanos());
+        for &(key, ratio) in ratios {
+            w.key(key).fixed(ratio, 4);
+        }
+    }
+    // Virtual walls are deterministic, so they belong in the
+    // byte-stable JSON too — that's what lets CI diff
+    // machine-independent timing.
+    if let Some(vw) = r.virtual_wall {
+        w.key("virtual_wall_ns").num(vw.as_nanos());
+    }
+    w.key("output_hash").str(format_args!("{:016x}", output_hash(r)));
+    push_stats_json(w, r);
 }
 
 /// The shared failure arm: `"ok": false` plus the unsupported/skipped
 /// flags and the rendered error.
-fn push_error_json(out: &mut String, err: &LolError) {
-    out.push_str("\"ok\": false, ");
+fn push_error_json(w: &mut Writer, err: &LolError) {
+    w.key("ok").bool(false);
     if err.is_unsupported() {
-        out.push_str("\"unsupported\": true, ");
+        w.key("unsupported").bool(true);
     }
     if err.is_skipped() {
-        out.push_str("\"skipped\": true, ");
+        w.key("skipped").bool(true);
     }
-    out.push_str(&format!("\"error\": \"{}\"", json_escape(&err.to_string())));
+    w.key("error").str(err);
 }
 
 /// The shared `"stats": {...}` object (job-wide totals).
-pub(crate) fn push_stats_json(out: &mut String, r: &RunReport) {
+pub(crate) fn push_stats_json(w: &mut Writer, r: &RunReport) {
     let t = r.total_stats();
-    out.push_str(&format!(
-        "\"stats\": {{\"local_gets\": {}, \"remote_gets\": {}, \
-         \"local_puts\": {}, \"remote_puts\": {}, \
-         \"block_get_words\": {}, \"block_put_words\": {}, \
-         \"amos\": {}, \"barriers_per_pe\": {}, \
-         \"lock_acquires\": {}, \"remote_fraction\": {:.4}}}",
-        t.local_gets,
-        t.remote_gets,
-        t.local_puts,
-        t.remote_puts,
-        t.block_get_words,
-        t.block_put_words,
-        t.amos,
-        r.stats.first().map(|s| s.barriers).unwrap_or(0),
-        t.lock_acquires,
-        t.remote_fraction(),
-    ));
+    w.key("stats").begin_obj();
+    w.key("local_gets").num(t.local_gets);
+    w.key("remote_gets").num(t.remote_gets);
+    w.key("local_puts").num(t.local_puts);
+    w.key("remote_puts").num(t.remote_puts);
+    w.key("block_get_words").num(t.block_get_words);
+    w.key("block_put_words").num(t.block_put_words);
+    w.key("amos").num(t.amos);
+    w.key("barriers_per_pe").num(r.stats.first().map(|s| s.barriers).unwrap_or(0));
+    w.key("lock_acquires").num(t.lock_acquires);
+    w.key("remote_fraction").fixed(t.remote_fraction(), 4);
+    w.end_obj();
 }
 
 /// Aggregated result of a [`SweepSpec::run`]: entries in config order
@@ -1175,51 +1173,36 @@ impl SweepReport {
     }
 
     fn render_json(&self, timing: bool) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"configs\": {},\n", self.entries.len()));
-        out.push_str(&format!("  \"ok\": {},\n", self.ok_count()));
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        // One header field per line, one entry per line.
+        w.begin_obj();
+        w.sep("\n  ").key("configs").num(self.entries.len());
+        w.sep("\n  ").key("ok").num(self.ok_count());
         if timing {
-            out.push_str(&format!("  \"jobs\": {},\n", self.jobs));
-            out.push_str(&format!("  \"total_wall_ns\": {},\n", self.total_wall.as_nanos()));
+            w.sep("\n  ").key("jobs").num(self.jobs);
+            w.sep("\n  ").key("total_wall_ns").num(self.total_wall.as_nanos());
         }
-        out.push_str("  \"entries\": [");
+        w.sep("\n  ").key("entries").begin_arr();
         for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            push_config_json(&mut out, i, &e.config);
+            w.sep("\n    ").begin_obj().key("index").num(i);
+            push_config_fields(&mut w, e.config.backend, &e.config);
             match &e.result {
-                Ok(r) => {
-                    out.push_str("\"ok\": true, ");
-                    if timing {
-                        out.push_str(&format!("\"wall_ns\": {}, ", r.wall.as_nanos()));
-                        out.push_str(&format!("\"host_wall_ns\": {}, ", r.host_wall.as_nanos()));
-                        let opt = |v: Option<f64>| match v {
-                            Some(v) => format!("{v:.4}"),
-                            None => "null".to_string(),
-                        };
-                        out.push_str(&format!("\"speedup\": {}, ", opt(e.speedup)));
-                        out.push_str(&format!("\"efficiency\": {}, ", opt(e.efficiency)));
-                        out.push_str(&format!("\"vs_interp\": {}, ", opt(e.vs_interp)));
-                    }
-                    // Virtual walls are deterministic, so they belong
-                    // in the byte-stable JSON too — that's what lets
-                    // CI diff machine-independent timing.
-                    if let Some(vw) = r.virtual_wall {
-                        out.push_str(&format!("\"virtual_wall_ns\": {}, ", vw.as_nanos()));
-                    }
-                    out.push_str(&format!(
-                        "\"output_hash\": \"{:016x}\", ",
-                        e.output_hash().expect("ok entry hashes")
-                    ));
-                    push_stats_json(&mut out, r);
-                }
-                Err(err) => push_error_json(&mut out, err),
+                Ok(r) => push_ok_json(
+                    &mut w,
+                    r,
+                    timing,
+                    &[
+                        ("speedup", e.speedup),
+                        ("efficiency", e.efficiency),
+                        ("vs_interp", e.vs_interp),
+                    ],
+                ),
+                Err(err) => push_error_json(&mut w, err),
             }
-            out.push('}');
+            w.end_obj();
         }
-        out.push_str("\n  ]\n}\n");
+        w.ws("\n  ").end_arr().ws("\n").end_obj().ws("\n");
         out
     }
 }
@@ -1233,23 +1216,6 @@ fn fmt_pes(n: usize) -> String {
     } else {
         n.to_string()
     }
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1432,12 +1398,6 @@ mod tests {
         let r1 = SweepSpec::over(base()).pes([2]).run(&artifact);
         let r2 = SweepSpec::over(base()).pes([3]).run(&artifact);
         assert_ne!(r1.entries[0].output_hash(), r2.entries[0].output_hash());
-    }
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
     }
 
     #[test]

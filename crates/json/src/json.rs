@@ -359,28 +359,10 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Escape `s` for embedding in a JSON string literal (mirror of the
-/// sweep report's escaper; kept here so the serve crate needs no
-/// private access).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::escape;
 
     #[test]
     fn parses_the_request_shapes() {

@@ -12,6 +12,8 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use lol_json::Writer;
+
 /// One typed value in an event record.
 #[derive(Clone, Copy, Debug)]
 pub enum Field<'a> {
@@ -19,10 +21,6 @@ pub enum Field<'a> {
     Str(&'a str),
     /// An unsigned integer.
     U64(u64),
-    /// A signed integer.
-    I64(i64),
-    /// A boolean.
-    Bool(bool),
 }
 
 /// A shared, append-only JSONL sink.
@@ -49,37 +47,20 @@ impl EventLog {
         let ts_ms =
             SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_millis() as u64).unwrap_or(0);
         let mut line = String::with_capacity(64);
-        line.push_str(&format!("{{\"ts_ms\": {ts_ms}"));
+        let mut w = Writer::new(&mut line);
+        w.begin_obj().key("ts_ms").num(ts_ms);
         for (key, value) in fields {
-            line.push_str(&format!(", \"{}\": ", escape(key)));
+            w.key(key);
             match value {
-                Field::Str(s) => line.push_str(&format!("\"{}\"", escape(s))),
-                Field::U64(n) => line.push_str(&n.to_string()),
-                Field::I64(n) => line.push_str(&n.to_string()),
-                Field::Bool(b) => line.push_str(if *b { "true" } else { "false" }),
-            }
+                Field::Str(s) => w.str(s),
+                Field::U64(n) => w.num(n),
+            };
         }
-        line.push_str("}\n");
-        let mut w = self.w.lock().unwrap();
-        w.write_all(line.as_bytes())?;
-        w.flush()
+        w.end_obj().ws("\n");
+        let mut sink = self.w.lock().unwrap();
+        sink.write_all(line.as_bytes())?;
+        sink.flush()
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -111,7 +92,6 @@ mod tests {
             ("path", Field::Str("/run")),
             ("status", Field::U64(200)),
             ("dur_ns", Field::U64(123_456)),
-            ("ok", Field::Bool(true)),
         ])
         .unwrap();
         log.log(&[("path", Field::Str("/weird\"quote\nline"))]).unwrap();
@@ -125,7 +105,7 @@ mod tests {
             assert!(line.ends_with('}'));
         }
         assert!(lines[0].contains("\"status\": 200"));
-        assert!(lines[0].contains("\"ok\": true"));
+        assert!(lines[0].contains("\"dur_ns\": 123456"));
         assert!(lines[1].contains("/weird\\\"quote\\nline"));
     }
 }

@@ -84,11 +84,12 @@ impl ApiError {
 
     /// The JSON error envelope.
     pub fn body(&self) -> String {
-        format!(
-            "{{\"ok\": false, \"code\": \"{}\", \"error\": \"{}\"}}",
-            self.code,
-            json::escape(&self.message)
-        )
+        let mut body = String::new();
+        let mut w = json::Writer::new(&mut body);
+        w.begin_obj().key("ok").bool(false);
+        w.key("code").str(self.code).key("error").str(&self.message);
+        w.end_obj();
+        body
     }
 }
 

@@ -16,6 +16,8 @@ use std::time::Instant;
 
 use lol_obs::{parse_exposition, sample_value, Sample};
 
+use crate::json::Writer;
+
 /// What to throw at the server.
 #[derive(Clone, Debug)]
 pub struct BenchSpec {
@@ -108,22 +110,17 @@ impl ServeDeltas {
         }
     }
 
-    /// The `"serve"` object embedded in [`BenchReport::to_json`].
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"requests_run\": {}, \"cache_hits\": {}, \"cache_misses\": {}, ",
-                "\"cache_evictions\": {}, \"rejected_429\": {}, \"rejected_503\": {}, ",
-                "\"server_errors\": {}}}"
-            ),
-            self.requests_run,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.rejected_429,
-            self.rejected_503,
-            self.server_errors,
-        )
+    /// Write the `"serve"` object embedded in [`BenchReport::to_json`].
+    pub fn write_json(&self, w: &mut Writer) {
+        w.begin_obj();
+        w.key("requests_run").num(self.requests_run);
+        w.key("cache_hits").num(self.cache_hits);
+        w.key("cache_misses").num(self.cache_misses);
+        w.key("cache_evictions").num(self.cache_evictions);
+        w.key("rejected_429").num(self.rejected_429);
+        w.key("rejected_503").num(self.rejected_503);
+        w.key("server_errors").num(self.server_errors);
+        w.end_obj();
     }
 }
 
@@ -139,28 +136,24 @@ impl BenchReport {
     /// The JSON document `serve-bench.json` holds; keys are consumed
     /// by `scripts/check_perf_regression.py --serve`.
     pub fn to_json(&self) -> String {
-        let serve = match &self.serve {
-            Some(s) => format!(", \"serve\": {}", s.to_json()),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"clients\": {}, \"total\": {}, \"ok\": {}, \"errors\": {}, ",
-                "\"wall_ns\": {}, \"rps\": {:.2}, ",
-                "\"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}{}}}"
-            ),
-            self.clients,
-            self.total,
-            self.ok,
-            self.errors,
-            self.wall_ns,
-            self.rps,
-            self.p50_ns,
-            self.p90_ns,
-            self.p99_ns,
-            self.max_ns,
-            serve,
-        )
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.begin_obj();
+        w.key("clients").num(self.clients);
+        w.key("total").num(self.total);
+        w.key("ok").num(self.ok);
+        w.key("errors").num(self.errors);
+        w.key("wall_ns").num(self.wall_ns);
+        w.key("rps").fixed(self.rps, 2);
+        w.key("p50_ns").num(self.p50_ns);
+        w.key("p90_ns").num(self.p90_ns);
+        w.key("p99_ns").num(self.p99_ns);
+        w.key("max_ns").num(self.max_ns);
+        if let Some(s) = &self.serve {
+            s.write_json(w.key("serve"));
+        }
+        w.end_obj();
+        out
     }
 
     /// One human line for terminals and CI logs.

@@ -1,7 +1,7 @@
 //! `lol-serve` — the `lold` playground service.
 //!
 //! A dependency-free JSON-over-HTTP daemon that exposes the whole
-//! toolchain — every backend in the engine registry — behind four
+//! toolchain — every backend `engine_for` dispatches to — behind four
 //! routes:
 //!
 //! * `POST /run` — compile (or fetch from the artifact cache) and run
@@ -23,8 +23,9 @@
 //!
 //! Design points:
 //!
-//! * **std only.** The HTTP server is [`http`], the JSON parser is
-//!   [`json`] — both bounded, total, and fuzzed in `tests/fuzz.rs`.
+//! * **std only.** The HTTP server is [`http`]; JSON goes through
+//!   the workspace's `lol-json` crate (re-exported as [`json`]). Both
+//!   parsers are bounded, total, and fuzzed in `tests/fuzz.rs`.
 //! * **Bounded worker pool.** A fixed set of worker threads serves
 //!   connections from a capped queue ([`ServeConfig::queue_cap`]);
 //!   when the queue is full the accept loop answers `429` with
@@ -66,8 +67,9 @@ pub mod bench;
 pub mod cache;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod metrics;
+
+pub use lol_json as json;
 
 use std::collections::VecDeque;
 use std::io::BufReader;
@@ -280,11 +282,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         let Ok((mut stream, _)) = listener.accept() else {
             continue;
         };
-        // Short read slices so a worker pinned on an idle keep-alive
-        // connection re-checks the shutdown flag a few times a second
-        // (the full idle allowance is `ServeConfig::read_timeout`,
-        // enforced in `serve_connection`).
-        let _ = stream.set_read_timeout(Some(READ_POLL));
+        configure_accepted(&stream);
         if shared.shutdown.load(Ordering::SeqCst) {
             // Accepted during drain (possibly the shutdown poke
             // itself): refuse politely, don't enqueue.
@@ -323,6 +321,17 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
         drop(queue);
         shared.queue_cv.notify_one();
     }
+}
+
+/// Socket setup for an accepted connection. Each reply leaves in one
+/// write, so Nagle's algorithm could only hold it back (waiting on the
+/// client's delayed ACK). Short read slices let a worker pinned on an
+/// idle keep-alive connection re-check the shutdown flag a few times a
+/// second (the full idle allowance is `ServeConfig::read_timeout`,
+/// enforced in `serve_connection`).
+fn configure_accepted(stream: &TcpStream) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(READ_POLL));
 }
 
 fn worker_loop(shared: &Shared) {
@@ -483,7 +492,10 @@ fn handle(shared: &Shared, req: &Request) -> Reply {
         ("POST", "/trace") => timed(Route::Trace, &|| handle_trace(shared, &req.body)),
         ("POST", "/shutdown") => {
             trigger_shutdown(shared);
-            Reply::json(200, "{\"ok\": true, \"draining\": true}".to_string())
+            let mut body = String::new();
+            let mut w = json::Writer::new(&mut body);
+            w.begin_obj().key("ok").bool(true).key("draining").bool(true).end_obj();
+            Reply::json(200, body)
         }
         (_, "/healthz" | "/metrics" | "/run" | "/sweep" | "/trace" | "/shutdown") => {
             let e = ApiError::method_not_allowed(&req.method, &req.path);
@@ -571,44 +583,45 @@ fn handle_trace(shared: &Shared, body: &[u8]) -> Result<String, ApiError> {
         TraceFormat::Svg => trace.to_svg(),
         TraceFormat::Perfetto => trace.to_perfetto(),
     };
-    Ok(format!(
-        "{{\"ok\": true, \"format\": \"{}\", \"pes\": {}, \"render\": \"{}\"}}",
-        req.format.name(),
-        report.n_pes(),
-        json::escape(&rendered)
-    ))
+    let mut body = String::with_capacity(rendered.len() + 64);
+    let mut w = json::Writer::new(&mut body);
+    w.begin_obj().key("ok").bool(true);
+    w.key("format").str(req.format.name());
+    w.key("pes").num(report.n_pes());
+    w.key("render").str(&rendered);
+    w.end_obj();
+    Ok(body)
 }
 
 fn healthz_body(shared: &Shared) -> String {
     let m = &shared.metrics;
     let cache = shared.cache.stats();
     let queue_depth = shared.queue.lock().unwrap().len();
-    format!(
-        concat!(
-            "{{\"ok\": true, \"workers\": {}, \"queue_cap\": {}, \"queue_depth\": {}, ",
-            "\"thread_budget\": {}, ",
-            "\"requests\": {{\"run\": {}, \"sweep\": {}, \"trace\": {}, \"healthz\": {}, ",
-            "\"rejected_429\": {}, \"rejected_503\": {}, \"errors\": {}}}, ",
-            "\"cache\": {{\"capacity\": {}, \"len\": {}, \"hits\": {}, \"misses\": {}, ",
-            "\"evictions\": {}}}}}"
-        ),
-        shared.config.workers,
-        shared.config.queue_cap,
-        queue_depth,
-        shared.budget,
-        m.requests(Route::Run).get(),
-        m.requests(Route::Sweep).get(),
-        m.requests(Route::Trace).get(),
-        m.requests(Route::Healthz).get(),
-        m.rejected_429.get(),
-        m.rejected_503.get(),
-        m.errors.get(),
-        cache.capacity,
-        cache.len,
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-    )
+    let mut body = String::new();
+    let mut w = json::Writer::new(&mut body);
+    w.begin_obj().key("ok").bool(true);
+    w.key("workers").num(shared.config.workers);
+    w.key("queue_cap").num(shared.config.queue_cap);
+    w.key("queue_depth").num(queue_depth);
+    w.key("thread_budget").num(shared.budget);
+    w.key("requests").begin_obj();
+    w.key("run").num(m.requests(Route::Run).get());
+    w.key("sweep").num(m.requests(Route::Sweep).get());
+    w.key("trace").num(m.requests(Route::Trace).get());
+    w.key("healthz").num(m.requests(Route::Healthz).get());
+    w.key("rejected_429").num(m.rejected_429.get());
+    w.key("rejected_503").num(m.rejected_503.get());
+    w.key("errors").num(m.errors.get());
+    w.end_obj();
+    w.key("cache").begin_obj();
+    w.key("capacity").num(cache.capacity);
+    w.key("len").num(cache.len);
+    w.key("hits").num(cache.hits);
+    w.key("misses").num(cache.misses);
+    w.key("evictions").num(cache.evictions);
+    w.end_obj();
+    w.end_obj();
+    body
 }
 
 /// The Prometheus exposition behind `GET /metrics`: mirror the
@@ -624,6 +637,16 @@ fn metrics_body(shared: &Shared) -> String {
 mod tests {
     use super::*;
     use lolcode::corpus;
+
+    #[test]
+    fn accepted_connections_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure_accepted(&accepted);
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(READ_POLL));
+    }
 
     fn test_server() -> Server {
         Server::start(ServeConfig { workers: 4, ..ServeConfig::default() }).unwrap()

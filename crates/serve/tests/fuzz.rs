@@ -69,16 +69,6 @@ proptest! {
         let _ = json::parse(&s);
     }
 
-    /// Escaping is total and always reparses to the same string —
-    /// including control characters, quotes, and astral-plane chars.
-    #[test]
-    fn json_escape_round_trips(chars in proptest::collection::vec(any::<char>(), 0..64)) {
-        let s: String = chars.into_iter().collect();
-        let quoted = format!("\"{}\"", json::escape(&s));
-        let parsed = json::parse(&quoted).unwrap();
-        prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
-    }
-
     /// Arbitrarily deep nesting is rejected at the depth bound — by
     /// error, not by stack overflow.
     #[test]

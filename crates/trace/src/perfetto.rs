@@ -22,33 +22,35 @@
 //!
 //! [`ClockMode::Virtual`]: crate::ClockMode::Virtual
 
+use std::fmt;
+
+use lol_json::Writer;
+
 use crate::{EventKind, Trace};
 
-/// Nanoseconds → fractional microseconds, exactly (no float rounding).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
-}
+/// Nanoseconds as fractional microseconds, exactly (no float
+/// rounding): `Us(5250)` displays as `5.250`.
+struct Us(u64);
 
-fn slice_name(kind: EventKind) -> &'static str {
-    match kind {
-        EventKind::Put => "put",
-        EventKind::Get => "get",
-        EventKind::Amo => "amo",
-        EventKind::BlockPut => "block_put",
-        EventKind::BlockGet => "block_get",
-        EventKind::BarrierEnter | EventKind::BarrierExit => "barrier",
-        EventKind::LockAcquire => "lock_acquire",
-        EventKind::LockTry => "lock_try",
-        EventKind::LockRelease => "lock_release",
-        EventKind::Wait => "wait",
+impl fmt::Display for Us {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
     }
 }
 
-fn category(kind: EventKind) -> &'static str {
+/// The slice name and category an event exports as.
+fn slice_kind(kind: EventKind) -> (&'static str, &'static str) {
     match kind {
-        k if k.is_data() => "comm",
-        EventKind::LockAcquire | EventKind::LockTry | EventKind::LockRelease => "lock",
-        _ => "sync",
+        EventKind::Put => ("put", "comm"),
+        EventKind::Get => ("get", "comm"),
+        EventKind::Amo => ("amo", "comm"),
+        EventKind::BlockPut => ("block_put", "comm"),
+        EventKind::BlockGet => ("block_get", "comm"),
+        EventKind::BarrierEnter | EventKind::BarrierExit => ("barrier", "sync"),
+        EventKind::LockAcquire => ("lock_acquire", "lock"),
+        EventKind::LockTry => ("lock_try", "lock"),
+        EventKind::LockRelease => ("lock_release", "lock"),
+        EventKind::Wait => ("wait", "sync"),
     }
 }
 
@@ -58,64 +60,76 @@ impl Trace {
     /// Perfetto. The module docs in `perfetto.rs` describe the event
     /// mapping.
     pub fn to_perfetto(&self) -> String {
-        let mut events: Vec<String> = Vec::with_capacity(self.total_events() + self.n_pes());
+        // An exported event is ~140 bytes and a barrier pair exports
+        // as one, so this is a single allocation for nearly any trace.
+        let mut out = String::with_capacity(144 * (self.total_events() + self.n_pes()) + 128);
+        let mut w = Writer::new(&mut out);
+        w.begin_obj().key("displayTimeUnit").str("ns");
+        w.key("otherData").begin_obj();
+        w.key("clock").str(self.clock);
+        w.key("pes").num(self.n_pes());
+        w.key("dropped_events").num(self.total_dropped());
+        w.end_obj();
+        // One event per line: `[` and a newline, the events joined by
+        // `,\n` (so the very first gets no `sep`), a newline and `]`.
+        w.key("traceEvents").begin_arr().ws("\n");
         for (pe, p) in self.pes.iter().enumerate() {
-            events.push(format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {pe}, \
-                 \"args\": {{\"name\": \"PE {pe}\"}}}}"
-            ));
+            if pe > 0 {
+                w.sep("\n");
+            }
+            w.begin_obj().key("name").str("thread_name").key("ph").str("M");
+            w.key("pid").num(0).key("tid").num(pe);
+            w.key("args").begin_obj().key("name").str(format_args!("PE {pe}")).end_obj();
+            w.end_obj();
             let mut enter: Option<u64> = None;
             for e in &p.events {
-                match e.kind {
-                    EventKind::BarrierEnter => enter = Some(e.t_ns),
+                // Barrier slices span enter to exit; every other op is
+                // instantaneous (`"dur": 0`).
+                let (from, dur) = match e.kind {
+                    EventKind::BarrierEnter => {
+                        enter = Some(e.t_ns);
+                        continue;
+                    }
                     EventKind::BarrierExit => {
                         let from = enter.take().unwrap_or(e.t_ns);
-                        events.push(format!(
-                            "{{\"name\": \"barrier\", \"cat\": \"sync\", \"ph\": \"X\", \
-                             \"ts\": {}, \"dur\": {}, \"pid\": 0, \"tid\": {pe}, \
-                             \"args\": {{\"seq\": {}, \"wait_ns\": {}}}}}",
-                            us(from),
-                            us(e.t_ns.saturating_sub(from)),
-                            e.seq,
-                            e.t_ns.saturating_sub(from)
-                        ));
+                        (from, Some(e.t_ns.saturating_sub(from)))
                     }
-                    kind => {
-                        events.push(format!(
-                            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \
-                             \"ts\": {}, \"dur\": 0, \"pid\": 0, \"tid\": {pe}, \
-                             \"args\": {{\"peer\": {}, \"addr\": {}, \"bytes\": {}, \"seq\": {}}}}}",
-                            slice_name(kind),
-                            category(kind),
-                            us(e.t_ns),
-                            e.peer,
-                            e.addr,
-                            e.bytes,
-                            e.seq
-                        ));
+                    _ => (e.t_ns, None),
+                };
+                complete_slice(w.sep("\n"), e.kind, from, dur, pe);
+                w.key("args").begin_obj();
+                match dur {
+                    Some(wait_ns) => w.key("seq").num(e.seq).key("wait_ns").num(wait_ns),
+                    None => {
+                        w.key("peer").num(e.peer).key("addr").num(e.addr);
+                        w.key("bytes").num(e.bytes).key("seq").num(e.seq)
                     }
-                }
+                };
+                w.end_obj().end_obj();
             }
             // An enter with no exit (stream truncated by the buffer
             // bound): keep the op visible as a zero-duration slice.
             if let Some(from) = enter {
-                events.push(format!(
-                    "{{\"name\": \"barrier\", \"cat\": \"sync\", \"ph\": \"X\", \
-                     \"ts\": {}, \"dur\": 0, \"pid\": 0, \"tid\": {pe}, \
-                     \"args\": {{\"truncated\": true}}}}",
-                    us(from)
-                ));
+                complete_slice(w.sep("\n"), EventKind::BarrierEnter, from, None, pe);
+                w.key("args").begin_obj().key("truncated").bool(true).end_obj().end_obj();
             }
         }
-        format!(
-            "{{\"displayTimeUnit\": \"ns\", \"otherData\": {{\"clock\": \"{}\", \"pes\": {}, \
-             \"dropped_events\": {}}}, \"traceEvents\": [\n{}\n]}}",
-            self.clock,
-            self.n_pes(),
-            self.total_dropped(),
-            events.join(",\n")
-        )
+        w.ws("\n").end_arr().end_obj();
+        out
     }
+}
+
+/// The fields every `"ph": "X"` slice opens with, leaving the object
+/// open for its `args`. `dur_ns` is `None` for an instantaneous op.
+fn complete_slice(w: &mut Writer, kind: EventKind, from_ns: u64, dur_ns: Option<u64>, pe: usize) {
+    let (name, cat) = slice_kind(kind);
+    w.begin_obj().key("name").str(name).key("cat").str(cat).key("ph").str("X");
+    w.key("ts").num(Us(from_ns));
+    match dur_ns {
+        Some(ns) => w.key("dur").num(Us(ns)),
+        None => w.key("dur").num(0),
+    };
+    w.key("pid").num(0).key("tid").num(pe);
 }
 
 #[cfg(test)]

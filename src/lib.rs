@@ -56,8 +56,8 @@ pub mod prelude {
     pub use lolcode::corpus;
     pub use lolcode::{
         check, compile, compile_to_c, config_key, engine_for, jsonl_record, parse_jsonl_done,
-        parse_program, registry, run_source, Backend, CEngine, ClockMode, Compiled, Engine,
-        EngineRegistry, EventKind, InterpEngine, LolError, PeTrace, RunConfig, RunReport,
-        SimEngine, SweepEntry, SweepReport, SweepSpec, Trace, TraceEvent, TraceSpec, VmEngine,
+        parse_program, run_source, Backend, CEngine, ClockMode, Compiled, Engine, EventKind,
+        InterpEngine, LolError, PeTrace, RunConfig, RunReport, SimEngine, SweepEntry, SweepReport,
+        SweepSpec, Trace, TraceEvent, TraceSpec, VmEngine,
     };
 }

@@ -257,6 +257,30 @@ not json at all"#;
     assert!(done.contains("c|mesh:4:50:11|dissem|ticket|wall|9|4"));
 }
 
+/// The done-set reads fields by name, so a file re-serialized
+/// compactly (`jq -c`, Python's `separators=(',', ':')`) or with its
+/// keys reordered resumes exactly like the original, and a record cut
+/// off mid-line is malformed, not done.
+#[test]
+fn jsonl_done_parser_ignores_layout() {
+    let spaced = r#"{"index": 0, "backend": "interp", "pes": 2, "seed": 7, "latency": "off", "barrier": "central", "lock": "cas", "clock": "virtual", "ok": true, "wall_ns": 5}
+{"index": 1, "backend": "vm", "pes": 2, "seed": 7, "latency": "off", "barrier": "central", "lock": "cas", "clock": "wall", "ok": false, "error": "O NOES"}
+{"index": 2, "backend": "c", "pes": 4, "seed": 9, "latency": "mesh:4:50:11", "barrier": "dissem", "lock": "ticket", "ok": true, "wall_ns": 5}
+{"summary": true, "configs": 3, "ok": 2}
+not json at all"#;
+    let compact = spaced.replace("\": ", "\":").replace(", \"", ",\"");
+    assert!(!compact.contains(": "), "{compact}");
+    let reordered = r#"{"ok":true,"clock":"virtual","lock":"cas","barrier":"central","latency":"off","seed":7,"pes":2,"backend":"interp"}
+  { "ok" : true , "pes" : 4 , "seed" : 9 , "backend" : "c" , "latency" : "mesh:4:50:11" , "barrier" : "dissem" , "lock" : "ticket" }
+{"index": 3, "backend": "sim", "pes": 8, "seed": 7, "latency": "off", "barrier": "central", "lock": "cas", "clock": "wall", "ok": true, "wall_"#;
+    let done = parse_jsonl_done(spaced);
+    assert_eq!(done.len(), 2, "{done:?}");
+    assert!(done.contains("interp|off|central|cas|virtual|7|2"));
+    assert!(done.contains("c|mesh:4:50:11|dissem|ticket|wall|9|4"));
+    assert_eq!(parse_jsonl_done(&compact), done);
+    assert_eq!(parse_jsonl_done(reordered), done, "the cut-off sim record is not done");
+}
+
 /// The thread budget keeps `jobs × PEs` inside the core count without
 /// changing a single byte of the results.
 #[test]
