@@ -2,14 +2,31 @@
 //!
 //! Mirrors the paper's `lcc`: shared declarations become static
 //! symmetric objects, remote references become `shmem_*_g`/`shmem_*_p`
-//! calls, `HUGZ` becomes `shmem_barrier_all()`, and everything dynamic
-//! rides on the emitted `lol_value_t` runtime. User identifiers are
-//! prefixed (`v_`, `g_`, `f_`) so they can never collide with C
-//! keywords or the runtime.
+//! calls, and `HUGZ` becomes `shmem_barrier_all()`. User identifiers
+//! are prefixed (`v_`, `g_`, `f_`) so they can never collide with
+//! C keywords or the runtime.
+//!
+//! # Typed lowering
+//!
+//! [`CEmitter::expr`] returns each expression's C code together with
+//! its static type ([`Ty`]), inferred bottom-up with the rules of
+//! [`lol_sema::types`] that the bytecode compiler uses too. A NUMBR,
+//! NUMBAR or TROOF value is a native `long long`, `double` or `int`
+//! (0/1) C expression. Pinned (`ITZ SRSLY A`) scalar locals, counted-loop
+//! counters the body never stores to, the elements of NUMBR/NUMBAR/TROOF
+//! local arrays and symmetric cells are native variables. Everything
+//! else — YARNs, NOOBs, unpinned locals, parameters, call results and
+//! `IT` — rides on the runtime's tagged `lol_value_t`, and a native
+//! value is boxed only where such a consumer (`VISIBLE`, `SMOOSH`, a
+//! call, a store to `IT`) takes it. The native operations keep the Rust
+//! engines' semantics (the runtime's `lol_add_i` … `lol_dbl_to_int`),
+//! and the emitted expression keeps the source's tree, fully
+//! parenthesised, so floating-point results are bit-identical.
 
 use crate::runtime::LOL_RUNTIME;
 use lol_ast::diag::Diagnostic;
 use lol_ast::*;
+use lol_sema::types::{bin_ty, counter_ty, shared_ty, un_ty, Ty};
 use lol_sema::{Analysis, SharedKind, SharedVar};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -17,10 +34,165 @@ use std::fmt::Write as _;
 type CResult<T> = Result<T, Diagnostic>;
 
 /// How a name resolves for the emitter.
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 enum CKind {
-    Scalar { pinned: Option<LolType> },
-    Array,
+    /// A scalar local whose values all have static type `ty` when it is
+    /// `Some`: pinned locals cast every store to it, and a counter typed
+    /// NUMBR is never stored to. A native type lives in a native C
+    /// variable, anything else in a `lol_value_t`.
+    Scalar { ty: Ty },
+    /// A local array whose elements are always of type `elem`.
+    Array { elem: LolType },
+}
+
+/// A C expression and its static type: a native `long long`, `double`
+/// or `int` for a NUMBR, NUMBAR or TROOF, a `lol_value_t` otherwise.
+struct CExpr {
+    code: String,
+    ty: Ty,
+}
+
+/// The native C type of values of static type `ty`, if they have one.
+fn native(ty: Ty) -> Option<&'static str> {
+    match ty? {
+        LolType::Numbr => Some("long long"),
+        LolType::Numbar => Some("double"),
+        LolType::Troof => Some("int"),
+        LolType::Yarn | LolType::Noob => None,
+    }
+}
+
+impl CExpr {
+    fn new(code: impl Into<String>, ty: Ty) -> Self {
+        CExpr { code: code.into(), ty }
+    }
+
+    fn of(code: impl Into<String>, ty: LolType) -> Self {
+        CExpr::new(code, Some(ty))
+    }
+
+    /// The value as a `lol_value_t`.
+    fn boxed(self) -> String {
+        match self.ty {
+            Some(LolType::Numbr) => format!("lol_from_int({})", self.code),
+            Some(LolType::Numbar) => format!("lol_from_dbl({})", self.code),
+            Some(LolType::Troof) => format!("lol_from_bool({})", self.code),
+            _ => self.code,
+        }
+    }
+
+    /// The value converted to a NUMBR, as a `long long`.
+    fn int(self) -> String {
+        match self.ty {
+            Some(LolType::Numbr) => self.code,
+            Some(LolType::Numbar) => format!("lol_dbl_to_int({})", self.code),
+            Some(LolType::Troof) => format!("(long long){}", self.code),
+            _ => format!("lol_to_int({})", self.code),
+        }
+    }
+
+    /// The value converted to a NUMBAR, as a `double`.
+    fn dbl(self) -> String {
+        match self.ty {
+            Some(LolType::Numbar) => self.code,
+            Some(LolType::Numbr | LolType::Troof) => format!("(double){}", self.code),
+            _ => format!("lol_to_dbl({})", self.code),
+        }
+    }
+
+    /// The value's truth, as an `int` that is 0 or 1.
+    fn truth(self) -> String {
+        match self.ty {
+            Some(LolType::Troof) => self.code,
+            Some(LolType::Numbr) => format!("({} != 0)", self.code),
+            Some(LolType::Numbar) => format!("({} != 0.0)", self.code),
+            _ => format!("lol_to_bool({})", self.code),
+        }
+    }
+
+    /// The value cast to `ty`, with the runtime's `lol_cast` semantics.
+    fn cast(self, ty: LolType) -> CExpr {
+        if self.ty == Some(ty) {
+            return self;
+        }
+        let code = match ty {
+            LolType::Numbr => self.int(),
+            LolType::Numbar => self.dbl(),
+            LolType::Troof => self.truth(),
+            LolType::Yarn | LolType::Noob => {
+                format!("lol_cast({}, {})", self.boxed(), lol_ty_enum(ty))
+            }
+        };
+        CExpr::of(code, ty)
+    }
+}
+
+/// Where an array's elements live.
+enum ArrPlace {
+    /// A local array `data`: elements `data.e` and length `data.n`,
+    /// native when `elem` has a native type, else `lol_value_t`s of a
+    /// `lol_arr_t`.
+    Local { data: String, elem: LolType },
+    /// A symmetric array, on this PE or on the remote PE `pe`.
+    Shared { data: String, ty: LolType, len: usize, pe: Option<String> },
+}
+
+impl ArrPlace {
+    /// The element count, as a C expression.
+    fn len(&self) -> String {
+        match self {
+            ArrPlace::Local { data, .. } => format!("{data}.n"),
+            ArrPlace::Shared { len, .. } => len.to_string(),
+        }
+    }
+
+    /// The element storage, as a C array expression.
+    fn elems(&self) -> String {
+        match self {
+            ArrPlace::Local { data, .. } => format!("{data}.e"),
+            ArrPlace::Shared { data, .. } => data.clone(),
+        }
+    }
+
+    /// The bounds-checked cell at `idx` (a `long long` C expression) of
+    /// native storage.
+    fn cell(&self, idx: &str) -> String {
+        format!("{}[lol_idx({idx}, {})]", self.elems(), self.len())
+    }
+
+    fn read(&self, idx: &str) -> CExpr {
+        match self {
+            ArrPlace::Local { data, elem, .. } => match native(Some(*elem)) {
+                Some(_) => CExpr::of(self.cell(idx), *elem),
+                None => CExpr::of(format!("lol_arr_get(&{data}, {idx})"), *elem),
+            },
+            ArrPlace::Shared { ty, pe, .. } => shared_value(*ty, self.cell(idx), pe.as_deref()),
+        }
+    }
+
+    /// The C statement storing `val` at `idx`. A value of unknown type
+    /// converts after the index check, as on the other engines.
+    fn write(&self, idx: &str, val: CExpr) -> String {
+        if let ArrPlace::Local { data, elem } = self {
+            if native(Some(*elem)).is_none() {
+                return format!("lol_arr_set(&{data}, {idx}, {});", val.boxed());
+            }
+        }
+        if native(val.ty).is_some() {
+            return self.store(self.cell(idx), val);
+        }
+        let checked = format!("long long __k = lol_idx({idx}, {});", self.len());
+        let store = self.store(format!("{}[__k]", self.elems()), CExpr::new("__v", val.ty));
+        format!("{{ lol_value_t __v = {}; {checked} {store} }}", val.code)
+    }
+
+    /// The C statement storing `val` into the native `cell`.
+    fn store(&self, cell: String, val: CExpr) -> String {
+        match self {
+            ArrPlace::Local { elem, .. } => format!("{cell} = {};", val.cast(*elem).code),
+            ArrPlace::Shared { ty, pe, .. } => shared_store(*ty, cell, pe.as_deref(), val),
+        }
+    }
 }
 
 pub(crate) struct CEmitter<'a> {
@@ -34,6 +206,9 @@ pub(crate) struct CEmitter<'a> {
     in_function: bool,
     scopes: Vec<HashMap<Symbol, CKind>>,
     tmp: usize,
+    /// The `int` temporaries of the C function being emitted, declared
+    /// at its top.
+    temps: Vec<String>,
 }
 
 impl<'a> CEmitter<'a> {
@@ -47,6 +222,7 @@ impl<'a> CEmitter<'a> {
             in_function: false,
             scopes: vec![HashMap::new()],
             tmp: 0,
+            temps: Vec::new(),
         }
     }
 
@@ -115,9 +291,7 @@ impl<'a> CEmitter<'a> {
         self.line("LOL_SRAND(1337u + (unsigned)shmem_my_pe());");
         self.line("lol_value_t v_IT = lol_noob(); (void)v_IT;");
         self.scopes.push(HashMap::new());
-        for s in &program.body {
-            self.stmt(s)?;
-        }
+        self.body(&program.body)?;
         self.scopes.pop();
         self.line("shmem_finalize();");
         self.line("return 0;");
@@ -144,17 +318,30 @@ impl<'a> CEmitter<'a> {
         self.in_function = true;
         self.scopes.push(HashMap::new());
         for p in &f.params {
-            self.scopes.last_mut().unwrap().insert(p.sym, CKind::Scalar { pinned: None });
+            self.declare(p.sym, CKind::Scalar { ty: None });
         }
-        for s in &f.body {
-            self.stmt(s)?;
-        }
+        self.body(&f.body)?;
         self.scopes.pop();
         self.in_function = false;
         self.line("return v_IT;");
         self.indent -= 1;
         self.line("}");
         self.out.push('\n');
+        Ok(())
+    }
+
+    /// The statements of a C function body, preceded by the declaration
+    /// of the temporaries they use.
+    fn body(&mut self, stmts: &Block) -> CResult<()> {
+        let at = self.out.len();
+        for s in stmts {
+            self.stmt(s)?;
+        }
+        if !self.temps.is_empty() {
+            let decl = format!("{}int {};\n", "    ".repeat(self.indent), self.temps.join(", "));
+            self.out.insert_str(at, &decl);
+            self.temps.clear();
+        }
         Ok(())
     }
 
@@ -177,8 +364,14 @@ impl<'a> CEmitter<'a> {
         Diagnostic::error(code, msg, span)
     }
 
+    fn declare(&mut self, name: Symbol, kind: CKind) {
+        self.scopes.last_mut().expect("scope").insert(name, kind);
+    }
+
     fn lookup(&self, name: Symbol) -> Option<CKind> {
-        self.scopes.iter().rev().find_map(|s| s.get(&name)).cloned()
+        let local = self.scopes.iter().rev().find_map(|s| s.get(&name)).copied();
+        // `IT` is every frame's implicit `lol_value_t v_IT`.
+        local.or_else(|| (name == Symbol::it()).then_some(CKind::Scalar { ty: None }))
     }
 
     fn shared(&self, name: Symbol) -> Option<&'a SharedVar> {
@@ -208,225 +401,168 @@ impl<'a> CEmitter<'a> {
         }
     }
 
+    /// The remote PE a `UR` reference targets, `None` for a local one.
+    fn remote_pe(&self, vr: &VarRef) -> CResult<Option<String>> {
+        if vr.locality == Locality::Ur {
+            self.bff_expr(vr).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
     // -- expressions -----------------------------------------------------
 
-    fn expr(&mut self, e: &Expr) -> CResult<String> {
+    fn expr(&mut self, e: &Expr) -> CResult<CExpr> {
         Ok(match &e.kind {
             ExprKind::Lit(l) => self.literal(l)?,
             ExprKind::Var(vr) => self.var_read(vr)?,
             ExprKind::Index { arr, idx } => {
-                let i = self.expr(idx)?;
-                self.elem_read(arr, &format!("lol_to_int({i})"))?
+                let i = self.expr(idx)?.int();
+                self.arr_place(arr)?.read(&i)
             }
             ExprKind::Bin { op, lhs, rhs } => {
                 let a = self.expr(lhs)?;
                 let b = self.expr(rhs)?;
                 match op {
-                    BinOp::Sum => format!("lol_sum({a}, {b})"),
-                    BinOp::Diff => format!("lol_diff({a}, {b})"),
-                    BinOp::Produkt => format!("lol_produkt({a}, {b})"),
-                    BinOp::Quoshunt => format!("lol_quoshunt({a}, {b})"),
-                    BinOp::Mod => format!("lol_mod({a}, {b})"),
-                    BinOp::BiggrOf => format!("lol_biggr({a}, {b})"),
-                    BinOp::SmallrOf => format!("lol_smallr({a}, {b})"),
-                    BinOp::BothSaem => format!("lol_from_bool(lol_saem({a}, {b}))"),
-                    BinOp::Diffrint => format!("lol_from_bool(!lol_saem({a}, {b}))"),
-                    BinOp::Bigger => format!("lol_bigger({a}, {b})"),
-                    BinOp::Smallr => format!("lol_smallr_than({a}, {b})"),
-                    BinOp::BothOf => {
-                        format!("lol_from_bool(lol_to_bool({a}) && lol_to_bool({b}))")
-                    }
-                    BinOp::EitherOf => {
-                        format!("lol_from_bool(lol_to_bool({a}) || lol_to_bool({b}))")
-                    }
-                    BinOp::WonOf => {
-                        format!("lol_from_bool(lol_to_bool({a}) ^ lol_to_bool({b}))")
-                    }
+                    BinOp::BothOf => self.logical(vec![a, b], " & "),
+                    BinOp::EitherOf => self.logical(vec![a, b], " | "),
+                    BinOp::WonOf => self.logical(vec![a, b], " ^ "),
+                    _ => binary(*op, a, b),
                 }
             }
-            ExprKind::Un { op, expr } => {
-                let v = self.expr(expr)?;
-                match op {
-                    UnOp::Not => format!("lol_not({v})"),
-                    UnOp::Squar => format!("lol_squar({v})"),
-                    UnOp::Unsquar => format!("lol_unsquar({v})"),
-                    UnOp::Flip => format!("lol_flip({v})"),
-                }
-            }
+            ExprKind::Un { op, expr } => unary(*op, self.expr(expr)?),
             ExprKind::Nary { op, args } => {
-                let parts: CResult<Vec<String>> = args.iter().map(|a| self.expr(a)).collect();
-                let parts = parts?;
+                let parts = args.iter().map(|a| self.expr(a)).collect::<CResult<Vec<_>>>()?;
                 match op {
-                    NaryOp::Smoosh => parts
-                        .into_iter()
-                        .reduce(|acc, p| format!("lol_smoosh({acc}, {p})"))
-                        .unwrap_or_else(|| "lol_from_str(\"\")".to_string()),
-                    NaryOp::AllOf => format!(
-                        "lol_from_bool({})",
-                        parts
-                            .iter()
-                            .map(|p| format!("lol_to_bool({p})"))
-                            .collect::<Vec<_>>()
-                            .join(" && ")
-                    ),
-                    NaryOp::AnyOf => format!(
-                        "lol_from_bool({})",
-                        parts
-                            .iter()
-                            .map(|p| format!("lol_to_bool({p})"))
-                            .collect::<Vec<_>>()
-                            .join(" || ")
-                    ),
+                    NaryOp::Smoosh => smoosh(parts),
+                    NaryOp::AllOf => self.logical(parts, " & "),
+                    NaryOp::AnyOf => self.logical(parts, " | "),
                 }
             }
-            ExprKind::Cast { expr, ty } => {
-                let v = self.expr(expr)?;
-                format!("lol_cast({v}, {})", lol_ty_enum(*ty))
-            }
+            ExprKind::Cast { expr, ty } => self.expr(expr)?.cast(*ty),
             ExprKind::Call { name, args } => {
-                let parts: CResult<Vec<String>> = args.iter().map(|a| self.expr(a)).collect();
-                format!("f_{}({})", name.sym, parts?.join(", "))
+                let parts =
+                    args.iter().map(|a| Ok(self.expr(a)?.boxed())).collect::<CResult<Vec<_>>>()?;
+                CExpr::new(format!("f_{}({})", name.sym, parts.join(", ")), None)
             }
-            ExprKind::Me => "lol_from_int(shmem_my_pe())".to_string(),
-            ExprKind::MahFrenz => "lol_from_int(shmem_n_pes())".to_string(),
-            ExprKind::Whatevr => "lol_whatevr()".to_string(),
-            ExprKind::Whatevar => "lol_whatevar()".to_string(),
+            ExprKind::Me => CExpr::of("(long long)shmem_my_pe()", LolType::Numbr),
+            ExprKind::MahFrenz => CExpr::of("(long long)shmem_n_pes()", LolType::Numbr),
+            ExprKind::Whatevr => CExpr::of("lol_whatevr()", LolType::Numbr),
+            ExprKind::Whatevar => CExpr::of("lol_whatevar()", LolType::Numbar),
         })
     }
 
-    fn literal(&mut self, l: &Lit) -> CResult<String> {
+    /// The truths of `parts` joined by the C operator `op`. Every operand
+    /// is evaluated, in source order as on the other engines: C leaves
+    /// the operands of `&`, `|` and `^` unsequenced, so all but the last
+    /// go through `int` temporaries first.
+    fn logical(&mut self, parts: Vec<CExpr>, op: &str) -> CExpr {
+        let mut truths: Vec<String> = parts.into_iter().map(CExpr::truth).collect();
+        let last = truths.pop().unwrap_or_default();
+        let mut seq = Vec::new();
+        for t in &mut truths {
+            let tmp = self.fresh("t");
+            seq.push(format!("{tmp} = {t}"));
+            self.temps.push(tmp.clone());
+            *t = tmp;
+        }
+        truths.push(last);
+        seq.push(truths.join(op));
+        CExpr::of(format!("({})", seq.join(", ")), LolType::Troof)
+    }
+
+    fn literal(&mut self, l: &Lit) -> CResult<CExpr> {
         Ok(match l {
-            Lit::Numbr(n) => {
-                if *n == i64::MIN {
-                    "lol_from_int(-9223372036854775807LL - 1)".to_string()
-                } else {
-                    format!("lol_from_int({n}LL)")
-                }
-            }
-            Lit::Numbar(f) => format!("lol_from_dbl({f:?})"),
-            Lit::Troof(b) => format!("lol_from_bool({})", *b as i32),
-            Lit::Noob => "lol_noob()".to_string(),
+            Lit::Numbr(n) => CExpr::of(c_int(*n), LolType::Numbr),
+            Lit::Numbar(f) => CExpr::of(format!("{f:?}"), LolType::Numbar),
+            Lit::Troof(b) => CExpr::of((*b as i32).to_string(), LolType::Troof),
+            Lit::Noob => CExpr::of("lol_noob()", LolType::Noob),
             Lit::Yarn(parts) => {
                 let mut pieces = Vec::new();
                 for p in parts {
-                    match p {
+                    pieces.push(match p {
                         YarnPart::Text(t) => {
-                            pieces.push(format!("lol_from_str(\"{}\")", c_escape(t)));
+                            CExpr::of(format!("lol_from_str(\"{}\")", c_escape(t)), LolType::Yarn)
                         }
                         YarnPart::Var(id) => {
-                            let vr = VarRef::named(*id);
-                            let v = self.var_read(&vr)?;
-                            pieces.push(format!("lol_cast({v}, LOL_YARN)"));
+                            self.var_read(&VarRef::named(*id))?.cast(LolType::Yarn)
                         }
-                    }
+                    });
                 }
-                pieces
-                    .into_iter()
-                    .reduce(|acc, p| format!("lol_smoosh({acc}, {p})"))
-                    .unwrap_or_else(|| "lol_from_str(\"\")".to_string())
+                smoosh(pieces)
             }
         })
     }
 
-    /// Read a scalar variable as a `lol_value_t` C expression.
-    fn var_read(&mut self, vr: &VarRef) -> CResult<String> {
+    /// Read a scalar variable.
+    fn var_read(&mut self, vr: &VarRef) -> CResult<CExpr> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(k) = self.lookup(name) {
                 return match k {
-                    CKind::Scalar { .. } => Ok(format!("v_{name}")),
-                    CKind::Array => {
+                    CKind::Scalar { ty } => Ok(CExpr::new(format!("v_{name}"), ty)),
+                    CKind::Array { .. } => {
                         Err(self.err("CGC0003", format!("{name} IZ A WHOLE ARRAY"), vr.span))
                     }
                 };
             }
         }
-        let sv = self
-            .shared(name)
-            .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {name}?"), vr.span))?;
-        if matches!(sv.kind, SharedKind::Array { .. }) {
-            return Err(self.err("CGC0003", format!("{name} IZ A WHOLE ARRAY"), vr.span));
-        }
-        let pe = self.bff_expr(vr)?;
-        Ok(if vr.locality == Locality::Ur {
-            wrap_from(sv.ty, &format!("{}(&g_{name}, {pe})", shmem_get(sv.ty)))
-        } else {
-            wrap_from(sv.ty, &format!("g_{name}"))
-        })
+        let sv = self.shared_scalar(vr, name)?;
+        Ok(shared_value(sv.ty, format!("g_{name}"), self.remote_pe(vr)?.as_deref()))
     }
 
-    /// Read `arr'Z idx` where `idx_c` is a C `long long` expression.
-    fn elem_read(&mut self, arr: &VarRef, idx_c: &str) -> CResult<String> {
-        let name = self.named(arr)?;
-        if arr.locality != Locality::Ur {
-            if let Some(CKind::Array) = self.lookup(name) {
-                return Ok(format!("lol_arr_get(&v_{name}, {idx_c})"));
-            }
-            if self.lookup(name).is_some() {
-                return Err(self.err("CGC0005", format!("{name} IZ NOT LOTZ A THINGZ"), arr.span));
-            }
-        }
-        let sv = self
-            .shared(name)
-            .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {name}?"), arr.span))?;
-        let SharedKind::Array { len } = sv.kind else {
-            return Err(self.err("CGC0005", format!("{name} IZ A SCALAR"), arr.span));
-        };
-        let cell = format!("g_{name}[lol_idx({idx_c}, {len})]");
-        let pe = self.bff_expr(arr)?;
-        Ok(if arr.locality == Locality::Ur {
-            wrap_from(sv.ty, &format!("{}(&{cell}, {pe})", shmem_get(sv.ty)))
-        } else {
-            wrap_from(sv.ty, &cell)
-        })
-    }
-
-    /// Emit a store of `val_c` (a `lol_value_t` expression) into a
-    /// scalar variable.
-    fn var_store(&mut self, vr: &VarRef, val_c: &str) -> CResult<()> {
+    /// Emit a store of `val` into a scalar variable.
+    fn var_store(&mut self, vr: &VarRef, val: CExpr) -> CResult<()> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(k) = self.lookup(name) {
                 return match k {
-                    CKind::Scalar { pinned } => {
-                        let rhs = match pinned {
-                            Some(ty) => format!("lol_cast({val_c}, {})", lol_ty_enum(ty)),
-                            None => val_c.to_string(),
+                    CKind::Scalar { ty } => {
+                        let rhs = match ty {
+                            Some(ty) => val.cast(ty).code,
+                            None => val.boxed(),
                         };
                         self.line(&format!("v_{name} = {rhs};"));
                         Ok(())
                     }
-                    CKind::Array => {
+                    CKind::Array { .. } => {
                         Err(self.err("CGC0003", format!("{name} IZ A WHOLE ARRAY"), vr.span))
                     }
                 };
             }
         }
+        let sv = self.shared_scalar(vr, name)?;
+        let stmt = shared_store(sv.ty, format!("g_{name}"), self.remote_pe(vr)?.as_deref(), val);
+        self.line(&stmt);
+        Ok(())
+    }
+
+    fn shared_scalar(&self, vr: &VarRef, name: Symbol) -> CResult<&'a SharedVar> {
         let sv = self
             .shared(name)
             .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {name}?"), vr.span))?;
         if matches!(sv.kind, SharedKind::Array { .. }) {
             return Err(self.err("CGC0003", format!("{name} IZ A WHOLE ARRAY"), vr.span));
         }
-        let pe = self.bff_expr(vr)?;
-        let native = wrap_to(sv.ty, val_c);
-        if vr.locality == Locality::Ur {
-            self.line(&format!("{}(&g_{name}, {native}, {pe});", shmem_put(sv.ty)));
-        } else {
-            self.line(&format!("g_{name} = {native};"));
-        }
-        Ok(())
+        Ok(sv)
     }
 
-    fn elem_store(&mut self, arr: &VarRef, idx_c: &str, val_c: &str) -> CResult<()> {
+    /// Resolve an array reference.
+    fn arr_place(&self, arr: &VarRef) -> CResult<ArrPlace> {
         let name = self.named(arr)?;
         if arr.locality != Locality::Ur {
-            if let Some(CKind::Array) = self.lookup(name) {
-                self.line(&format!("lol_arr_set(&v_{name}, {idx_c}, {val_c});"));
-                return Ok(());
-            }
-            if self.lookup(name).is_some() {
-                return Err(self.err("CGC0005", format!("{name} IZ NOT LOTZ A THINGZ"), arr.span));
+            match self.lookup(name) {
+                Some(CKind::Array { elem }) => {
+                    return Ok(ArrPlace::Local { data: format!("v_{name}"), elem });
+                }
+                Some(CKind::Scalar { .. }) => {
+                    return Err(self.err(
+                        "CGC0005",
+                        format!("{name} IZ NOT LOTZ A THINGZ"),
+                        arr.span,
+                    ))
+                }
+                None => {}
             }
         }
         let sv = self
@@ -435,25 +571,36 @@ impl<'a> CEmitter<'a> {
         let SharedKind::Array { len } = sv.kind else {
             return Err(self.err("CGC0005", format!("{name} IZ A SCALAR"), arr.span));
         };
-        let cell = format!("g_{name}[lol_idx({idx_c}, {len})]");
-        let native = wrap_to(sv.ty, val_c);
-        if arr.locality == Locality::Ur {
-            let pe = self.bff_expr(arr)?;
-            self.line(&format!("{}(&{cell}, {native}, {pe});", shmem_put(sv.ty)));
-        } else {
-            self.line(&format!("{cell} = {native};"));
-        }
-        Ok(())
+        let pe = self.remote_pe(arr)?;
+        Ok(ArrPlace::Shared { data: format!("g_{name}"), ty: sv.ty, len, pe })
     }
 
     fn is_array_ref(&self, vr: &VarRef) -> CResult<bool> {
         let name = self.named(vr)?;
         if vr.locality != Locality::Ur {
             if let Some(k) = self.lookup(name) {
-                return Ok(matches!(k, CKind::Array));
+                return Ok(matches!(k, CKind::Array { .. }));
             }
         }
         Ok(self.shared(name).map(|sv| matches!(sv.kind, SharedKind::Array { .. })).unwrap_or(false))
+    }
+
+    /// Declare the local array `data` of `n` (a C `long long`
+    /// expression) elements of type `elem`.
+    fn local_array_decl(&mut self, data: &str, elem: LolType, n: &str) {
+        let decl = match elem {
+            LolType::Numbr => "lol_arr_numbr",
+            LolType::Numbar => "lol_arr_numbar",
+            LolType::Troof => "lol_arr_troof",
+            LolType::Yarn | LolType::Noob => {
+                let ty = lol_ty_enum(elem);
+                self.line(&format!("lol_arr_t {data} = lol_arr_new({n}, {ty});"));
+                return;
+            }
+        };
+        self.line(&format!(
+            "{decl} {data}; {data}.n = {n}; {data}.e = lol_arr_alloc({data}.n, sizeof *{data}.e);"
+        ));
     }
 
     // -- statements ------------------------------------------------------
@@ -476,13 +623,13 @@ impl<'a> CEmitter<'a> {
             StmtKind::Declare(d) => self.decl(d),
             StmtKind::Assign { target, value } => self.assign(s, target, value),
             StmtKind::ExprStmt(e) => {
-                let v = self.expr(e)?;
+                let v = self.expr(e)?.boxed();
                 self.line(&format!("v_IT = {v};"));
                 Ok(())
             }
             StmtKind::Visible { args, newline } => {
                 for a in args {
-                    let v = self.expr(a)?;
+                    let v = self.expr(a)?.boxed();
                     self.line(&format!("lol_print({v});"));
                 }
                 if *newline {
@@ -490,13 +637,13 @@ impl<'a> CEmitter<'a> {
                 }
                 Ok(())
             }
-            StmtKind::Gimmeh(lv) => self.store_lvalue(lv, "lol_gimmeh()"),
+            StmtKind::Gimmeh(lv) => self.store_lvalue(lv, CExpr::of("lol_gimmeh()", LolType::Yarn)),
             StmtKind::If(ifs) => {
                 self.line("if (lol_to_bool(v_IT))");
                 self.block(&ifs.then_block)?;
                 for m in &ifs.mebbes {
-                    let c = self.expr(&m.cond)?;
-                    self.line(&format!("else if (lol_to_bool({c}))"));
+                    let c = self.expr(&m.cond)?.truth();
+                    self.line(&format!("else if ({c})"));
                     self.block(&m.body)?;
                 }
                 if let Some(e) = &ifs.else_block {
@@ -518,15 +665,18 @@ impl<'a> CEmitter<'a> {
                 Ok(())
             }
             StmtKind::FoundYr(e) => {
-                let v = self.expr(e)?;
+                let v = self.expr(e)?.boxed();
                 self.line(&format!("return {v};"));
                 Ok(())
             }
             StmtKind::IsNowA { target, ty } => match target {
                 LValue::Var(vr) => {
                     let name = self.named(vr)?;
+                    // Only untyped scalars can change type: sema rejects
+                    // retyping a pinned local, and a counter that is
+                    // retyped is not typed (`counter_ty`).
                     match self.lookup(name) {
-                        Some(CKind::Scalar { .. }) => {
+                        Some(CKind::Scalar { ty: None }) => {
                             self.line(&format!(
                                 "v_{name} = lol_cast(v_{name}, {});",
                                 lol_ty_enum(*ty)
@@ -563,42 +713,39 @@ impl<'a> CEmitter<'a> {
                 Ok(())
             }
             StmtKind::TxtStmt { pe, stmt } => {
-                let k = self.expr(pe)?;
-                let var = self.fresh("bff");
-                self.line("{");
-                self.indent += 1;
-                self.line(&format!("const int {var} = (int)lol_to_int({k});"));
-                self.line(&format!(
-                    "if ({var} < 0 || {var} >= shmem_n_pes()) lol_die(\"RUN0017\", \"DAT PE IZ NOT MAH FREN\");"
-                ));
-                self.bff.push(var);
+                self.txt_open(pe)?;
                 self.stmt(stmt)?;
-                self.bff.pop();
-                self.indent -= 1;
-                self.line("}");
+                self.txt_close();
                 Ok(())
             }
             StmtKind::TxtBlock { pe, body } => {
-                let k = self.expr(pe)?;
-                let var = self.fresh("bff");
-                self.line("{");
-                self.indent += 1;
-                self.line(&format!("const int {var} = (int)lol_to_int({k});"));
-                self.line(&format!(
-                    "if ({var} < 0 || {var} >= shmem_n_pes()) lol_die(\"RUN0017\", \"DAT PE IZ NOT MAH FREN\");"
-                ));
-                self.bff.push(var);
+                self.txt_open(pe)?;
                 self.scopes.push(HashMap::new());
                 for st in body {
                     self.stmt(st)?;
                 }
                 self.scopes.pop();
-                self.bff.pop();
-                self.indent -= 1;
-                self.line("}");
+                self.txt_close();
                 Ok(())
             }
         }
+    }
+
+    /// Open a `TXT MAH BFF` scope: a C block holding the checked target.
+    fn txt_open(&mut self, pe: &Expr) -> CResult<()> {
+        let k = self.expr(pe)?.int();
+        let var = self.fresh("bff");
+        self.line("{");
+        self.indent += 1;
+        self.line(&format!("const int {var} = lol_pe({k});"));
+        self.bff.push(var);
+        Ok(())
+    }
+
+    fn txt_close(&mut self) {
+        self.bff.pop();
+        self.indent -= 1;
+        self.line("}");
     }
 
     fn lock_cell(&mut self, vr: &VarRef) -> CResult<(String, String)> {
@@ -625,8 +772,8 @@ impl<'a> CEmitter<'a> {
                     let v = self.expr(init)?;
                     if let Some(sv) = self.shared(d.name.sym) {
                         if matches!(sv.kind, SharedKind::Scalar) {
-                            let native = wrap_to(sv.ty, &v);
-                            self.line(&format!("g_{} = {native};", d.name.sym));
+                            let stmt = shared_store(sv.ty, format!("g_{}", d.name.sym), None, v);
+                            self.line(&stmt);
                         }
                     }
                 }
@@ -634,27 +781,25 @@ impl<'a> CEmitter<'a> {
             }
             DeclScope::I => {
                 if let Some(size) = &d.array_size {
-                    let n = self.expr(size)?;
-                    let ty = d.ty.unwrap_or(LolType::Noob);
-                    self.line(&format!(
-                        "lol_arr_t v_{} = lol_arr_new(lol_to_int({n}), {});",
-                        d.name.sym,
-                        lol_ty_enum(ty)
-                    ));
-                    self.scopes.last_mut().unwrap().insert(d.name.sym, CKind::Array);
+                    let n = self.expr(size)?.int();
+                    let elem = d.ty.unwrap_or(LolType::Noob);
+                    let name = d.name.sym;
+                    self.local_array_decl(&format!("v_{name}"), elem, &n);
+                    self.declare(name, CKind::Array { elem });
                 } else {
                     let init = match (&d.init, d.ty) {
-                        (Some(i), Some(ty)) => {
-                            let v = self.expr(i)?;
-                            format!("lol_cast({v}, {})", lol_ty_enum(ty))
-                        }
-                        (Some(i), None) => self.expr(i)?,
-                        (None, Some(ty)) => default_c(ty),
-                        (None, None) => "lol_noob()".to_string(),
+                        (Some(i), Some(ty)) => Some(self.expr(i)?.cast(ty)),
+                        (Some(i), None) => Some(self.expr(i)?),
+                        (None, Some(ty)) => Some(default_value(ty)),
+                        (None, None) => None,
                     };
-                    self.line(&format!("lol_value_t v_{} = {init};", d.name.sym));
                     let pinned = if d.srsly { d.ty } else { None };
-                    self.scopes.last_mut().unwrap().insert(d.name.sym, CKind::Scalar { pinned });
+                    let (cty, init) = match (native(pinned), init) {
+                        (Some(cty), Some(v)) => (cty, v.code),
+                        (_, v) => ("lol_value_t", v.map_or("lol_noob()".to_string(), CExpr::boxed)),
+                    };
+                    self.line(&format!("{cty} v_{} = {init};", d.name.sym));
+                    self.declare(d.name.sym, CKind::Scalar { ty: pinned });
                 }
                 Ok(())
             }
@@ -685,66 +830,52 @@ impl<'a> CEmitter<'a> {
             }
         }
         let v = self.expr(value)?;
-        self.store_lvalue(target, &v)
+        self.store_lvalue(target, v)
     }
 
-    fn store_lvalue(&mut self, lv: &LValue, val_c: &str) -> CResult<()> {
+    fn store_lvalue(&mut self, lv: &LValue, val: CExpr) -> CResult<()> {
         match lv {
-            LValue::Var(vr) => self.var_store(vr, val_c),
+            LValue::Var(vr) => self.var_store(vr, val),
             LValue::Index { arr, idx, .. } => {
-                let i = self.expr(idx)?;
-                self.elem_store(arr, &format!("lol_to_int({i})"), val_c)
+                let i = self.expr(idx)?.int();
+                let stmt = self.arr_place(arr)?.write(&i, val);
+                self.line(&stmt);
+                Ok(())
             }
         }
     }
 
     /// `MAH array R UR array` — element-wise copy loop.
     fn array_copy(&mut self, dst: &VarRef, src: &VarRef) -> CResult<()> {
-        let dst_name = self.named(dst)?;
-        let src_name = self.named(src)?;
+        let src = self.arr_place(src)?;
+        let dst = self.arr_place(dst)?;
+        let n = src.len();
         let i = self.fresh("i");
-        // Source length as a C expression.
-        let src_is_local =
-            src.locality != Locality::Ur && matches!(self.lookup(src_name), Some(CKind::Array));
-        let src_len = if src_is_local {
-            format!("v_{src_name}.n")
-        } else {
-            let sv = self
-                .shared(src_name)
-                .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {src_name}?"), src.span))?;
-            let SharedKind::Array { len } = sv.kind else {
-                return Err(self.err("CGC0005", format!("{src_name} IZ A SCALAR"), src.span));
-            };
-            len.to_string()
+        self.line("{");
+        self.indent += 1;
+        // A local destination adopts the source length (dynamic arrays):
+        // the copy fills fresh storage that then replaces its own.
+        let fresh = match &dst {
+            ArrPlace::Local { elem, .. } => {
+                let data = self.fresh("a");
+                self.local_array_decl(&data, *elem, &n);
+                Some(ArrPlace::Local { data, elem: *elem })
+            }
+            ArrPlace::Shared { len, .. } => {
+                self.line(&format!(
+                    "if ({n} != {len}) lol_die(\"RUN0013\", \"ARRAY COPY SIZE MISMATCH\");"
+                ));
+                None
+            }
         };
-        let dst_is_local =
-            dst.locality != Locality::Ur && matches!(self.lookup(dst_name), Some(CKind::Array));
-
-        self.line("{");
-        self.indent += 1;
-        if dst_is_local {
-            // Local arrays adopt the source length (dynamic arrays).
-            self.line(&format!("v_{dst_name} = lol_arr_new({src_len}, v_{dst_name}.ty);"));
-        } else {
-            let sv = self
-                .shared(dst_name)
-                .ok_or_else(|| self.err("CGC0004", format!("WHO IZ {dst_name}?"), dst.span))?;
-            let SharedKind::Array { len } = sv.kind else {
-                return Err(self.err("CGC0005", format!("{dst_name} IZ A SCALAR"), dst.span));
-            };
-            self.line(&format!(
-                "if ({src_len} != {len}) lol_die(\"RUN0013\", \"ARRAY COPY SIZE MISMATCH\");"
-            ));
+        let target = fresh.as_ref().unwrap_or(&dst);
+        self.line(&format!("for (long long {i} = 0; {i} < {n}; {i}++)"));
+        self.line(&format!("    {}", target.write(&i, src.read(&i))));
+        if let (ArrPlace::Local { data, .. }, Some(ArrPlace::Local { data: d, .. })) =
+            (&dst, &fresh)
+        {
+            self.line(&format!("{data} = {d};"));
         }
-        self.line(&format!("for (long long {i} = 0; {i} < {src_len}; {i}++)"));
-        self.line("{");
-        self.indent += 1;
-        let elem = self.elem_read(src, &i)?;
-        let tmpv = self.fresh("t");
-        self.line(&format!("lol_value_t {tmpv} = {elem};"));
-        self.elem_store(dst, &i, &tmpv)?;
-        self.indent -= 1;
-        self.line("}");
         self.indent -= 1;
         self.line("}");
         Ok(())
@@ -756,7 +887,7 @@ impl<'a> CEmitter<'a> {
         self.indent += 1;
         self.line(&format!("int {arm} = -1;"));
         for (i, a) in sw.arms.iter().enumerate() {
-            let k = self.literal(&a.value)?;
+            let k = self.literal(&a.value)?.boxed();
             let prefix = if i == 0 { "if" } else { "else if" };
             self.line(&format!("{prefix} (lol_saem(v_IT, {k})) {arm} = {i};"));
         }
@@ -794,20 +925,36 @@ impl<'a> CEmitter<'a> {
     }
 
     fn loop_stmt(&mut self, lp: &LoopStmt) -> CResult<()> {
-        self.line("{");
-        self.indent += 1;
         self.scopes.push(HashMap::new());
-        if let Some((_, var)) = &lp.update {
-            self.line(&format!("lol_value_t v_{} = lol_from_int(0);", var.sym));
-            self.scopes.last_mut().unwrap().insert(var.sym, CKind::Scalar { pinned: None });
-        }
-        self.line("for (;;) {");
+        // The counter lives in the `for` header, outside the body's
+        // block, so a declaration in the body never shadows it.
+        let header = match &lp.update {
+            Some((dir, var)) => {
+                let ty = counter_ty(lp);
+                let v = format!("v_{}", var.sym);
+                let op = match dir {
+                    LoopDir::Uppin => BinOp::Sum,
+                    LoopDir::Nerfin => BinOp::Diff,
+                };
+                let one = CExpr::of("1LL", LolType::Numbr);
+                let step = binary(op, CExpr::new(v.clone(), ty), one);
+                let zero = CExpr::of("0LL", LolType::Numbr);
+                let (cty, init, step) = match native(ty) {
+                    Some(cty) => (cty, zero.code, step.code),
+                    None => ("lol_value_t", zero.boxed(), step.boxed()),
+                };
+                self.declare(var.sym, CKind::Scalar { ty });
+                format!("for ({cty} {v} = {init};; {v} = {step}) {{")
+            }
+            None => "for (;;) {".to_string(),
+        };
+        self.line(&header);
         self.indent += 1;
         if let Some((kind, guard)) = &lp.guard {
-            let g = self.expr(guard)?;
+            let g = self.expr(guard)?.truth();
             match kind {
-                GuardKind::Til => self.line(&format!("if (lol_to_bool({g})) break;")),
-                GuardKind::Wile => self.line(&format!("if (!lol_to_bool({g})) break;")),
+                GuardKind::Til => self.line(&format!("if ({g}) break;")),
+                GuardKind::Wile => self.line(&format!("if (!{g}) break;")),
             }
         }
         self.breakable += 1;
@@ -817,23 +964,127 @@ impl<'a> CEmitter<'a> {
         }
         self.scopes.pop();
         self.breakable -= 1;
-        if let Some((dir, var)) = &lp.update {
-            let op = match dir {
-                LoopDir::Uppin => "lol_sum",
-                LoopDir::Nerfin => "lol_diff",
-            };
-            self.line(&format!("v_{0} = {op}(v_{0}, lol_from_int(1));", var.sym));
-        }
         self.indent -= 1;
         self.line("}");
         self.scopes.pop();
-        self.indent -= 1;
-        self.line("}");
         Ok(())
     }
 }
 
+// ---- expression lowering ------------------------------------------------
+
+/// `a op b`, natively where [`bin_ty`] and the operand types allow.
+fn binary(op: BinOp, a: CExpr, b: CExpr) -> CExpr {
+    let ty = bin_ty(op, a.ty, b.ty);
+    let code = match op {
+        BinOp::Sum
+        | BinOp::Diff
+        | BinOp::Produkt
+        | BinOp::Quoshunt
+        | BinOp::Mod
+        | BinOp::BiggrOf
+        | BinOp::SmallrOf => {
+            let (int_fn, dbl_op, dyn_fn) = arith_fns(op);
+            match ty {
+                Some(LolType::Numbr) => format!("{int_fn}({}, {})", a.code, b.code),
+                Some(LolType::Numbar) if dbl_op.starts_with('f') => {
+                    format!("{dbl_op}({}, {})", a.dbl(), b.dbl())
+                }
+                Some(LolType::Numbar) => format!("({} {dbl_op} {})", a.dbl(), b.dbl()),
+                _ => format!("{dyn_fn}({}, {})", a.boxed(), b.boxed()),
+            }
+        }
+        // Comparison is float-domain on every engine, NUMBRs included.
+        BinOp::Bigger => format!("({} > {})", a.dbl(), b.dbl()),
+        BinOp::Smallr => format!("({} < {})", a.dbl(), b.dbl()),
+        BinOp::BothSaem | BinOp::Diffrint => {
+            let eq = if op == BinOp::BothSaem { "==" } else { "!=" };
+            match (a.ty, b.ty) {
+                (x, y) if x == y && native(x).is_some() => format!("({} {eq} {})", a.code, b.code),
+                (Some(LolType::Numbr), Some(LolType::Numbar))
+                | (Some(LolType::Numbar), Some(LolType::Numbr)) => {
+                    format!("({} {eq} {})", a.dbl(), b.dbl())
+                }
+                _ if op == BinOp::BothSaem => format!("lol_saem({}, {})", a.boxed(), b.boxed()),
+                _ => format!("(!lol_saem({}, {}))", a.boxed(), b.boxed()),
+            }
+        }
+        BinOp::BothOf | BinOp::EitherOf | BinOp::WonOf => {
+            unreachable!("lowered by CEmitter::logical")
+        }
+    };
+    CExpr::new(code, ty)
+}
+
+/// An arithmetic operator's native NUMBR function, its NUMBAR operator
+/// (or C99 function), and the runtime's dynamic function.
+fn arith_fns(op: BinOp) -> (&'static str, &'static str, &'static str) {
+    match op {
+        BinOp::Sum => ("lol_add_i", "+", "lol_sum"),
+        BinOp::Diff => ("lol_sub_i", "-", "lol_diff"),
+        BinOp::Produkt => ("lol_mul_i", "*", "lol_produkt"),
+        BinOp::Quoshunt => ("lol_quo_i", "/", "lol_quoshunt"),
+        BinOp::Mod => ("lol_mod_i", "fmod", "lol_mod"),
+        // fmax/fmin return the non-NaN operand, like f64::max/min.
+        BinOp::BiggrOf => ("lol_max_i", "fmax", "lol_biggr"),
+        BinOp::SmallrOf => ("lol_min_i", "fmin", "lol_smallr"),
+        _ => unreachable!("not an arithmetic operator: {op:?}"),
+    }
+}
+
+/// `op v`, natively where [`un_ty`] allows.
+fn unary(op: UnOp, v: CExpr) -> CExpr {
+    let ty = un_ty(op, v.ty);
+    let code = match op {
+        UnOp::Not => format!("(!{})", v.truth()),
+        UnOp::Squar => match ty {
+            Some(LolType::Numbr) => format!("lol_sq_i({})", v.code),
+            Some(LolType::Numbar) => format!("lol_sq_d({})", v.code),
+            _ => format!("lol_squar({})", v.boxed()),
+        },
+        UnOp::Unsquar => format!("sqrt({})", v.dbl()),
+        UnOp::Flip => format!("(1.0 / {})", v.dbl()),
+    };
+    CExpr::new(code, ty)
+}
+
+/// `SMOOSH` (and YARN interpolation): the concatenated renderings.
+fn smoosh(mut parts: Vec<CExpr>) -> CExpr {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part").cast(LolType::Yarn);
+    }
+    let code = parts
+        .into_iter()
+        .map(CExpr::boxed)
+        .reduce(|acc, p| format!("lol_smoosh({acc}, {p})"))
+        .unwrap_or_else(|| "lol_from_str(\"\")".to_string());
+    CExpr::of(code, LolType::Yarn)
+}
+
 // ---- small helpers -----------------------------------------------------
+
+/// The value of a symmetric cell (`cell` on this PE, or fetched from
+/// `pe`): NUMBAR cells are doubles, every other cell a `long long`, and
+/// a TROOF cell holds 0 or 1.
+fn shared_value(ty: LolType, cell: String, pe: Option<&str>) -> CExpr {
+    let cell = match pe {
+        Some(pe) => format!("{}(&{cell}, {pe})", shmem_get(ty)),
+        None => cell,
+    };
+    match shared_ty(ty) {
+        LolType::Troof => CExpr::of(format!("({cell} != 0)"), LolType::Troof),
+        ty => CExpr::of(cell, ty),
+    }
+}
+
+/// The C statement storing `val` into a symmetric cell.
+fn shared_store(ty: LolType, cell: String, pe: Option<&str>, val: CExpr) -> String {
+    let v = val.cast(shared_ty(ty)).code;
+    match pe {
+        Some(pe) => format!("{}(&{cell}, {v}, {pe});", shmem_put(ty)),
+        None => format!("{cell} = {v};"),
+    }
+}
 
 fn c_type(ty: LolType) -> &'static str {
     match ty {
@@ -857,32 +1108,25 @@ fn shmem_put(ty: LolType) -> &'static str {
     }
 }
 
-/// Native shared cell value → `lol_value_t`.
-fn wrap_from(ty: LolType, native: &str) -> String {
-    match ty {
-        LolType::Numbar => format!("lol_from_dbl({native})"),
-        LolType::Troof => format!("lol_from_bool((int)({native}))"),
-        _ => format!("lol_from_int({native})"),
+/// A NUMBR literal as a C `long long` constant.
+fn c_int(n: i64) -> String {
+    if n == i64::MIN {
+        "(-9223372036854775807LL - 1)".to_string()
+    } else {
+        format!("{n}LL")
     }
 }
 
-/// `lol_value_t` expression → native shared cell value.
-fn wrap_to(ty: LolType, v: &str) -> String {
-    match ty {
-        LolType::Numbar => format!("lol_to_dbl({v})"),
-        LolType::Troof => format!("(long long)lol_to_bool({v})"),
-        _ => format!("lol_to_int({v})"),
-    }
-}
-
-fn default_c(ty: LolType) -> String {
-    match ty {
-        LolType::Noob => "lol_noob()".to_string(),
-        LolType::Troof => "lol_from_bool(0)".to_string(),
-        LolType::Numbr => "lol_from_int(0LL)".to_string(),
-        LolType::Numbar => "lol_from_dbl(0.0)".to_string(),
-        LolType::Yarn => "lol_from_str(\"\")".to_string(),
-    }
+/// The value a typed declaration without an initializer starts with.
+fn default_value(ty: LolType) -> CExpr {
+    let code = match ty {
+        LolType::Noob => "lol_noob()",
+        LolType::Troof => "0",
+        LolType::Numbr => "0LL",
+        LolType::Numbar => "0.0",
+        LolType::Yarn => "lol_from_str(\"\")",
+    };
+    CExpr::of(code, ty)
 }
 
 fn lol_ty_enum(ty: LolType) -> &'static str {
@@ -932,12 +1176,59 @@ mod tests {
         assert_eq!(c_type(LolType::Troof), "long long");
         assert_eq!(shmem_get(LolType::Numbar), "shmem_double_g");
         assert_eq!(shmem_put(LolType::Numbr), "shmem_longlong_p");
+        assert_eq!(native(Some(LolType::Numbr)), Some("long long"));
+        assert_eq!(native(Some(LolType::Numbar)), Some("double"));
+        assert_eq!(native(Some(LolType::Troof)), Some("int"));
+        assert_eq!(native(Some(LolType::Yarn)), None);
+        assert_eq!(native(None), None);
     }
 
     #[test]
     fn wrapping_round_trip_shapes() {
-        assert_eq!(wrap_from(LolType::Numbr, "g_x"), "lol_from_int(g_x)");
-        assert_eq!(wrap_to(LolType::Numbar, "v"), "lol_to_dbl(v)");
-        assert_eq!(wrap_to(LolType::Troof, "v"), "(long long)lol_to_bool(v)");
+        let v = shared_value(LolType::Numbr, "g_x".into(), None);
+        assert_eq!((v.code.as_str(), v.ty), ("g_x", Some(LolType::Numbr)));
+        assert_eq!(v.boxed(), "lol_from_int(g_x)");
+        let t = shared_value(LolType::Troof, "g_t".into(), Some("__bff1"));
+        assert_eq!(t.code, "(shmem_longlong_g(&g_t, __bff1) != 0)");
+        let dynamic = CExpr::new("v", None);
+        assert_eq!(
+            shared_store(LolType::Numbar, "g_y".into(), None, dynamic),
+            "g_y = lol_to_dbl(v);"
+        );
+        let flag = CExpr::of("1", LolType::Troof);
+        assert_eq!(shared_store(LolType::Troof, "g_t".into(), None, flag), "g_t = 1;");
+    }
+
+    #[test]
+    fn conversions_follow_the_runtime_casts() {
+        let d = || CExpr::of("v_d", LolType::Numbar);
+        assert_eq!(d().int(), "lol_dbl_to_int(v_d)");
+        assert_eq!(d().truth(), "(v_d != 0.0)");
+        assert_eq!(d().cast(LolType::Yarn).code, "lol_cast(lol_from_dbl(v_d), LOL_YARN)");
+        assert_eq!(CExpr::of("v_i", LolType::Numbr).dbl(), "(double)v_i");
+        assert_eq!(CExpr::new("v", None).cast(LolType::Numbr).code, "lol_to_int(v)");
+        assert_eq!(c_int(i64::MIN), "(-9223372036854775807LL - 1)");
+    }
+
+    #[test]
+    fn operators_lower_natively_when_typed() {
+        let i = |c: &str| CExpr::of(c, LolType::Numbr);
+        let f = |c: &str| CExpr::of(c, LolType::Numbar);
+        let sum = binary(BinOp::Sum, i("a"), i("b"));
+        assert_eq!((sum.code.as_str(), sum.ty), ("lol_add_i(a, b)", Some(LolType::Numbr)));
+        assert_eq!(binary(BinOp::Diff, f("a"), i("b")).code, "(a - (double)b)");
+        assert_eq!(binary(BinOp::BiggrOf, f("a"), f("b")).code, "fmax(a, b)");
+        assert_eq!(binary(BinOp::Bigger, i("a"), i("b")).code, "((double)a > (double)b)");
+        assert_eq!(binary(BinOp::BothSaem, i("a"), i("b")).code, "(a == b)");
+        assert_eq!(binary(BinOp::Diffrint, i("a"), f("b")).code, "((double)a != b)");
+        let t = CExpr::of("1", LolType::Troof);
+        assert_eq!(
+            binary(BinOp::BothSaem, t, i("1LL")).code,
+            "lol_saem(lol_from_bool(1), lol_from_int(1LL))"
+        );
+        let dynamic = binary(BinOp::Mod, CExpr::new("v", None), i("2LL"));
+        assert_eq!((dynamic.code.as_str(), dynamic.ty), ("lol_mod(v, lol_from_int(2LL))", None));
+        assert_eq!(unary(UnOp::Squar, f("x")).code, "lol_sq_d(x)");
+        assert_eq!(unary(UnOp::Flip, i("x")).code, "(1.0 / (double)x)");
     }
 }

@@ -112,8 +112,8 @@ mod tests {
         ));
         assert!(c.contains("shmem_longlong_g(&g_a,"), "{c}");
         assert!(c.contains("shmem_double_p(&g_b,"), "{c}");
-        // BFF bounds are checked.
-        assert!(c.contains("shmem_n_pes()) lol_die(\"RUN0017\""));
+        // BFF bounds are checked, by the runtime's `lol_pe`.
+        assert!(c.contains("const int __bff1 = lol_pe(0LL);"), "{c}");
     }
 
     #[test]
@@ -167,7 +167,38 @@ mod tests {
         ));
         let put = c.find("shmem_longlong_p(&g_b").expect("remote put");
         let bar = c.find("shmem_barrier_all();").expect("barrier");
-        let sum = c.find("g_c = lol_to_int(lol_sum(").expect("local sum");
+        // Symmetric NUMBR cells are native: the sum needs no boxing.
+        let sum = c.find("g_c = lol_add_i(g_a, g_b);").expect("local sum");
         assert!(put < bar && bar < sum, "paper ordering preserved");
+    }
+
+    #[test]
+    fn nbody_hot_loops_are_native() {
+        let c = gen(include_str!("../../../corpus/nbody_bench.lol"));
+        assert!(c.contains("double v_dx = 0.0;"), "pinned NUMBAR locals are doubles");
+        assert!(
+            c.contains("for (long long v_j = 0LL;; v_j = lol_add_i(v_j, 1LL)) {"),
+            "counters are native NUMBRs"
+        );
+        assert!(c.contains("lol_arr_numbar v_vel_x; v_vel_x.n = "), "native NUMBAR arrays");
+        // Nothing inside the program's loops goes through the dynamic
+        // runtime's arithmetic or casts.
+        let main = &c[c.find("static int lol_main").unwrap()..];
+        let loops = &main[main.find("for (").unwrap()..];
+        for dynamic in ["lol_sum(", "lol_produkt(", "lol_cast("] {
+            assert!(!loops.contains(dynamic), "{dynamic} in a loop:\n{loops}");
+        }
+    }
+
+    #[test]
+    fn unknown_types_stay_boxed() {
+        let c = gen(&prog(
+            "I HAS A x ITZ 2\nI HAS A p ITZ SRSLY A NUMBAR\n\
+             p R SUM OF x AN 1\nVISIBLE SMOOSH p AN x MKAY\nx R PRODUKT OF p AN 2",
+        ));
+        assert!(c.contains("lol_value_t v_x = lol_from_int(2LL);"), "{c}");
+        assert!(c.contains("v_p = lol_to_dbl(lol_sum(v_x, lol_from_int(1LL)));"), "{c}");
+        assert!(c.contains("lol_print(lol_smoosh(lol_from_dbl(v_p), v_x));"), "{c}");
+        assert!(c.contains("v_x = lol_from_dbl((v_p * (double)2LL));"), "{c}");
     }
 }

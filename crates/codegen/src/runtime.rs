@@ -5,6 +5,8 @@
 /// generated translation unit (the paper's `lcc` similarly pairs its
 /// output with a small support layer before handing off to `cc`).
 pub const LOL_RUNTIME: &str = r#"/* ---- parallel LOLCODE runtime (generated, do not edit) ---- */
+#include <ctype.h>
+#include <errno.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -75,6 +77,36 @@ static void lol_die(const char *code, const char *msg) {
     exit(1);
 }
 
+/* Native NUMBR operations with the Rust engines' semantics: + - * wrap
+   (in unsigned arithmetic, where overflow is defined), QUOSHUNT and MOD
+   fault on zero and wrap MIN / -1, and NUMBAR -> NUMBR saturates, NaN
+   giving 0. Typed code calls them directly, the dynamic operators too. */
+#define LOL_WRAP(NAME, OP)                                                     \
+    static inline long long NAME(long long a, long long b) {                   \
+        return (long long)((unsigned long long)a OP (unsigned long long)b);    \
+    }
+LOL_WRAP(lol_add_i, +)
+LOL_WRAP(lol_sub_i, -)
+LOL_WRAP(lol_mul_i, *)
+static inline long long lol_quo_i(long long a, long long b) {
+    if (b == 0) lol_die("RUN0001", "DIVIDIN BY ZERO IZ NOT ALLOWED");
+    return b == -1 ? lol_sub_i(0, a) : a / b;
+}
+static inline long long lol_mod_i(long long a, long long b) {
+    if (b == 0) lol_die("RUN0001", "MOD BY ZERO IZ NOT ALLOWED");
+    return b == -1 ? 0 : a % b;
+}
+static inline long long lol_max_i(long long a, long long b) { return a > b ? a : b; }
+static inline long long lol_min_i(long long a, long long b) { return a < b ? a : b; }
+static inline long long lol_sq_i(long long a) { return lol_mul_i(a, a); }
+static inline double lol_sq_d(double a) { return a * a; }
+static inline long long lol_dbl_to_int(double f) {
+    if (f != f) return 0;
+    if (f >= 9223372036854775807.0) return 9223372036854775807LL;
+    if (f <= -9223372036854775808.0) return -9223372036854775807LL - 1;
+    return (long long)f;
+}
+
 static char *lol_strdup(const char *s) {
     size_t n = strlen(s) + 1;
     char *p = (char *)malloc(n);
@@ -83,10 +115,10 @@ static char *lol_strdup(const char *s) {
     return p;
 }
 
-static lol_value_t lol_noob(void) { lol_value_t v; memset(&v, 0, sizeof v); v.t = LOL_NOOB; return v; }
-static lol_value_t lol_from_int(long long i) { lol_value_t v = lol_noob(); v.t = LOL_NUMBR; v.i = i; return v; }
-static lol_value_t lol_from_dbl(double f) { lol_value_t v = lol_noob(); v.t = LOL_NUMBAR; v.f = f; return v; }
-static lol_value_t lol_from_bool(int b) { lol_value_t v = lol_noob(); v.t = LOL_TROOF; v.i = b ? 1 : 0; return v; }
+static inline lol_value_t lol_noob(void) { lol_value_t v; memset(&v, 0, sizeof v); v.t = LOL_NOOB; return v; }
+static inline lol_value_t lol_from_int(long long i) { lol_value_t v = lol_noob(); v.t = LOL_NUMBR; v.i = i; return v; }
+static inline lol_value_t lol_from_dbl(double f) { lol_value_t v = lol_noob(); v.t = LOL_NUMBAR; v.f = f; return v; }
+static inline lol_value_t lol_from_bool(int b) { lol_value_t v = lol_noob(); v.t = LOL_TROOF; v.i = b ? 1 : 0; return v; }
 static lol_value_t lol_from_str(const char *s) {
     lol_value_t v = lol_noob();
     v.t = LOL_YARN;
@@ -94,7 +126,7 @@ static lol_value_t lol_from_str(const char *s) {
     return v;
 }
 
-static int lol_to_bool(lol_value_t v) {
+static inline int lol_to_bool(lol_value_t v) {
     switch (v.t) {
     case LOL_NOOB: return 0;
     case LOL_TROOF: return v.i != 0;
@@ -112,20 +144,33 @@ static int lol_numeric(lol_value_t v, long long *out_i, double *out_f) {
     case LOL_TROOF: *out_i = v.i; return 0;
     case LOL_NUMBR: *out_i = v.i; return 0;
     case LOL_NUMBAR: *out_f = v.f; return 1;
-    case LOL_YARN:
-        if (strchr(v.s, '.') || strchr(v.s, 'e') || strchr(v.s, 'E')) {
-            *out_f = atof(v.s);
+    case LOL_YARN: {
+        /* as strictly as the Rust engines parse: surrounding whitespace
+           is ignored, a decimal point or exponent makes a NUMBAR, and
+           anything else left over is an error */
+        const char *b = v.s, *e = v.s + strlen(v.s), *mark;
+        char *end;
+        while (isspace((unsigned char)*b)) b++;
+        while (e > b && isspace((unsigned char)e[-1])) e--;
+        mark = strpbrk(b, ".eE");
+        errno = 0;
+        if (mark && mark < e) {
+            *out_f = strtod(b, &end);
+            if (b == e || end != e || strpbrk(b, "xX(") != NULL)
+                lol_die("RUN0004", "DAT YARN IZ NOT A NUMBAR");
             return 1;
         }
-        *out_i = atoll(v.s);
+        *out_i = strtoll(b, &end, 10);
+        if (b == e || end != e || errno == ERANGE) lol_die("RUN0004", "DAT YARN IZ NOT A NUMBR");
         return 0;
+    }
     }
     return 0;
 }
 
 static long long lol_to_int(lol_value_t v) {
     long long i = 0; double f = 0.0;
-    if (lol_numeric(v, &i, &f)) return (long long)f;
+    if (lol_numeric(v, &i, &f)) return lol_dbl_to_int(f);
     return i;
 }
 
@@ -156,33 +201,26 @@ static const char *lol_to_cstr(lol_value_t v, char *buf, size_t n) {
     return "";
 }
 
-#define LOL_ARITH(NAME, IOP, FOP, ZCHK)                                        \
+/* dynamic arithmetic: NUMBR op NUMBR stays a NUMBR (IOP is the native
+   NUMBR operation above), anything involving a NUMBAR is a NUMBAR; fmax
+   and fmin return the non-NaN operand, like Rust's f64::max and min */
+#define LOL_ARITH(NAME, IOP, FOP)                                              \
     static lol_value_t NAME(lol_value_t a, lol_value_t b) {                    \
         long long ia = 0, ib = 0; double fa = 0.0, fb = 0.0;                   \
         int af = lol_numeric(a, &ia, &fa), bf = lol_numeric(b, &ib, &fb);      \
-        if (!af && !bf) {                                                      \
-            if (ZCHK && ib == 0) lol_die("RUN0001", "DIVIDIN BY ZERO IZ NOT ALLOWED"); \
-            return lol_from_int(IOP);                                          \
-        }                                                                      \
+        if (!af && !bf) return lol_from_int(IOP(ia, ib));                      \
         fa = af ? fa : (double)ia;                                             \
         fb = bf ? fb : (double)ib;                                             \
         return lol_from_dbl(FOP);                                              \
     }
 
-LOL_ARITH(lol_sum, ia + ib, fa + fb, 0)
-LOL_ARITH(lol_diff, ia - ib, fa - fb, 0)
-LOL_ARITH(lol_produkt, ia * ib, fa * fb, 0)
-LOL_ARITH(lol_quoshunt, ia / ib, fa / fb, 1)
-LOL_ARITH(lol_mod, ia % ib, fmod(fa, fb), 1)
-LOL_ARITH(lol_biggr, ia > ib ? ia : ib, fa > fb ? fa : fb, 0)
-LOL_ARITH(lol_smallr, ia < ib ? ia : ib, fa < fb ? fa : fb, 0)
-
-static lol_value_t lol_bigger(lol_value_t a, lol_value_t b) {
-    return lol_from_bool(lol_to_dbl(a) > lol_to_dbl(b));
-}
-static lol_value_t lol_smallr_than(lol_value_t a, lol_value_t b) {
-    return lol_from_bool(lol_to_dbl(a) < lol_to_dbl(b));
-}
+LOL_ARITH(lol_sum, lol_add_i, fa + fb)
+LOL_ARITH(lol_diff, lol_sub_i, fa - fb)
+LOL_ARITH(lol_produkt, lol_mul_i, fa * fb)
+LOL_ARITH(lol_quoshunt, lol_quo_i, fa / fb)
+LOL_ARITH(lol_mod, lol_mod_i, fmod(fa, fb))
+LOL_ARITH(lol_biggr, lol_max_i, fmax(fa, fb))
+LOL_ARITH(lol_smallr, lol_min_i, fmin(fa, fb))
 
 static int lol_saem(lol_value_t a, lol_value_t b) {
     if (a.t == LOL_NOOB && b.t == LOL_NOOB) return 1;
@@ -194,10 +232,7 @@ static int lol_saem(lol_value_t a, lol_value_t b) {
     return 0;
 }
 
-static lol_value_t lol_not(lol_value_t v) { return lol_from_bool(!lol_to_bool(v)); }
 static lol_value_t lol_squar(lol_value_t v) { return lol_produkt(v, v); }
-static lol_value_t lol_unsquar(lol_value_t v) { return lol_from_dbl(sqrt(lol_to_dbl(v))); }
-static lol_value_t lol_flip(lol_value_t v) { return lol_from_dbl(1.0 / lol_to_dbl(v)); }
 
 static lol_value_t lol_smoosh(lol_value_t a, lol_value_t b) {
     char ba[LOL_NUM_BUF], bb[LOL_NUM_BUF];
@@ -264,12 +299,34 @@ static lol_value_t lol_gimmeh(void) {
     return v;
 }
 
-static long long lol_idx(long long i, long long len) {
+static inline long long lol_idx(long long i, long long len) {
     if (i < 0 || i >= len) lol_die("RUN0123", "INDEX IZ OUTSIDE DA ARRAY");
     return i;
 }
 
-/* local dynamically-sized arrays */
+/* the target PE of TXT MAH BFF */
+static int lol_pe(long long k) {
+    if (k < 0 || k >= shmem_n_pes()) lol_die("RUN0017", "DAT PE IZ NOT MAH FREN");
+    return (int)k;
+}
+
+/* Element storage of a local array: zeroed, which is 0, 0.0 and FAIL
+   for the NUMBR, NUMBAR and TROOF arrays that store native elements. */
+static void *lol_arr_alloc(long long n, size_t size) {
+    void *p;
+    if (n <= 0) lol_die("RUN0014", "ARRAY SIZE MUST BE POSITIVE");
+    p = calloc((size_t)n, size);
+    if (!p) lol_die("RUN0150", "OUT OF MEMOREZ FOR AN ARRAY");
+    return p;
+}
+
+/* the native local arrays: elements e[0..n) */
+typedef struct { long long *e; long long n; } lol_arr_numbr;
+typedef struct { double *e; long long n; } lol_arr_numbar;
+typedef struct { int *e; long long n; } lol_arr_troof;
+
+/* local arrays of YARNs and NOOBs: dynamic values, cast to the element
+   type on every store, starting out as "" or NOOB */
 typedef struct {
     lol_value_t *e;
     long long n;
@@ -277,12 +334,11 @@ typedef struct {
 } lol_arr_t;
 
 static lol_arr_t lol_arr_new(long long n, lol_type_t ty) {
-    if (n <= 0) lol_die("RUN0014", "ARRAY SIZE MUST BE POSITIVE");
     lol_arr_t a;
-    a.e = (lol_value_t *)calloc((size_t)n, sizeof(lol_value_t));
+    a.e = (lol_value_t *)lol_arr_alloc(n, sizeof(lol_value_t));
     a.n = n;
     a.ty = ty;
-    for (long long i = 0; i < n; i++) a.e[i] = lol_cast(lol_from_int(0), ty);
+    for (long long i = 0; i < n; i++) a.e[i] = ty == LOL_YARN ? lol_from_str("") : lol_noob();
     return a;
 }
 static lol_value_t lol_arr_get(lol_arr_t *a, long long i) { return a->e[lol_idx(i, a->n)]; }
@@ -334,8 +390,8 @@ static void lol_lock_release(long *cell, int target) {
     LOL_LOCK_TRACE('U', cell, target, 0);
 }
 
-static lol_value_t lol_whatevr(void) { return lol_from_int(LOL_RAND()); }
-static lol_value_t lol_whatevar(void) { return lol_from_dbl((double)LOL_RAND() / ((double)RAND_MAX + 1.0)); }
+static long long lol_whatevr(void) { return LOL_RAND(); }
+static double lol_whatevar(void) { return (double)LOL_RAND() / ((double)RAND_MAX + 1.0); }
 /* ---- end runtime ---- */
 "#;
 
@@ -1001,6 +1057,8 @@ mod tests {
             "%.2f",       // NUMBAR printing matches the interpreter
             "isnan(v.f)", // non-finite NUMBARs render nan/inf/-inf everywhere
             "lol_arr_new",
+            // the TXT MAH BFF target check
+            "k >= shmem_n_pes()) lol_die(\"RUN0017\"",
             // the hook macros a stub shmem.h may override
             "#ifndef LOL_SYMMETRIC",
             "#ifndef LOL_SYM_REG",

@@ -21,6 +21,7 @@
 
 mod const_eval;
 mod layout;
+pub mod types;
 mod walk;
 
 pub use const_eval::const_eval_i64;

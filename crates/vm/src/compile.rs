@@ -21,24 +21,21 @@
 //! them), `MAEK`, arithmetic promotion, the TROOF/YARN/NUMBAR results of
 //! the logic, `SMOOSH` and root/reciprocal operators, `ME`/`MAH FRENZ`/
 //! `WHATEVR`/`WHATEVAR`, and counted-loop counters the loop body never
-//! stores to. Calls, parameters and unpinned locals are unknown. On
+//! stores to. Calls, parameters and unpinned locals are unknown. The
+//! operator, symmetric-read and counter rules live in
+//! [`lol_sema::types`], shared with the C emitter's typed lowering. On
 //! `nbody_bench` this leaves no cast in any innermost loop and cuts a
 //! 1-PE run from 8.80M to 8.08M dispatches (see docs/PERF.md).
 
 use crate::ops::{ArrLoc, Chunk, Module, Op};
 use lol_ast::diag::Diagnostic;
-use lol_ast::visit::{walk_stmt, Visitor};
 use lol_ast::*;
 use lol_interp::Value;
+use lol_sema::types::{bin_ty, counter_ty, shared_ty, un_ty, Ty};
 use lol_sema::{Analysis, SharedKind, SharedVar};
 use std::collections::HashMap;
 
 type CResult<T> = Result<T, Diagnostic>;
-
-/// The static type of an expression's value: `Some(ty)` when every
-/// evaluation that yields a value yields a `ty` (one that faults yields
-/// none), `None` when unknown.
-type Ty = Option<LolType>;
 
 /// Compile an analyzed program to bytecode.
 pub fn compile(program: &Program, analysis: &Analysis) -> CResult<Module> {
@@ -322,11 +319,7 @@ impl<'a> FnCompiler<'a> {
             ExprKind::Un { op, expr } => {
                 let t = self.expr(expr)?;
                 self.code.push(Op::Un(*op));
-                match op {
-                    UnOp::Not => Some(LolType::Troof),
-                    UnOp::Squar => bin_ty(BinOp::Produkt, t, t),
-                    UnOp::Unsquar | UnOp::Flip => Some(LolType::Numbar),
-                }
+                un_ty(*op, t)
             }
             ExprKind::Nary { op, args } => {
                 for a in args {
@@ -818,10 +811,7 @@ impl<'a> FnCompiler<'a> {
         self.enter_scope();
         let update_slot = match &lp.update {
             Some((_, var)) => {
-                // The counter starts at NUMBR 0 and only ever steps by
-                // NUMBR 1 unless the body stores to it.
-                let ty = (var.sym != Symbol::it() && !may_store(&lp.body, var.sym))
-                    .then_some(LolType::Numbr);
+                let ty = counter_ty(lp);
                 let slot = self.alloc_slot(var.sym, SlotKind::Scalar { ty, pinned: false });
                 self.emit_const(Value::Numbr(0));
                 self.code.push(Op::StoreLocal(slot));
@@ -862,70 +852,6 @@ impl<'a> FnCompiler<'a> {
         self.leave_scope();
         Ok(())
     }
-}
-
-/// How `shared_read` materializes an element of a symmetric variable
-/// of declared type `ty`.
-fn shared_ty(ty: LolType) -> LolType {
-    match ty {
-        LolType::Numbar | LolType::Troof => ty,
-        _ => LolType::Numbr,
-    }
-}
-
-/// The static result type of `a op b`: arithmetic promotes NUMBR×NUMBR
-/// to NUMBR and NUMBAR with any number to NUMBAR (TROOF and YARN
-/// operands coerce at run time, so their result is unknown); every
-/// other binary operator yields a TROOF.
-fn bin_ty(op: BinOp, a: Ty, b: Ty) -> Ty {
-    use LolType::{Numbar, Numbr};
-    match op {
-        BinOp::Sum
-        | BinOp::Diff
-        | BinOp::Produkt
-        | BinOp::Quoshunt
-        | BinOp::Mod
-        | BinOp::BiggrOf
-        | BinOp::SmallrOf => match (a?, b?) {
-            (Numbr, Numbr) => Some(Numbr),
-            (Numbar, Numbr | Numbar) | (Numbr, Numbar) => Some(Numbar),
-            _ => None,
-        },
-        _ => Some(LolType::Troof),
-    }
-}
-
-/// May `body` store to the local `name`? A conservative syntactic scan:
-/// `name` is the target of `R`, `GIMMEH` or `IS NOW A`, is redeclared,
-/// or is reused as a nested loop's counter. Expressions cannot store to
-/// a local, so the scan never descends into them.
-fn may_store(body: &Block, name: Symbol) -> bool {
-    struct Scan {
-        name: Symbol,
-        hit: bool,
-    }
-    impl Visitor for Scan {
-        fn visit_stmt(&mut self, s: &Stmt) {
-            let names = |lv: &LValue| match lv {
-                LValue::Var(vr) | LValue::Index { arr: vr, .. } => {
-                    matches!(&vr.name, VarName::Named(id) if id.sym == self.name)
-                }
-            };
-            self.hit |= match &s.kind {
-                StmtKind::Declare(d) => d.name.sym == self.name,
-                StmtKind::Assign { target: lv, .. }
-                | StmtKind::Gimmeh(lv)
-                | StmtKind::IsNowA { target: lv, .. } => names(lv),
-                StmtKind::Loop(lp) => lp.update.as_ref().is_some_and(|(_, v)| v.sym == self.name),
-                _ => false,
-            };
-            walk_stmt(self, s);
-        }
-        fn visit_expr(&mut self, _: &Expr) {}
-    }
-    let mut scan = Scan { name, hit: false };
-    scan.visit_block(body);
-    scan.hit
 }
 
 /// Fuse common instruction idioms into superinstructions.

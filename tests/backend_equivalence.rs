@@ -244,3 +244,37 @@ fn division_faults_agree_with_c_engine() {
         }
     }
 }
+
+/// NUMBR arithmetic wraps identically on interp, vm and c, in the
+/// dynamic (unpinned) and the typed (pinned) lowering alike — including
+/// the cases that trap or overflow in C's signed arithmetic:
+/// `QUOSHUNT OF`/`MOD OF` i64::MIN by -1, and `+`/`*`/`SQUAR` past the
+/// i64 range.
+#[test]
+fn overflow_wraps_identically_on_c_engine() {
+    let c_engine = engine_for(Backend::C);
+    if !c_engine.available() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    let src = "\
+HAI 1.2
+I HAS A mn ITZ DIFF OF -9223372036854775807 AN 1
+I HAS A big ITZ 9223372036854775807
+I HAS A pmn ITZ SRSLY A NUMBR AN ITZ mn
+I HAS A pbig ITZ SRSLY A NUMBR AN ITZ big
+VISIBLE QUOSHUNT OF mn AN -1 \" \" MOD OF mn AN -1
+VISIBLE QUOSHUNT OF pmn AN -1 \" \" MOD OF pmn AN -1
+VISIBLE SUM OF big AN 1 \" \" PRODUKT OF big AN 3 \" \" SQUAR OF big
+VISIBLE SUM OF pbig AN 1 \" \" PRODUKT OF pbig AN 3 \" \" SQUAR OF pbig
+KTHXBYE
+";
+    let artifact = compile(src).unwrap();
+    let cfg = RunConfig::new(2).timeout(Duration::from_secs(30));
+    let interp = InterpEngine.run(&artifact, &cfg).unwrap().outputs;
+    let wrapped = "-9223372036854775808 0\n".repeat(2)
+        + &"-9223372036854775808 9223372036854775805 1\n".repeat(2);
+    assert_eq!(interp[0], wrapped);
+    assert_eq!(VmEngine.run(&artifact, &cfg).unwrap().outputs, interp);
+    assert_eq!(c_engine.run(&artifact, &cfg).unwrap().outputs, interp, "C must wrap, not trap");
+}

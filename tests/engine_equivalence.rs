@@ -567,6 +567,156 @@ KTHXBYE
     }
 }
 
+/// `BIGGR OF`/`SMALLR OF` with one NaN operand return the other one on
+/// every backend, as Rust's `f64::max`/`min` do (C99 `fmax`/`fmin` in
+/// the C runtime), for dynamic and pinned operands alike.
+#[test]
+fn biggr_smallr_of_skip_a_nan_operand_on_every_backend() {
+    let src = "\
+HAI 1.2
+I HAS A nan ITZ QUOSHUNT OF 0.0 AN 0.0
+I HAS A pnan ITZ SRSLY A NUMBAR AN ITZ nan
+VISIBLE BIGGR OF 1.0 AN nan
+VISIBLE SMALLR OF 1.0 AN nan
+VISIBLE BIGGR OF pnan AN 2.5
+VISIBLE SMALLR OF 2 AN pnan
+VISIBLE BIGGR OF nan AN pnan
+KTHXBYE
+";
+    agree_on_every_backend(src, &["1.00", "1.00", "2.50", "2.00", "nan"]);
+}
+
+/// NUMBAR → NUMBR conversion saturates on every backend, NaN giving 0:
+/// through `MAEK`, a pinned NUMBR store, a symmetric NUMBR store, an
+/// array index and a `TXT MAH BFF` target.
+#[test]
+fn numbar_to_numbr_saturates_on_every_backend() {
+    let src = "\
+HAI 1.2
+WE HAS A s ITZ SRSLY A NUMBR
+I HAS A nan ITZ QUOSHUNT OF 0.0 AN 0.0
+I HAS A huge ITZ SRSLY A NUMBAR AN ITZ 1e300
+VISIBLE MAEK 1e300 A NUMBR
+VISIBLE MAEK -1e300 A NUMBR
+VISIBLE MAEK nan A NUMBR
+I HAS A p ITZ SRSLY A NUMBR AN ITZ PRODUKT OF huge AN -1.0
+VISIBLE p
+p R QUOSHUNT OF 0.0 AN 0.0
+VISIBLE p
+I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 2
+a'Z QUOSHUNT OF 0.0 AN 0.0 R 7
+VISIBLE a'Z 0
+TXT MAH BFF QUOSHUNT OF 0.0 AN 0.0, UR s R 5
+HUGZ
+BOTH SAEM ME AN 0, O RLY?
+YA RLY
+  VISIBLE s
+OIC
+HUGZ
+s R huge
+VISIBLE s
+KTHXBYE
+";
+    agree_on_every_backend(
+        src,
+        &[
+            "9223372036854775807",
+            "-9223372036854775808",
+            "0",
+            "-9223372036854775808",
+            "0",
+            "7",
+            "5",
+            "9223372036854775807",
+        ],
+    );
+}
+
+/// Local arrays of every element type on every backend: whole-array
+/// copies onto the array itself, across element types and from a
+/// symmetric array, TROOF elements cast on store, and the `""` a YARN
+/// array starts out with.
+#[test]
+fn local_arrays_agree_on_every_backend() {
+    let src = "\
+HAI 1.2
+WE HAS A sh ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 3
+I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 3
+I HAS A b ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 3
+I HAS A t ITZ SRSLY LOTZ A TROOFS AN THAR IZ 3
+I HAS A y ITZ SRSLY LOTZ A YARNS AN THAR IZ 2
+IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3
+  sh'Z i R PRODUKT OF i AN 10
+  a'Z i R SUM OF i AN 1
+IM OUTTA YR l
+a R a
+b R a
+VISIBLE a'Z 2 \" \" b'Z 2
+a R sh
+VISIBLE a'Z 2
+t'Z 1 R \"yes\"
+t'Z 2 R 0.0
+VISIBLE t'Z 0 \" \" t'Z 1 \" \" t'Z 2
+y'Z 0 R 3.14159
+VISIBLE y'Z 0 \"|\" y'Z 1 \"|\"
+y R y
+I HAS A z ITZ SRSLY LOTZ A YARNS AN THAR IZ 2
+z R y
+z'Z 1 R 7
+VISIBLE z'Z 0 \"|\" z'Z 1 \"|\" y'Z 1
+I HAS A u ITZ SRSLY LOTZ A NOOBS AN THAR IZ 2
+u R u
+I HAS A w ITZ SRSLY LOTZ A NOOBS AN THAR IZ 2
+w R u
+VISIBLE BOTH SAEM w'Z 1 AN NOOB
+KTHXBYE
+";
+    agree_on_every_backend(src, &["3 3.00", "20", "FAIL WIN FAIL", "3.14||", "3.14|7|", "WIN"]);
+}
+
+/// Every operand of `BOTH OF`, `EITHER OF`, `WON OF`, `ALL OF` and
+/// `ANY OF` is evaluated, left to right, on every backend: the calls
+/// print in source order.
+#[test]
+fn logical_operands_run_in_source_order_on_every_backend() {
+    let src = "\
+HAI 1.2
+HOW IZ I say YR x
+  VISIBLE x
+  FOUND YR x
+IF U SAY SO
+VISIBLE BOTH OF I IZ say YR 0 MKAY AN I IZ say YR 1 MKAY
+VISIBLE EITHER OF I IZ say YR 1 MKAY AN I IZ say YR 2 MKAY
+VISIBLE WON OF I IZ say YR 3 MKAY AN I IZ say YR 4 MKAY
+VISIBLE ALL OF I IZ say YR 5 MKAY AN I IZ say YR 0 MKAY AN I IZ say YR 6 MKAY MKAY
+VISIBLE ANY OF I IZ say YR 0 MKAY AN I IZ say YR 7 MKAY AN I IZ say YR 8 MKAY MKAY
+KTHXBYE
+";
+    let pe0 = [
+        "0", "1", "FAIL", "1", "2", "WIN", "3", "4", "FAIL", "5", "0", "6", "FAIL", "0", "7", "8",
+        "WIN",
+    ];
+    agree_on_every_backend(src, &pe0);
+}
+
+/// Run `src` at 2 PEs on every available backend: PE 0 prints `pe0`,
+/// and every backend prints what the interpreter does.
+fn agree_on_every_backend(src: &str, pe0: &[&str]) {
+    let artifact = compile(src).unwrap();
+    let cfg = RunConfig::new(2).timeout(Duration::from_secs(60));
+    let reference = InterpEngine.run(&artifact, &cfg).unwrap();
+    assert_eq!(reference.outputs[0].lines().collect::<Vec<_>>(), pe0);
+    for backend in Backend::ALL {
+        let engine = engine_for(backend);
+        if !engine.available() {
+            eprintln!("skipping {backend:?}: unavailable here");
+            continue;
+        }
+        let r = engine.run(&artifact, &cfg.clone().backend(backend)).unwrap();
+        assert_eq!(r.outputs, reference.outputs, "{backend:?} diverges");
+    }
+}
+
 // ---------------------------------------------------------------------
 // C engine: the third execution path against the corpus
 // ---------------------------------------------------------------------
@@ -617,6 +767,83 @@ fn c_engine_agrees_with_interp_on_corpus_subset() {
             assert_eq!(b.backend, Backend::C);
             assert_eq!(b.stats.len(), cfg.n_pes, "{name}: per-PE stats from the C run");
         }
+    }
+}
+
+/// The typed C lowering against the interpreter: programs of the
+/// Pinned and OverflowHeavy buckets, each compiled once and run on the
+/// C engine at 1 and 3 PEs through `run_many` on the virtual clock.
+/// Per-PE outputs, remote traffic and virtual walls must match, or both
+/// engines must fault. (Local symmetric accesses are plain memory
+/// accesses in C, which the stub does not count.) Programs that draw on
+/// `WHATEVR`/`WHATEVAR` are skipped: the C stub's RNG is a different
+/// stream.
+#[test]
+fn c_engine_agrees_on_pinned_and_overflow_buckets() {
+    let c_engine = engine_for(Backend::C);
+    if !c_engine.available() {
+        eprintln!("skipping: no C compiler — C engine unsupported here");
+        return;
+    }
+    for (label, bucket, seed) in [
+        ("pinned", GenBucket::Pinned, 0xC7_1A7E_u64),
+        ("overflow-heavy", GenBucket::OverflowHeavy, 0xC0F1_015E_u64),
+    ] {
+        let mut gen = ProgramGen::bucketed(seed, bucket);
+        let (mut compared, mut clean_programs) = (0usize, 0usize);
+        for case in 0..60u64 {
+            let src = gen.program();
+            if src.contains("WHATEV") {
+                continue;
+            }
+            let Ok(artifact) = compile(&src) else { continue };
+            let configs: Vec<RunConfig> = [1usize, 3]
+                .into_iter()
+                .map(|n| {
+                    RunConfig::new(n)
+                        .seed(case)
+                        .timeout(Duration::from_secs(30))
+                        .clock(ClockMode::Virtual)
+                        .latency(LatencyModel::epiphany16())
+                })
+                .collect();
+            let interp = InterpEngine.run_many(&artifact, &configs);
+            let c = c_engine.run_many(&artifact, &configs);
+            compared += 1;
+            let mut ran = 0usize;
+            for ((cfg, a), b) in configs.iter().zip(interp).zip(c) {
+                let n = cfg.n_pes;
+                match (a, b) {
+                    (Ok(x), Ok(y)) => {
+                        assert_eq!(x.outputs, y.outputs, "{label} case {case} at {n} PEs:\n{src}");
+                        let remote = |r: &RunReport| -> Vec<_> {
+                            r.stats.iter().map(|s| (s.remote_gets, s.remote_puts, s.amos)).collect()
+                        };
+                        assert_eq!(
+                            remote(&x),
+                            remote(&y),
+                            "{label} case {case}: traffic at {n} PEs"
+                        );
+                        assert_eq!(
+                            x.virtual_wall, y.virtual_wall,
+                            "{label} case {case}: virtual wall"
+                        );
+                        ran += 1;
+                    }
+                    (Err(_), Err(_)) => {}
+                    (a, b) => panic!(
+                        "{label} case {case}: engines disagree about faulting at {n} PEs: \
+                         {:?} vs {:?}\n{src}",
+                        a.map(|r| r.outputs),
+                        b.map(|r| r.outputs)
+                    ),
+                }
+            }
+            clean_programs += usize::from(ran > 0);
+        }
+        assert!(compared >= 20, "{label}: only {compared} programs compared — generator drifted");
+        eprintln!("{label}: {clean_programs} of {compared} programs ran clean at some PE count");
+        assert!(clean_programs >= 20, "{label}: only {clean_programs} programs ran clean");
     }
 }
 
