@@ -81,7 +81,8 @@ usage: lolrun [-np <N>] [--backend interp|vm|c|sim] [--sim-jobs <N>]
                    --backend sim); with --json, emit the *timing* form
                    of the report (adds wall_ns/phases/sim/profile)
   --profile        count every executed opcode (vm backend) and print
-                   opcode totals, the superinstruction share, and the
+                   opcode totals, the superinstruction share, each
+                   opcode's sampled share of exec time and the
                    hottest bytecode ranges to stderr; other backends
                    print the phase breakdown and a note
   --sweep <spec>   run a config matrix instead of a single job and
@@ -575,6 +576,12 @@ fn print_profile(report: &RunReport) {
     }
     if p.ops.len() > 15 {
         eprintln!("  ... {} more opcodes", p.ops.len() - 15);
+    }
+    if !p.time_bp.is_empty() {
+        eprintln!("share of exec time (1 dispatch in 1024 sampled):");
+        for (name, bp) in p.time_bp.iter().take(15) {
+            eprintln!("  {:>6.2}%  {name}", *bp as f64 / 100.0);
+        }
     }
     if !p.hot.is_empty() {
         eprintln!("hot bytecode ranges:");

@@ -206,9 +206,9 @@ pub(crate) struct CEmitter<'a> {
     in_function: bool,
     scopes: Vec<HashMap<Symbol, CKind>>,
     tmp: usize,
-    /// The `int` temporaries of the C function being emitted, declared
-    /// at its top.
-    temps: Vec<String>,
+    /// The temporaries of the C function being emitted, with their C
+    /// types, declared at its top.
+    temps: Vec<(String, &'static str)>,
 }
 
 impl<'a> CEmitter<'a> {
@@ -337,11 +337,20 @@ impl<'a> CEmitter<'a> {
         for s in stmts {
             self.stmt(s)?;
         }
-        if !self.temps.is_empty() {
-            let decl = format!("{}int {};\n", "    ".repeat(self.indent), self.temps.join(", "));
-            self.out.insert_str(at, &decl);
-            self.temps.clear();
+        // One declaration per C type, in order of first use.
+        let mut decl = String::new();
+        let temps = std::mem::take(&mut self.temps);
+        let mut types: Vec<&str> = temps.iter().map(|(_, t)| *t).collect();
+        types.dedup();
+        for (i, ty) in types.iter().enumerate() {
+            if types[..i].contains(ty) {
+                continue;
+            }
+            let names: Vec<&str> =
+                temps.iter().filter(|(_, t)| t == ty).map(|(n, _)| n.as_str()).collect();
+            decl += &format!("{}{ty} {};\n", "    ".repeat(self.indent), names.join(", "));
         }
+        self.out.insert_str(at, &decl);
         Ok(())
     }
 
@@ -420,36 +429,69 @@ impl<'a> CEmitter<'a> {
                 let i = self.expr(idx)?.int();
                 self.arr_place(arr)?.read(&i)
             }
-            ExprKind::Bin { op, lhs, rhs } => {
-                let a = self.expr(lhs)?;
-                let b = self.expr(rhs)?;
-                match op {
-                    BinOp::BothOf => self.logical(vec![a, b], " & "),
-                    BinOp::EitherOf => self.logical(vec![a, b], " | "),
-                    BinOp::WonOf => self.logical(vec![a, b], " ^ "),
-                    _ => binary(*op, a, b),
+            ExprKind::Bin { op, lhs, rhs } => match op {
+                BinOp::BothOf => self.logical_of(lhs, rhs, " & ")?,
+                BinOp::EitherOf => self.logical_of(lhs, rhs, " | ")?,
+                BinOp::WonOf => self.logical_of(lhs, rhs, " ^ ")?,
+                _ => {
+                    let (mut parts, seq) = self.operands(&[lhs, rhs])?;
+                    let b = parts.pop().expect("two operands");
+                    let a = parts.pop().expect("two operands");
+                    sequenced(seq, binary(*op, a, b))
                 }
-            }
+            },
             ExprKind::Un { op, expr } => unary(*op, self.expr(expr)?),
+            ExprKind::Nary { op: NaryOp::Smoosh, args } => {
+                let (parts, seq) = self.operands(&args.iter().collect::<Vec<_>>())?;
+                sequenced(seq, smoosh(parts))
+            }
             ExprKind::Nary { op, args } => {
                 let parts = args.iter().map(|a| self.expr(a)).collect::<CResult<Vec<_>>>()?;
                 match op {
-                    NaryOp::Smoosh => smoosh(parts),
                     NaryOp::AllOf => self.logical(parts, " & "),
-                    NaryOp::AnyOf => self.logical(parts, " | "),
+                    _ => self.logical(parts, " | "),
                 }
             }
             ExprKind::Cast { expr, ty } => self.expr(expr)?.cast(*ty),
             ExprKind::Call { name, args } => {
-                let parts =
-                    args.iter().map(|a| Ok(self.expr(a)?.boxed())).collect::<CResult<Vec<_>>>()?;
-                CExpr::new(format!("f_{}({})", name.sym, parts.join(", ")), None)
+                let (parts, seq) = self.operands(&args.iter().collect::<Vec<_>>())?;
+                let parts: Vec<String> = parts.into_iter().map(CExpr::boxed).collect();
+                let call = CExpr::new(format!("f_{}({})", name.sym, parts.join(", ")), None);
+                sequenced(seq, call)
             }
             ExprKind::Me => CExpr::of("(long long)shmem_my_pe()", LolType::Numbr),
             ExprKind::MahFrenz => CExpr::of("(long long)shmem_n_pes()", LolType::Numbr),
             ExprKind::Whatevr => CExpr::of("lol_whatevr()", LolType::Numbr),
             ExprKind::Whatevar => CExpr::of("lol_whatevar()", LolType::Numbar),
         })
+    }
+
+    /// `exprs` emitted in order. C leaves the order of operator and
+    /// function arguments open, so when any of them contains a call
+    /// (which may print, fault or write shared state) each is first
+    /// stored, left to right, in a typed temporary: the stores come
+    /// back for [`sequenced`] and the temporaries stand in for the
+    /// values. Call-free operands stay inline.
+    fn operands(&mut self, exprs: &[&Expr]) -> CResult<(Vec<CExpr>, Vec<String>)> {
+        let parts = exprs.iter().map(|e| self.expr(e)).collect::<CResult<Vec<_>>>()?;
+        if !exprs.iter().any(|e| has_call(e)) {
+            return Ok((parts, Vec::new()));
+        }
+        let mut seq = Vec::new();
+        let mut temps = Vec::new();
+        for p in parts {
+            let tmp = self.fresh("t");
+            seq.push(format!("{tmp} = {}", p.code));
+            self.temps.push((tmp.clone(), native(p.ty).unwrap_or("lol_value_t")));
+            temps.push(CExpr::new(tmp, p.ty));
+        }
+        Ok((temps, seq))
+    }
+
+    /// [`CEmitter::logical`] of two operands.
+    fn logical_of(&mut self, lhs: &Expr, rhs: &Expr, op: &str) -> CResult<CExpr> {
+        let parts = vec![self.expr(lhs)?, self.expr(rhs)?];
+        Ok(self.logical(parts, op))
     }
 
     /// The truths of `parts` joined by the C operator `op`. Every operand
@@ -463,7 +505,7 @@ impl<'a> CEmitter<'a> {
         for t in &mut truths {
             let tmp = self.fresh("t");
             seq.push(format!("{tmp} = {t}"));
-            self.temps.push(tmp.clone());
+            self.temps.push((tmp.clone(), "int"));
             *t = tmp;
         }
         truths.push(last);
@@ -972,6 +1014,27 @@ impl<'a> CEmitter<'a> {
 }
 
 // ---- expression lowering ------------------------------------------------
+
+/// `e` after the operand stores `seq` (none: `e` itself), as one C
+/// comma expression.
+fn sequenced(seq: Vec<String>, e: CExpr) -> CExpr {
+    if seq.is_empty() {
+        return e;
+    }
+    CExpr::new(format!("({}, {})", seq.join(", "), e.code), e.ty)
+}
+
+/// Does `e` contain a call?
+fn has_call(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::Call { .. } => true,
+        ExprKind::Index { idx, .. } => has_call(idx),
+        ExprKind::Bin { lhs, rhs, .. } => has_call(lhs) || has_call(rhs),
+        ExprKind::Un { expr, .. } | ExprKind::Cast { expr, .. } => has_call(expr),
+        ExprKind::Nary { args, .. } => args.iter().any(has_call),
+        _ => false,
+    }
+}
 
 /// `a op b`, natively where [`bin_ty`] and the operand types allow.
 fn binary(op: BinOp, a: CExpr, b: CExpr) -> CExpr {

@@ -283,6 +283,9 @@ pub struct ProfileReport {
     /// Executed opcodes as `(name, count, is_superinstruction)`,
     /// descending by count.
     pub ops: Vec<(String, u64, bool)>,
+    /// Each time-sampled opcode's share of the sampled execution time,
+    /// as `(name, parts per 10 000)`, descending.
+    pub time_bp: Vec<(String, u64)>,
     /// Top contiguous hot bytecode ranges, hottest first.
     pub hot: Vec<HotSpot>,
 }
@@ -535,6 +538,7 @@ fn profile_report(module: &lol_vm::Module, p: &lol_vm::VmProfile) -> ProfileRepo
         total_ops: p.total(),
         super_bp: p.super_bp(),
         ops: p.op_counts().into_iter().map(|(n, c, s)| (n.to_string(), c, s)).collect(),
+        time_bp: p.op_time_bp().into_iter().map(|(n, bp)| (n.to_string(), bp)).collect(),
         hot: p
             .hot_ranges(5)
             .into_iter()

@@ -242,6 +242,7 @@ mod tests {
                 ],
                 n_slots: 1,
                 n_arrays: 0,
+                regs: Vec::new(),
             },
             funcs: vec![],
             shared_words: 1,
@@ -275,6 +276,7 @@ mod tests {
                 ],
                 n_slots: 1,
                 n_arrays: 0,
+                regs: Vec::new(),
             },
             funcs: vec![],
             shared_words: 4,
@@ -403,6 +405,7 @@ mod tests {
                 code: vec![Op::Me, Op::JumpIfFalse(3), Op::Barrier, Op::Halt],
                 n_slots: 1,
                 n_arrays: 0,
+                regs: Vec::new(),
             },
             funcs: vec![],
             shared_words: 0,
@@ -421,7 +424,7 @@ mod tests {
     fn diagnostics_match_the_threaded_world() {
         let module = |shared_words, consts, code| Module {
             consts,
-            main: Chunk { code, n_slots: 1, n_arrays: 0 },
+            main: Chunk { code, n_slots: 1, ..Default::default() },
             funcs: vec![],
             shared_words,
         };
@@ -487,6 +490,7 @@ mod tests {
                 code: vec![Op::LockRelease { off: 0, remote: false }, Op::Halt],
                 n_slots: 1,
                 n_arrays: 0,
+                regs: Vec::new(),
             },
             funcs: vec![],
             shared_words: 3,

@@ -35,6 +35,7 @@ fn module() -> Module {
             ],
             n_slots: 1,
             n_arrays: 0,
+            regs: Vec::new(),
         },
         funcs: vec![],
         shared_words: 3,

@@ -1,5 +1,7 @@
 //! Disassemble a LOLCODE program: the constant pool, the main chunk and
-//! every `HOW IZ I` function chunk, one instruction per line.
+//! every `HOW IZ I` function chunk, one instruction per line, each chunk
+//! headed by its frame sizes (value slots, local arrays, raw registers)
+//! and the constants its register bank starts with.
 //!
 //! ```console
 //! cargo run --release -p lol-vm --example dis -- corpus/nbody_bench.lol
@@ -8,7 +10,17 @@
 use lol_vm::Chunk;
 
 fn chunk(title: &str, c: &Chunk) {
-    println!("{title}  ({} slots, {} arrays)", c.n_slots, c.n_arrays);
+    println!("{title}  ({} slots, {} arrays, {} registers)", c.n_slots, c.n_arrays, c.regs.len());
+    let consts: Vec<String> = c
+        .regs
+        .iter()
+        .enumerate()
+        .filter(|(_, w)| **w != 0)
+        .map(|(r, w)| format!("r{r}={w:#x}"))
+        .collect();
+    if !consts.is_empty() {
+        println!("  nonzero registers at entry: {}", consts.join(" "));
+    }
     for (i, op) in c.code.iter().enumerate() {
         println!("{i:4}  {op:?}");
     }

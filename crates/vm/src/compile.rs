@@ -10,24 +10,40 @@
 //!
 //! # Typed lowering
 //!
-//! [`FnCompiler::expr`] returns each expression's static type ([`Ty`])
-//! bottom-up in the same pass that emits it, and the compiler emits no
-//! coercion the types prove redundant: the `Cast` before a pinned store
-//! or a typed declaration's initializer, the per-element cast of a
-//! local-array store, and interpolation's `Cast(Yarn)`. The type facts
-//! are literals, pinned locals (sema's SEM0024 forbids retyping them),
-//! local-array elements (every store casts to the element type),
-//! symmetric scalars and arrays (typed as `shared_read` materializes
-//! them), `MAEK`, arithmetic promotion, the TROOF/YARN/NUMBAR results of
-//! the logic, `SMOOSH` and root/reciprocal operators, `ME`/`MAH FRENZ`/
-//! `WHATEVR`/`WHATEVAR`, and counted-loop counters the loop body never
-//! stores to. Calls, parameters and unpinned locals are unknown. The
-//! operator, symmetric-read and counter rules live in
-//! [`lol_sema::types`], shared with the C emitter's typed lowering. On
-//! `nbody_bench` this leaves no cast in any innermost loop and cuts a
-//! 1-PE run from 8.80M to 8.08M dispatches (see docs/PERF.md).
+//! [`FnCompiler::ty`] gives each expression's static type ([`Ty`]),
+//! and the compiler emits no coercion the types prove redundant. The
+//! type facts are literals, pinned locals (sema's SEM0024 forbids
+//! retyping them), local-array elements (every store casts to the
+//! element type), symmetric scalars and arrays (typed as `shared_read`
+//! materializes them), `MAEK`, arithmetic promotion, the TROOF/YARN/
+//! NUMBAR results of the logic, `SMOOSH` and root/reciprocal operators,
+//! `ME`/`MAH FRENZ`/`WHATEVR`/`WHATEVAR`, and counted-loop counters the
+//! loop body never stores to. Calls, parameters and unpinned locals
+//! are unknown. The operator, symmetric-read and counter rules live in
+//! [`lol_sema::types`], shared with the C emitter's typed lowering.
+//!
+//! Values proven NUMBR, NUMBAR or TROOF live in raw registers of the
+//! frame's bank, not in value slots: pinned locals of those types,
+//! counters whose loop guard compares on registers too, constants (a
+//! register per distinct literal word, filled in before the frame
+//! runs) and the temporaries of typed subexpressions. [`FnCompiler::rexpr`] emits a typed expression as
+//! three-address ops over them (`AddI d a b`, `MulD`, `SqrtD`, `I2D`,
+//! typed comparisons, and loads and stores of raw local arrays and
+//! the symmetric heap), writing only its last op to the destination
+//! register, so `x R SUM OF x AN y` is one `AddD`. Conditions on a typed
+//! comparison become one compare-and-branch (`JumpCmpI`/`JumpCmpD`),
+//! which for an `O RLY?` also stores `IT`.
+//!
+//! Everything else keeps the stack path: unknown types, YARN and NOOB
+//! values, the logic operators, and leaves the stack loads as cheaply
+//! (`ME`, symmetric scalars). `Box` and `Unbox` cross between the two
+//! paths only at that boundary. A store into a register from a value of
+//! another type converts by `I2D` when that cannot fault, and otherwise
+//! casts on the stack first, and an array store whose cast could fault
+//! stays a stack op, so every fault keeps its order. On `nbody_bench`
+//! an interaction takes 21 dispatches instead of 32 (see docs/PERF.md).
 
-use crate::ops::{ArrLoc, Chunk, Module, Op};
+use crate::ops::{is_raw, ArrLoc, Chunk, Cmp, Module, Op};
 use lol_ast::diag::Diagnostic;
 use lol_ast::*;
 use lol_interp::Value;
@@ -49,12 +65,10 @@ pub fn compile(program: &Program, analysis: &Analysis) -> CResult<Module> {
     {
         let mut c = FnCompiler::new(analysis, &func_ids, &mut module.consts, false);
         c.enter_scope();
-        for s in &program.body {
-            c.stmt(s)?;
-        }
+        c.stmts(&program.body)?;
         c.leave_scope();
         c.code.push(Op::Halt);
-        module.main = Chunk { code: peephole(c.code), n_slots: c.n_slots, n_arrays: c.n_arrays };
+        module.main = c.finish();
     }
 
     // Function chunks.
@@ -65,18 +79,12 @@ pub fn compile(program: &Program, analysis: &Analysis) -> CResult<Module> {
             let slot = c.alloc_slot(p.sym, SlotKind::UNTYPED);
             debug_assert!(slot >= 1);
         }
-        for s in &f.body {
-            c.stmt(s)?;
-        }
+        c.stmts(&f.body)?;
         c.leave_scope();
         // Fall-through returns IT.
         c.code.push(Op::LoadLocal(0));
         c.code.push(Op::Ret);
-        module.funcs.push((
-            f.name.sym.as_str().to_string(),
-            Chunk { code: peephole(c.code), n_slots: c.n_slots, n_arrays: c.n_arrays },
-            f.params.len() as u8,
-        ));
+        module.funcs.push((f.name.sym.as_str().to_string(), c.finish(), f.params.len() as u8));
     }
 
     module.shared_words = analysis.shared.total_words;
@@ -85,9 +93,13 @@ pub fn compile(program: &Program, analysis: &Analysis) -> CResult<Module> {
 
 #[derive(Clone)]
 enum SlotKind {
-    /// `ty` is the type every value in the slot has, when known;
-    /// `pinned` slots (`ITZ SRSLY A`) coerce every store to it.
+    /// A value slot. `ty` is the type every value in the slot has,
+    /// when known; `pinned` slots (`ITZ SRSLY A`) coerce every store
+    /// to it.
     Scalar { ty: Ty, pinned: bool },
+    /// A raw register holding a NUMBR, NUMBAR or TROOF: a pinned local
+    /// of that type, or a counter its loop body never stores to.
+    Reg { ty: LolType },
     /// A local array; its elements are always of type `elem`.
     Array { elem: LolType },
 }
@@ -98,8 +110,70 @@ impl SlotKind {
 
 #[derive(Clone)]
 struct LocalSlot {
+    /// The slot, register or array index, by `kind`.
     slot: u16,
     kind: SlotKind,
+}
+
+/// The register domain a typed operator computes in.
+#[derive(Clone, Copy, PartialEq)]
+enum Dom {
+    /// NUMBR (TROOF operands are 0/1 NUMBRs here).
+    I,
+    /// NUMBAR.
+    D,
+}
+
+/// Where `a op b` runs on registers, if it can: arithmetic on numbers,
+/// and comparisons whose stack semantics the register ops reproduce
+/// (`BIGGER`/`SMALLR` compare every number and TROOF as a NUMBAR;
+/// `SAEM` of a TROOF and a number is not one of them).
+fn bin_dom(op: BinOp, a: Ty, b: Ty) -> Option<Dom> {
+    use LolType::{Numbar, Numbr, Troof};
+    let (a, b) = (a?, b?);
+    match op {
+        BinOp::Sum
+        | BinOp::Diff
+        | BinOp::Produkt
+        | BinOp::Quoshunt
+        | BinOp::Mod
+        | BinOp::BiggrOf
+        | BinOp::SmallrOf => match (a, b) {
+            (Numbr, Numbr) => Some(Dom::I),
+            (Numbr | Numbar, Numbr | Numbar) => Some(Dom::D),
+            _ => None,
+        },
+        BinOp::BothSaem | BinOp::Diffrint => match (a, b) {
+            (Numbr, Numbr) | (Troof, Troof) => Some(Dom::I),
+            (Numbr | Numbar, Numbr | Numbar) => Some(Dom::D),
+            _ => None,
+        },
+        BinOp::Bigger | BinOp::Smallr => match (a, b) {
+            (Numbr | Troof, Numbr | Troof) => Some(Dom::I),
+            (Numbr | Numbar | Troof, Numbr | Numbar | Troof) => Some(Dom::D),
+            _ => None,
+        },
+        BinOp::BothOf | BinOp::EitherOf | BinOp::WonOf => None,
+    }
+}
+
+/// The register comparison for a comparison operator.
+fn cmp_of(op: BinOp) -> Option<Cmp> {
+    match op {
+        BinOp::BothSaem => Some(Cmp::Eq),
+        BinOp::Diffrint => Some(Cmp::Ne),
+        BinOp::Bigger => Some(Cmp::Gt),
+        BinOp::Smallr => Some(Cmp::Lt),
+        _ => None,
+    }
+}
+
+/// Does a `from` value convert to `to` without a fault, as a register
+/// op? Same type, TROOF to NUMBR (the same 0/1 word) and NUMBR or TROOF
+/// to NUMBAR (`I2D`).
+fn converts(from: Ty, to: LolType) -> bool {
+    use LolType::{Numbar, Numbr, Troof};
+    from == Some(to) || matches!((from, to), (Some(Troof), Numbr) | (Some(Numbr | Troof), Numbar))
 }
 
 struct FnCompiler<'a> {
@@ -107,9 +181,19 @@ struct FnCompiler<'a> {
     func_ids: &'a HashMap<Symbol, u16>,
     consts: &'a mut Vec<Value>,
     code: Vec<Op>,
-    scopes: Vec<HashMap<Symbol, LocalSlot>>,
+    /// Every local binding in scope, innermost last per name.
+    bindings: HashMap<Symbol, Vec<LocalSlot>>,
+    /// The names each open scope bound, innermost scope last.
+    scopes: Vec<Vec<Symbol>>,
     n_slots: u16,
     n_arrays: u16,
+    /// The register bank's starting contents (see [`Chunk::regs`]).
+    regs: Vec<u64>,
+    /// Constant register per literal word.
+    kregs: HashMap<u64, u16>,
+    /// Temporary registers in use, innermost last, and free ones.
+    live_temps: Vec<u16>,
+    free_temps: Vec<u16>,
     /// Jump indices to patch per open loop/switch.
     break_frames: Vec<Vec<usize>>,
     in_function: bool,
@@ -127,39 +211,76 @@ impl<'a> FnCompiler<'a> {
             func_ids,
             consts,
             code: Vec::new(),
+            bindings: HashMap::new(),
             scopes: vec![],
             n_slots: 1, // slot 0 = IT
             n_arrays: 0,
+            regs: Vec::new(),
+            kregs: HashMap::new(),
+            live_temps: Vec::new(),
+            free_temps: Vec::new(),
             break_frames: Vec::new(),
             in_function,
+        }
+    }
+
+    fn finish(self) -> Chunk {
+        Chunk {
+            code: peephole(self.code),
+            n_slots: self.n_slots,
+            n_arrays: self.n_arrays,
+            regs: self.regs,
         }
     }
 
     // -- helpers -------------------------------------------------------
 
     fn enter_scope(&mut self) {
-        self.scopes.push(HashMap::new());
+        self.scopes.push(Vec::new());
     }
 
     fn leave_scope(&mut self) {
-        self.scopes.pop();
+        for name in self.scopes.pop().unwrap_or_default() {
+            if let Some(stack) = self.bindings.get_mut(&name) {
+                stack.pop();
+            }
+        }
     }
 
-    /// Allocate a slot index in the space matching `kind` (scalars and
-    /// arrays index disjoint per-frame tables).
+    /// Allocate a slot index in the space matching `kind` (scalars,
+    /// registers and arrays index disjoint per-frame tables).
     fn alloc_slot(&mut self, name: Symbol, kind: SlotKind) -> u16 {
-        let counter = match kind {
-            SlotKind::Scalar { .. } => &mut self.n_slots,
-            SlotKind::Array { .. } => &mut self.n_arrays,
+        let slot = match kind {
+            SlotKind::Scalar { .. } => {
+                self.n_slots += 1;
+                self.n_slots - 1
+            }
+            SlotKind::Reg { .. } => self.new_reg(),
+            SlotKind::Array { .. } => {
+                self.n_arrays += 1;
+                self.n_arrays - 1
+            }
         };
-        let slot = *counter;
-        *counter += 1;
-        self.scopes.last_mut().expect("scope").insert(name, LocalSlot { slot, kind });
+        self.bind(name, LocalSlot { slot, kind });
         slot
     }
 
+    /// Bind `name` in the innermost scope (a redeclaration there
+    /// replaces the binding).
+    fn bind(&mut self, name: Symbol, ls: LocalSlot) {
+        let scope = self.scopes.last_mut().expect("scope");
+        let stack = self.bindings.entry(name).or_default();
+        match stack.last_mut() {
+            Some(top) if scope.contains(&name) => *top = ls,
+            _ => {
+                scope.push(name);
+                stack.push(ls);
+            }
+        }
+    }
+
     fn lookup(&self, name: Symbol) -> Option<LocalSlot> {
-        if let Some(ls) = self.scopes.iter().rev().find_map(|s| s.get(&name)) {
+        if let Some(ls) = self.bindings.get(&name).and_then(|stack| stack.last()) {
             return Some(ls.clone());
         }
         // `IT` is implicitly slot 0 of every frame.
@@ -167,6 +288,14 @@ impl<'a> FnCompiler<'a> {
             return Some(LocalSlot { slot: 0, kind: SlotKind::UNTYPED });
         }
         None
+    }
+
+    /// The local a reference names (`UR` references are never local).
+    fn local(&self, vr: &VarRef) -> Option<LocalSlot> {
+        match &vr.name {
+            VarName::Named(id) if vr.locality != Locality::Ur => self.lookup(id.sym),
+            _ => None,
+        }
     }
 
     fn konst(&mut self, v: Value) -> u16 {
@@ -181,12 +310,6 @@ impl<'a> FnCompiler<'a> {
     fn emit_const(&mut self, v: Value) {
         let k = self.konst(v);
         self.code.push(Op::Const(k));
-    }
-
-    /// Emit `op`, whose result has type `ty`.
-    fn typed(&mut self, op: Op, ty: LolType) -> Ty {
-        self.code.push(op);
-        Some(ty)
     }
 
     /// Coerce stack-top, of static type `src`, to `ty` — unless it
@@ -210,7 +333,10 @@ impl<'a> FnCompiler<'a> {
     fn patch_jump(&mut self, at: usize) {
         let target = self.here() as u32;
         match &mut self.code[at] {
-            Op::Jump(t) | Op::JumpIfFalse(t) => *t = target,
+            Op::Jump(t)
+            | Op::JumpIfFalse(t)
+            | Op::JumpCmpI { target: t, .. }
+            | Op::JumpCmpD { target: t, .. } => *t = target,
             other => panic!("not a jump at {at}: {other:?}"),
         }
     }
@@ -237,22 +363,16 @@ impl<'a> FnCompiler<'a> {
     /// Is this reference an array (in its locality)?
     fn is_array_ref(&self, vr: &VarRef) -> CResult<bool> {
         let name = self.named(vr)?;
-        if vr.locality != Locality::Ur {
-            if let Some(ls) = self.lookup(name) {
-                return Ok(matches!(ls.kind, SlotKind::Array { .. }));
-            }
+        if let Some(ls) = self.local(vr) {
+            return Ok(matches!(ls.kind, SlotKind::Array { .. }));
         }
         Ok(self.shared(name).map(|sv| matches!(sv.kind, SharedKind::Array { .. })).unwrap_or(false))
     }
 
     fn arr_loc(&self, vr: &VarRef) -> CResult<ArrLoc> {
         let name = self.named(vr)?;
-        if vr.locality != Locality::Ur {
-            if let Some(ls) = self.lookup(name) {
-                if matches!(ls.kind, SlotKind::Array { .. }) {
-                    return Ok(ArrLoc::Local { arr: ls.slot });
-                }
-            }
+        if let Some(LocalSlot { slot, kind: SlotKind::Array { .. } }) = self.local(vr) {
+            return Ok(ArrLoc::Local { arr: slot });
         }
         let sv = self.shared(name).ok_or_else(|| {
             self.err("VMC0002", format!("{name} IZ NOT AN ARRAY I KNOW"), vr.span)
@@ -268,58 +388,376 @@ impl<'a> FnCompiler<'a> {
         }
     }
 
-    // -- expressions ---------------------------------------------------
+    /// The shared array a reference names, when it is not a local.
+    fn shared_array(&self, vr: &VarRef) -> Option<(&'a SharedVar, u32)> {
+        if self.local(vr).is_some() {
+            return None;
+        }
+        let VarName::Named(id) = &vr.name else { return None };
+        let sv = self.shared(id.sym)?;
+        match sv.kind {
+            SharedKind::Array { len } => Some((sv, len as u32)),
+            SharedKind::Scalar => None,
+        }
+    }
 
-    /// Emit `e` and return its static type.
-    fn expr(&mut self, e: &Expr) -> CResult<Ty> {
-        Ok(match &e.kind {
-            ExprKind::Lit(l) => self.literal(l, e.span)?,
-            ExprKind::Var(vr) => self.var_read(vr)?,
+    // -- registers -----------------------------------------------------
+
+    fn new_reg(&mut self) -> u16 {
+        self.regs.push(0);
+        (self.regs.len() - 1) as u16
+    }
+
+    /// The constant register holding `word` (one per distinct word).
+    fn kreg(&mut self, word: u64) -> u16 {
+        if let Some(&r) = self.kregs.get(&word) {
+            return r;
+        }
+        let r = self.new_reg();
+        self.regs[r as usize] = word;
+        self.kregs.insert(word, r);
+        r
+    }
+
+    /// A temporary register, live until [`FnCompiler::release`].
+    fn temp(&mut self) -> u16 {
+        let r = self.free_temps.pop().unwrap_or_else(|| self.new_reg());
+        self.live_temps.push(r);
+        r
+    }
+
+    /// Free every temporary taken since `mark` (a `live_temps` length).
+    fn release(&mut self, mark: usize) {
+        self.free_temps.extend(self.live_temps.drain(mark..));
+    }
+
+    // -- static types --------------------------------------------------
+
+    /// The static type of `e`'s value: the type [`FnCompiler::expr`]
+    /// returns after emitting it, computed without emitting anything.
+    fn ty(&self, e: &Expr) -> Ty {
+        match &e.kind {
+            ExprKind::Lit(l) => Some(match l {
+                Lit::Numbr(_) => LolType::Numbr,
+                Lit::Numbar(_) => LolType::Numbar,
+                Lit::Troof(_) => LolType::Troof,
+                Lit::Noob => LolType::Noob,
+                Lit::Yarn(_) => LolType::Yarn,
+            }),
+            ExprKind::Var(vr) => match self.local(vr).map(|ls| ls.kind) {
+                Some(SlotKind::Scalar { ty, .. }) => ty,
+                Some(SlotKind::Reg { ty }) => Some(ty),
+                Some(SlotKind::Array { .. }) => None,
+                None => {
+                    let VarName::Named(id) = &vr.name else { return None };
+                    let sv = self.shared(id.sym)?;
+                    matches!(sv.kind, SharedKind::Scalar).then(|| shared_ty(sv.ty))
+                }
+            },
+            ExprKind::Index { arr, .. } => match self.local(arr).map(|ls| ls.kind) {
+                Some(SlotKind::Array { elem }) => Some(elem),
+                Some(_) => None,
+                None => self.shared_array(arr).map(|(sv, _)| shared_ty(sv.ty)),
+            },
+            ExprKind::Bin { op, lhs, rhs } => bin_ty(*op, self.ty(lhs), self.ty(rhs)),
+            ExprKind::Un { op, expr } => un_ty(*op, self.ty(expr)),
+            ExprKind::Nary { op: NaryOp::Smoosh, .. } => Some(LolType::Yarn),
+            ExprKind::Nary { .. } => Some(LolType::Troof),
+            ExprKind::Cast { ty, .. } => Some(*ty),
+            ExprKind::Call { .. } => None,
+            ExprKind::Me | ExprKind::MahFrenz | ExprKind::Whatevr => Some(LolType::Numbr),
+            ExprKind::Whatevar => Some(LolType::Numbar),
+        }
+    }
+
+    /// Does `e` compute on registers itself (rather than reading a
+    /// leaf the stack path loads as cheaply)?
+    fn reg_native(&self, e: &Expr) -> bool {
+        // Each case implies a NUMBR, NUMBAR or TROOF result.
+        match &e.kind {
+            ExprKind::Index { arr, idx } => self.reg_index(arr, idx),
+            ExprKind::Bin { op, lhs, rhs } => bin_dom(*op, self.ty(lhs), self.ty(rhs)).is_some(),
+            ExprKind::Un { op, expr } => {
+                *op != UnOp::Not && matches!(self.ty(expr), Some(LolType::Numbr | LolType::Numbar))
+            }
+            ExprKind::Cast { expr, ty } => is_raw(*ty) && converts(self.ty(expr), *ty),
+            _ => false,
+        }
+    }
+
+    /// Does `arr'Z idx` run on registers: a raw local or a shared
+    /// array, indexed by a NUMBR?
+    fn reg_index(&self, arr: &VarRef, idx: &Expr) -> bool {
+        let raw_array = match self.local(arr).map(|ls| ls.kind) {
+            Some(SlotKind::Array { elem }) => is_raw(elem),
+            Some(_) => false,
+            None => self.shared_array(arr).is_some(),
+        };
+        raw_array && self.ty(idx) == Some(LolType::Numbr)
+    }
+
+    // -- register expressions ------------------------------------------
+
+    /// Emit `e`, whose static type must be NUMBR, NUMBAR or TROOF, into
+    /// a register: `dst` when given, else the variable or constant
+    /// register that already holds it, else a temporary. Only the last
+    /// op emitted writes `dst`, so `e` may read the variable `dst`
+    /// holds.
+    fn rexpr(&mut self, e: &Expr, dst: Option<u16>) -> CResult<u16> {
+        debug_assert!(self.ty(e).is_some_and(is_raw), "rexpr on a non-raw expression");
+        let held = match &e.kind {
+            ExprKind::Lit(Lit::Numbr(n)) => Some(self.kreg(*n as u64)),
+            ExprKind::Lit(Lit::Numbar(f)) => Some(self.kreg(f.to_bits())),
+            ExprKind::Lit(Lit::Troof(b)) => Some(self.kreg(*b as u64)),
+            ExprKind::Var(vr) => match self.local(vr) {
+                Some(LocalSlot { slot, kind: SlotKind::Reg { .. } }) => Some(slot),
+                _ => None,
+            },
+            ExprKind::Cast { expr, ty } if self.ty(expr) == Some(*ty) => {
+                return self.rexpr(expr, dst)
+            }
+            _ => None,
+        };
+        if let Some(r) = held {
+            return Ok(match dst {
+                Some(d) if d != r => {
+                    self.code.push(Op::Mov { d, s: r });
+                    d
+                }
+                _ => r,
+            });
+        }
+        if !self.reg_native(e) {
+            // Stack-only leaf or operator: compute it there and unbox.
+            self.stack_node(e)?;
+            let d = dst.unwrap_or_else(|| self.temp());
+            self.code.push(Op::Unbox { d, ty: self.ty(e).unwrap_or(LolType::Noob) });
+            return Ok(d);
+        }
+        let mark = self.live_temps.len();
+        let d;
+        let op = match &e.kind {
             ExprKind::Index { arr, idx } => {
-                let name = self.named(arr)?;
-                if arr.locality != Locality::Ur {
-                    if let Some(ls) = self.lookup(name) {
-                        match ls.kind {
-                            SlotKind::Array { elem } => {
-                                self.expr(idx)?;
-                                self.code.push(Op::LocalArrLoad { arr: ls.slot });
-                                return Ok(Some(elem));
-                            }
-                            SlotKind::Scalar { .. } => {
-                                return Err(self.err(
-                                    "VMC0002",
-                                    format!("{name} IZ NOT LOTZ A THINGZ"),
-                                    arr.span,
-                                ))
-                            }
+                let i = self.rexpr(idx, None)?;
+                d = self.dest(mark, dst);
+                match self.local(arr) {
+                    Some(ls) => Op::ArrLoadR { d, arr: ls.slot, idx: i },
+                    None => {
+                        let (sv, len) = self.shared_array(arr).expect("checked by reg_index");
+                        Op::SharedLoadIdxR {
+                            d,
+                            off: sv.addr,
+                            len,
+                            ty: sv.ty,
+                            remote: arr.locality == Locality::Ur,
+                            idx: i,
                         }
                     }
                 }
-                let sv = self
-                    .shared(name)
-                    .ok_or_else(|| self.err("VMC0002", format!("WHO IZ {name}?"), arr.span))?;
-                let SharedKind::Array { len } = sv.kind else {
-                    return Err(self.err("VMC0002", format!("{name} IZ A SCALAR"), arr.span));
-                };
-                self.expr(idx)?;
-                self.code.push(Op::SharedLoadIdx {
-                    off: sv.addr,
-                    len: len as u32,
-                    ty: sv.ty,
-                    remote: arr.locality == Locality::Ur,
-                });
-                Some(shared_ty(sv.ty))
             }
             ExprKind::Bin { op, lhs, rhs } => {
-                let a = self.expr(lhs)?;
-                let b = self.expr(rhs)?;
-                self.code.push(Op::Bin(*op));
-                bin_ty(*op, a, b)
+                let dom = bin_dom(*op, self.ty(lhs), self.ty(rhs)).expect("checked by reg_native");
+                let a = self.rexpr_in(lhs, dom)?;
+                let b = self.rexpr_in(rhs, dom)?;
+                d = self.dest(mark, dst);
+                match (cmp_of(*op), dom) {
+                    (Some(cmp), Dom::I) => Op::CmpI { cmp, d, a, b },
+                    (Some(cmp), Dom::D) => Op::CmpD { cmp, d, a, b },
+                    (None, Dom::I) => match op {
+                        BinOp::Sum => Op::AddI { d, a, b },
+                        BinOp::Diff => Op::SubI { d, a, b },
+                        BinOp::Produkt => Op::MulI { d, a, b },
+                        _ => Op::ArithI { op: *op, d, a, b },
+                    },
+                    (None, Dom::D) => match op {
+                        BinOp::Sum => Op::AddD { d, a, b },
+                        BinOp::Diff => Op::SubD { d, a, b },
+                        BinOp::Produkt => Op::MulD { d, a, b },
+                        BinOp::Quoshunt => Op::DivD { d, a, b },
+                        _ => Op::ArithD { op: *op, d, a, b },
+                    },
+                }
             }
             ExprKind::Un { op, expr } => {
-                let t = self.expr(expr)?;
-                self.code.push(Op::Un(*op));
-                un_ty(*op, t)
+                let int = self.ty(expr) == Some(LolType::Numbr);
+                let s = match op {
+                    UnOp::Squar => self.rexpr(expr, None)?,
+                    _ => self.rexpr_in(expr, Dom::D)?,
+                };
+                d = self.dest(mark, dst);
+                match op {
+                    UnOp::Squar if int => Op::MulI { d, a: s, b: s },
+                    UnOp::Squar => Op::MulD { d, a: s, b: s },
+                    UnOp::Unsquar => Op::SqrtD { d, s },
+                    _ => Op::RecipD { d, s },
+                }
+            }
+            ExprKind::Cast { expr, ty } => {
+                // A conversion `converts` allows that is not the same
+                // type: TROOF to NUMBR keeps the word, the rest widen.
+                if *ty == LolType::Numbr {
+                    return self.rexpr(expr, dst);
+                }
+                let s = self.rexpr(expr, None)?;
+                d = self.dest(mark, dst);
+                Op::I2D { d, s }
+            }
+            _ => unreachable!("reg_native covers only these"),
+        };
+        self.code.push(op);
+        Ok(d)
+    }
+
+    /// The destination of a register op whose operands are in
+    /// registers: `dst`, or a temporary once the operands' own ones are
+    /// free (the op reads them before it writes).
+    fn dest(&mut self, mark: usize, dst: Option<u16>) -> u16 {
+        self.release(mark);
+        dst.unwrap_or_else(|| self.temp())
+    }
+
+    /// [`FnCompiler::rexpr`] into a register, converted to `dom` (a
+    /// NUMBR literal promotes at compile time).
+    fn rexpr_in(&mut self, e: &Expr, dom: Dom) -> CResult<u16> {
+        if let (Dom::D, ExprKind::Lit(Lit::Numbr(n))) = (dom, &e.kind) {
+            return Ok(self.kreg((*n as f64).to_bits()));
+        }
+        let r = self.rexpr(e, None)?;
+        if dom == Dom::D && self.ty(e) != Some(LolType::Numbar) {
+            let d = self.temp();
+            self.code.push(Op::I2D { d, s: r });
+            return Ok(d);
+        }
+        Ok(r)
+    }
+
+    /// `e` as a `want` in a register (`dst` when given), when the
+    /// conversion cannot fault (see [`converts`]); `None`, having
+    /// emitted nothing, otherwise.
+    fn rexpr_as(&mut self, e: &Expr, want: LolType, dst: Option<u16>) -> CResult<Option<u16>> {
+        let t = self.ty(e);
+        if !converts(t, want) {
+            return Ok(None);
+        }
+        if want != LolType::Numbar || t == Some(LolType::Numbar) {
+            return self.rexpr(e, dst).map(Some);
+        }
+        let s = self.rexpr(e, None)?;
+        let d = dst.unwrap_or_else(|| self.temp());
+        self.code.push(Op::I2D { d, s });
+        Ok(Some(d))
+    }
+
+    /// Store `e` into register `d` of type `ty`, coercing it as a
+    /// pinned store does.
+    fn store_reg(&mut self, e: &Expr, d: u16, ty: LolType) -> CResult<()> {
+        let mark = self.live_temps.len();
+        if self.rexpr_as(e, ty, Some(d))?.is_none() {
+            let src = self.expr(e)?;
+            self.coerce(src, ty);
+            self.code.push(Op::Unbox { d, ty });
+        }
+        self.release(mark);
+        Ok(())
+    }
+
+    /// If `e` is a comparison that runs on registers, emit a typed
+    /// compare-and-branch taken when its result is `when` (storing the
+    /// result in `IT` first with `set_it`) and return the jump's index;
+    /// emit nothing otherwise.
+    fn cmp_branch(&mut self, e: &Expr, when: bool, set_it: bool) -> CResult<Option<usize>> {
+        let Some((cmp, dom, lhs, rhs)) = self.reg_cmp(e) else { return Ok(None) };
+        let mark = self.live_temps.len();
+        let a = self.rexpr_in(lhs, dom)?;
+        let b = self.rexpr_in(rhs, dom)?;
+        self.release(mark);
+        let at = self.here();
+        let target = u32::MAX;
+        self.code.push(match dom {
+            Dom::I => Op::JumpCmpI { cmp, when, set_it, a, b, target },
+            Dom::D => Op::JumpCmpD { cmp, when, set_it, a, b, target },
+        });
+        Ok(Some(at))
+    }
+
+    /// `e` as a comparison that runs on registers, if it is one.
+    fn reg_cmp<'e>(&self, e: &'e Expr) -> Option<(Cmp, Dom, &'e Expr, &'e Expr)> {
+        let ExprKind::Bin { op, lhs, rhs } = &e.kind else { return None };
+        Some((cmp_of(*op)?, bin_dom(*op, self.ty(lhs), self.ty(rhs))?, lhs, rhs))
+    }
+
+    /// Emit a jump taken when `cond`'s truth is `when`; returns its
+    /// index for patching.
+    fn branch(&mut self, cond: &Expr, when: bool) -> CResult<usize> {
+        if let Some(at) = self.cmp_branch(cond, when, false)? {
+            return Ok(at);
+        }
+        self.expr(cond)?;
+        if when {
+            self.code.push(Op::Un(UnOp::Not));
+        }
+        Ok(self.emit_jump_placeholder(Op::JumpIfFalse))
+    }
+
+    // -- expressions ---------------------------------------------------
+
+    /// Emit `e` onto the stack and return its static type.
+    fn expr(&mut self, e: &Expr) -> CResult<Ty> {
+        let ty = self.ty(e);
+        match ty {
+            Some(ty) if self.reg_native(e) => {
+                let mark = self.live_temps.len();
+                let s = self.rexpr(e, None)?;
+                self.code.push(Op::Box { s, ty });
+                self.release(mark);
+            }
+            _ => self.stack_node(e)?,
+        }
+        Ok(ty)
+    }
+
+    /// Emit `e`'s own operator on the stack path (its operands through
+    /// [`FnCompiler::expr`]).
+    fn stack_node(&mut self, e: &Expr) -> CResult<()> {
+        let op = match &e.kind {
+            ExprKind::Lit(l) => return self.literal(l, e.span).map(drop),
+            ExprKind::Var(vr) => return self.var_read(vr).map(drop),
+            ExprKind::Index { arr, idx } => {
+                let name = self.named(arr)?;
+                if let Some(ls) = self.local(arr) {
+                    let SlotKind::Array { .. } = ls.kind else {
+                        return Err(self.err(
+                            "VMC0002",
+                            format!("{name} IZ NOT LOTZ A THINGZ"),
+                            arr.span,
+                        ));
+                    };
+                    self.expr(idx)?;
+                    Op::LocalArrLoad { arr: ls.slot }
+                } else {
+                    let sv = self
+                        .shared(name)
+                        .ok_or_else(|| self.err("VMC0002", format!("WHO IZ {name}?"), arr.span))?;
+                    let SharedKind::Array { len } = sv.kind else {
+                        return Err(self.err("VMC0002", format!("{name} IZ A SCALAR"), arr.span));
+                    };
+                    self.expr(idx)?;
+                    Op::SharedLoadIdx {
+                        off: sv.addr,
+                        len: len as u32,
+                        ty: sv.ty,
+                        remote: arr.locality == Locality::Ur,
+                    }
+                }
+            }
+            ExprKind::Bin { op, lhs, rhs } => {
+                self.expr(lhs)?;
+                self.expr(rhs)?;
+                Op::Bin(*op)
+            }
+            ExprKind::Un { op, expr } => {
+                self.expr(expr)?;
+                Op::Un(*op)
             }
             ExprKind::Nary { op, args } => {
                 for a in args {
@@ -327,15 +765,15 @@ impl<'a> FnCompiler<'a> {
                 }
                 let n = args.len() as u8;
                 match op {
-                    NaryOp::AllOf => self.typed(Op::AllOf(n), LolType::Troof),
-                    NaryOp::AnyOf => self.typed(Op::AnyOf(n), LolType::Troof),
-                    NaryOp::Smoosh => self.typed(Op::Smoosh(n), LolType::Yarn),
+                    NaryOp::AllOf => Op::AllOf(n),
+                    NaryOp::AnyOf => Op::AnyOf(n),
+                    NaryOp::Smoosh => Op::Smoosh(n),
                 }
             }
             ExprKind::Cast { expr, ty } => {
                 let src = self.expr(expr)?;
                 self.coerce(src, *ty);
-                Some(*ty)
+                return Ok(());
             }
             ExprKind::Call { name, args } => {
                 let Some(&func) = self.func_ids.get(&name.sym) else {
@@ -348,14 +786,15 @@ impl<'a> FnCompiler<'a> {
                 for a in args {
                     self.expr(a)?;
                 }
-                self.code.push(Op::Call { func, argc: args.len() as u8 });
-                None
+                Op::Call { func, argc: args.len() as u8 }
             }
-            ExprKind::Me => self.typed(Op::Me, LolType::Numbr),
-            ExprKind::MahFrenz => self.typed(Op::MahFrenz, LolType::Numbr),
-            ExprKind::Whatevr => self.typed(Op::RandI, LolType::Numbr),
-            ExprKind::Whatevar => self.typed(Op::RandF, LolType::Numbar),
-        })
+            ExprKind::Me => Op::Me,
+            ExprKind::MahFrenz => Op::MahFrenz,
+            ExprKind::Whatevr => Op::RandI,
+            ExprKind::Whatevar => Op::RandF,
+        };
+        self.code.push(op);
+        Ok(())
     }
 
     fn literal(&mut self, l: &Lit, span: Span) -> CResult<Ty> {
@@ -404,20 +843,22 @@ impl<'a> FnCompiler<'a> {
 
     fn var_read(&mut self, vr: &VarRef) -> CResult<Ty> {
         let name = self.named(vr)?;
-        if vr.locality != Locality::Ur {
-            if let Some(ls) = self.lookup(name) {
-                return match ls.kind {
-                    SlotKind::Scalar { ty, .. } => {
-                        self.code.push(Op::LoadLocal(ls.slot));
-                        Ok(ty)
-                    }
-                    SlotKind::Array { .. } => Err(self.err(
-                        "VMC0004",
-                        format!("{name} IZ A WHOLE ARRAY, NOT A VALUE"),
-                        vr.span,
-                    )),
-                };
-            }
+        if let Some(ls) = self.local(vr) {
+            return match ls.kind {
+                SlotKind::Scalar { ty, .. } => {
+                    self.code.push(Op::LoadLocal(ls.slot));
+                    Ok(ty)
+                }
+                SlotKind::Reg { ty } => {
+                    self.code.push(Op::Box { s: ls.slot, ty });
+                    Ok(Some(ty))
+                }
+                SlotKind::Array { .. } => Err(self.err(
+                    "VMC0004",
+                    format!("{name} IZ A WHOLE ARRAY, NOT A VALUE"),
+                    vr.span,
+                )),
+            };
         }
         let Some(sv) = self.shared(name) else {
             return Err(self.err("VMC0005", format!("WHO IZ {name}?"), vr.span));
@@ -441,23 +882,26 @@ impl<'a> FnCompiler<'a> {
     /// a scalar variable.
     fn var_store(&mut self, vr: &VarRef, src: Ty) -> CResult<()> {
         let name = self.named(vr)?;
-        if vr.locality != Locality::Ur {
-            if let Some(ls) = self.lookup(name) {
-                return match ls.kind {
-                    SlotKind::Scalar { ty, pinned } => {
-                        if let (true, Some(ty)) = (pinned, ty) {
-                            self.coerce(src, ty);
-                        }
-                        self.code.push(Op::StoreLocal(ls.slot));
-                        Ok(())
+        if let Some(ls) = self.local(vr) {
+            return match ls.kind {
+                SlotKind::Scalar { ty, pinned } => {
+                    if let (true, Some(ty)) = (pinned, ty) {
+                        self.coerce(src, ty);
                     }
-                    SlotKind::Array { .. } => Err(self.err(
-                        "VMC0004",
-                        format!("{name} IZ A WHOLE ARRAY — ASSIGN ELEMENTS"),
-                        vr.span,
-                    )),
-                };
-            }
+                    self.code.push(Op::StoreLocal(ls.slot));
+                    Ok(())
+                }
+                SlotKind::Reg { ty } => {
+                    self.coerce(src, ty);
+                    self.code.push(Op::Unbox { d: ls.slot, ty });
+                    Ok(())
+                }
+                SlotKind::Array { .. } => Err(self.err(
+                    "VMC0004",
+                    format!("{name} IZ A WHOLE ARRAY — ASSIGN ELEMENTS"),
+                    vr.span,
+                )),
+            };
         }
         let Some(sv) = self.shared(name) else {
             return Err(self.err("VMC0005", format!("WHO IZ {name}?"), vr.span));
@@ -487,24 +931,22 @@ impl<'a> FnCompiler<'a> {
             LValue::Index { arr, idx, .. } => {
                 let name = self.named(arr)?;
                 self.expr(idx)?;
-                if arr.locality != Locality::Ur {
-                    if let Some(ls) = self.lookup(name) {
-                        return match ls.kind {
-                            SlotKind::Array { elem } => {
-                                // The cast (when needed) stays inside the
-                                // op, after the index check, so faults
-                                // keep their order.
-                                let cast = src != Some(elem);
-                                self.code.push(Op::LocalArrStore { arr: ls.slot, cast });
-                                Ok(())
-                            }
-                            SlotKind::Scalar { .. } => Err(self.err(
-                                "VMC0002",
-                                format!("{name} IZ NOT LOTZ A THINGZ"),
-                                arr.span,
-                            )),
-                        };
-                    }
+                if let Some(ls) = self.local(arr) {
+                    return match ls.kind {
+                        SlotKind::Array { elem } => {
+                            // The cast (when needed) stays inside the
+                            // op, after the index check, so faults keep
+                            // their order.
+                            let cast = src != Some(elem);
+                            self.code.push(Op::LocalArrStore { arr: ls.slot, cast });
+                            Ok(())
+                        }
+                        _ => Err(self.err(
+                            "VMC0002",
+                            format!("{name} IZ NOT LOTZ A THINGZ"),
+                            arr.span,
+                        )),
+                    };
                 }
                 let sv = self
                     .shared(name)
@@ -523,14 +965,66 @@ impl<'a> FnCompiler<'a> {
         }
     }
 
+    /// `arr'Z idx R value` on registers, when the value converts to the
+    /// element without a fault (a cast that could fault must come after
+    /// the index check, inside the stack op). Returns whether it did.
+    fn store_index_reg(&mut self, arr: &VarRef, idx: &Expr, value: &Expr) -> CResult<bool> {
+        if !self.reg_index(arr, idx) {
+            return Ok(false);
+        }
+        let local = self.local(arr);
+        let elem = match (&local, self.shared_array(arr)) {
+            (Some(LocalSlot { kind: SlotKind::Array { elem }, .. }), _) => *elem,
+            (_, Some((sv, _))) => shared_ty(sv.ty),
+            _ => return Ok(false),
+        };
+        let mark = self.live_temps.len();
+        let Some(s) = self.rexpr_as(value, elem, None)? else { return Ok(false) };
+        let i = self.rexpr(idx, None)?;
+        self.release(mark);
+        self.code.push(match local {
+            Some(ls) => Op::ArrStoreR { s, arr: ls.slot, idx: i },
+            None => {
+                let (sv, len) = self.shared_array(arr).expect("checked above");
+                Op::SharedStoreIdxR {
+                    s,
+                    off: sv.addr,
+                    len,
+                    ty: sv.ty,
+                    remote: arr.locality == Locality::Ur,
+                    idx: i,
+                }
+            }
+        });
+        Ok(true)
+    }
+
     // -- statements ----------------------------------------------------
 
     fn block(&mut self, b: &Block) -> CResult<()> {
         self.enter_scope();
-        for s in b {
-            self.stmt(s)?;
-        }
+        self.stmts(b)?;
         self.leave_scope();
+        Ok(())
+    }
+
+    /// A statement list. A comparison statement that an `O RLY?` tests
+    /// becomes one typed compare-and-branch that also stores `IT`.
+    fn stmts(&mut self, list: &[Stmt]) -> CResult<()> {
+        let mut i = 0;
+        while i < list.len() {
+            if let (StmtKind::ExprStmt(e), Some(StmtKind::If(ifs))) =
+                (&list[i].kind, list.get(i + 1).map(|s| &s.kind))
+            {
+                if let Some(at) = self.cmp_branch(e, false, true)? {
+                    self.if_stmt(ifs, Some(at))?;
+                    i += 2;
+                    continue;
+                }
+            }
+            self.stmt(&list[i])?;
+            i += 1;
+        }
         Ok(())
     }
 
@@ -554,7 +1048,7 @@ impl<'a> FnCompiler<'a> {
                 self.code.push(Op::ReadLine);
                 self.store_lvalue(lv, Some(LolType::Yarn))
             }
-            StmtKind::If(ifs) => self.if_stmt(ifs),
+            StmtKind::If(ifs) => self.if_stmt(ifs, None),
             StmtKind::Switch(sw) => self.switch(sw),
             StmtKind::Loop(lp) => self.loop_stmt(lp),
             StmtKind::Gtfo => {
@@ -685,28 +1179,43 @@ impl<'a> FnCompiler<'a> {
                     let elem = d.ty.unwrap_or(LolType::Noob);
                     let arr = self.alloc_slot(d.name.sym, SlotKind::Array { elem });
                     self.code.push(Op::LocalArrNew { arr, ty: elem });
-                    Ok(())
-                } else {
-                    match (&d.init, d.ty) {
-                        (Some(init), Some(ty)) => {
-                            let src = self.expr(init)?;
-                            self.coerce(src, ty);
-                        }
-                        (Some(init), None) => {
-                            self.expr(init)?;
-                        }
-                        (None, Some(ty)) => {
-                            let v = lol_interp::value::default_for(ty);
-                            self.emit_const(v);
-                        }
-                        (None, None) => self.emit_const(Value::Noob),
-                    }
-                    let pinned = if d.srsly { d.ty } else { None };
-                    let kind = SlotKind::Scalar { ty: pinned, pinned: pinned.is_some() };
-                    let slot = self.alloc_slot(d.name.sym, kind);
-                    self.code.push(Op::StoreLocal(slot));
-                    Ok(())
+                    return Ok(());
                 }
+                if let (true, Some(ty)) = (d.srsly, d.ty.filter(|t| is_raw(*t))) {
+                    // A pinned NUMBR/NUMBAR/TROOF lives in a register.
+                    // The initializer still sees any outer binding of
+                    // the name: bind only after it.
+                    let r = self.new_reg();
+                    match &d.init {
+                        Some(init) => self.store_reg(init, r, ty)?,
+                        // Every raw default (0, 0.0, FAIL) is word 0.
+                        None => {
+                            let s = self.kreg(0);
+                            self.code.push(Op::Mov { d: r, s });
+                        }
+                    }
+                    self.bind(d.name.sym, LocalSlot { slot: r, kind: SlotKind::Reg { ty } });
+                    return Ok(());
+                }
+                match (&d.init, d.ty) {
+                    (Some(init), Some(ty)) => {
+                        let src = self.expr(init)?;
+                        self.coerce(src, ty);
+                    }
+                    (Some(init), None) => {
+                        self.expr(init)?;
+                    }
+                    (None, Some(ty)) => {
+                        let v = lol_interp::value::default_for(ty);
+                        self.emit_const(v);
+                    }
+                    (None, None) => self.emit_const(Value::Noob),
+                }
+                let pinned = if d.srsly { d.ty } else { None };
+                let kind = SlotKind::Scalar { ty: pinned, pinned: pinned.is_some() };
+                let slot = self.alloc_slot(d.name.sym, kind);
+                self.code.push(Op::StoreLocal(slot));
+                Ok(())
             }
         }
     }
@@ -739,17 +1248,32 @@ impl<'a> FnCompiler<'a> {
                     s.span,
                 ));
             }
+            if let Some(LocalSlot { slot, kind: SlotKind::Reg { ty } }) = self.local(dst) {
+                return self.store_reg(value, slot, ty);
+            }
+        }
+        if let LValue::Index { arr, idx, .. } = target {
+            if self.store_index_reg(arr, idx, value)? {
+                return Ok(());
+            }
         }
         let src = self.expr(value)?;
         self.store_lvalue(target, src)
     }
 
-    fn if_stmt(&mut self, ifs: &IfStmt) -> CResult<()> {
+    /// `O RLY?` on `IT`. `head` is the typed compare-and-branch a
+    /// fused comparison statement already emitted in place of the test.
+    fn if_stmt(&mut self, ifs: &IfStmt, head: Option<usize>) -> CResult<()> {
         // IT is the scrutinee. An arm jumps to the end only when another
         // arm follows it: the last one falls through.
         let n_arms = 1 + ifs.mebbes.len() + ifs.else_block.is_some() as usize;
-        self.code.push(Op::LoadLocal(0));
-        let to_next = self.emit_jump_placeholder(Op::JumpIfFalse);
+        let to_next = match head {
+            Some(at) => at,
+            None => {
+                self.code.push(Op::LoadLocal(0));
+                self.emit_jump_placeholder(Op::JumpIfFalse)
+            }
+        };
         self.block(&ifs.then_block)?;
         let mut to_end = Vec::new();
         if n_arms > 1 {
@@ -757,8 +1281,7 @@ impl<'a> FnCompiler<'a> {
         }
         self.patch_jump(to_next);
         for (i, m) in ifs.mebbes.iter().enumerate() {
-            self.expr(&m.cond)?;
-            let skip = self.emit_jump_placeholder(Op::JumpIfFalse);
+            let skip = self.branch(&m.cond, false)?;
             self.block(&m.body)?;
             if i + 2 < n_arms {
                 to_end.push(self.emit_jump_placeholder(Op::Jump));
@@ -809,13 +1332,32 @@ impl<'a> FnCompiler<'a> {
 
     fn loop_stmt(&mut self, lp: &LoopStmt) -> CResult<()> {
         self.enter_scope();
-        let update_slot = match &lp.update {
-            Some((_, var)) => {
+        // A counter its body never stores to is a NUMBR. It lives in a
+        // register when its guard then compares on registers (against
+        // a literal, `MAH FRENZ` or a typed local): a guard against an
+        // unknown value would box it on every iteration, so such a
+        // counter stays a (typed) value slot, as does any other.
+        let counter = match &lp.update {
+            Some((dir, var)) => {
                 let ty = counter_ty(lp);
-                let slot = self.alloc_slot(var.sym, SlotKind::Scalar { ty, pinned: false });
-                self.emit_const(Value::Numbr(0));
-                self.code.push(Op::StoreLocal(slot));
-                Some(slot)
+                let is_reg = ty.is_some() && {
+                    let probe =
+                        LocalSlot { slot: u16::MAX, kind: SlotKind::Reg { ty: LolType::Numbr } };
+                    self.bind(var.sym, probe);
+                    lp.guard.as_ref().is_some_and(|(_, g)| self.reg_cmp(g).is_some())
+                };
+                let slot = if is_reg {
+                    let r = self.alloc_slot(var.sym, SlotKind::Reg { ty: LolType::Numbr });
+                    let s = self.kreg(0);
+                    self.code.push(Op::Mov { d: r, s });
+                    r
+                } else {
+                    let slot = self.alloc_slot(var.sym, SlotKind::Scalar { ty, pinned: false });
+                    self.emit_const(Value::Numbr(0));
+                    self.code.push(Op::StoreLocal(slot));
+                    slot
+                };
+                Some((*dir, slot, is_reg))
             }
             None => None,
         };
@@ -823,23 +1365,26 @@ impl<'a> FnCompiler<'a> {
         let start = self.here() as u32;
         let mut guard_exit = None;
         if let Some((kind, guard)) = &lp.guard {
-            self.expr(guard)?;
-            if matches!(kind, GuardKind::Til) {
-                self.code.push(Op::Un(UnOp::Not));
-            }
-            guard_exit = Some(self.emit_jump_placeholder(Op::JumpIfFalse));
+            guard_exit = Some(self.branch(guard, matches!(kind, GuardKind::Til))?);
         }
-        for st in &lp.body {
-            self.stmt(st)?;
-        }
-        if let (Some(slot), Some((dir, _))) = (update_slot, &lp.update) {
-            self.code.push(Op::LoadLocal(slot));
-            self.emit_const(Value::Numbr(1));
-            self.code.push(Op::Bin(match dir {
+        self.stmts(&lp.body)?;
+        if let Some((dir, slot, is_reg)) = counter {
+            let op = match dir {
                 LoopDir::Uppin => BinOp::Sum,
                 LoopDir::Nerfin => BinOp::Diff,
-            }));
-            self.code.push(Op::StoreLocal(slot));
+            };
+            if is_reg {
+                let one = self.kreg(1);
+                self.code.push(match dir {
+                    LoopDir::Uppin => Op::AddI { d: slot, a: slot, b: one },
+                    LoopDir::Nerfin => Op::SubI { d: slot, a: slot, b: one },
+                });
+            } else {
+                self.code.push(Op::LoadLocal(slot));
+                self.emit_const(Value::Numbr(1));
+                self.code.push(Op::Bin(op));
+                self.code.push(Op::StoreLocal(slot));
+            }
         }
         self.code.push(Op::Jump(start));
         if let Some(g) = guard_exit {
@@ -873,7 +1418,10 @@ fn peephole(code: Vec<Op>) -> Vec<Op> {
     let mut is_target = vec![false; n + 1];
     for op in &code {
         match op {
-            Op::Jump(t) | Op::JumpIfFalse(t) => is_target[*t as usize] = true,
+            Op::Jump(t)
+            | Op::JumpIfFalse(t)
+            | Op::JumpCmpI { target: t, .. }
+            | Op::JumpCmpD { target: t, .. } => is_target[*t as usize] = true,
             _ => {}
         }
     }
@@ -964,10 +1512,6 @@ fn peephole(code: Vec<Op>) -> Vec<Op> {
                 Some((Op::BinSL { op: *op, b: *b }, 2))
             }
             [Op::Const(k), Op::Bin(op), ..] if free(2) => Some((Op::BinSC { op: *op, k: *k }, 2)),
-            // Stores to pinned (`ITZ SRSLY A`) variables.
-            [Op::Cast(ty), Op::StoreLocal(s), ..] if free(2) => {
-                Some((Op::CastStore { ty: *ty, slot: *s }, 2))
-            }
             _ => None,
         };
         match fused {
@@ -992,7 +1536,9 @@ fn peephole(code: Vec<Op>) -> Vec<Op> {
             | Op::JumpIfFalse(t)
             | Op::JumpIfLocalEqConst { target: t, .. }
             | Op::JumpIfLocalEqLocal { target: t, .. }
-            | Op::JumpIfLocalFalse { target: t, .. } => {
+            | Op::JumpIfLocalFalse { target: t, .. }
+            | Op::JumpCmpI { target: t, .. }
+            | Op::JumpCmpD { target: t, .. } => {
                 *t = map[*t as usize];
             }
             _ => {}

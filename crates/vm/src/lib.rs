@@ -403,41 +403,39 @@ mod tests {
         m.main.code.iter().chain(m.funcs.iter().flat_map(|(_, c, _)| c.code.iter()))
     }
 
-    /// The coercions to `ty` left in the module. A local-array store
-    /// that casts counts for any `ty` (the op does not name its element
+    /// The coercions to `ty` left in the module, NUMBR-to-NUMBAR
+    /// register widenings (`I2D`) included. A local-array store that
+    /// casts counts for any `ty` (the op does not name its element
     /// type), so cases that use one keep `ty` its element type.
     fn casts_to(m: &Module, ty: lol_ast::LolType) -> usize {
         all_code(m)
             .filter(|op| match op {
-                Op::Cast(t) | Op::CastStore { ty: t, .. } => *t == ty,
+                Op::Cast(t) => *t == ty,
+                Op::I2D { .. } => ty == lol_ast::LolType::Numbar,
                 Op::LocalArrStore { cast, .. } | Op::LocalArrStoreL { cast, .. } => *cast,
                 _ => false,
             })
             .count()
     }
 
-    /// The pcs of `Cast`/`CastStore` ops inside a loop of `code` (the
-    /// range a backward `Jump` closes), each with whether that loop is
-    /// innermost (contains no other loop).
-    fn casts_in_loops(code: &[Op]) -> Vec<(usize, bool)> {
-        let loops: Vec<(usize, usize)> = code
-            .iter()
+    /// The loops of `code`: the inclusive pc ranges backward `Jump`s
+    /// close.
+    fn loop_ranges(code: &[Op]) -> Vec<(usize, usize)> {
+        code.iter()
             .enumerate()
             .filter_map(|(pc, op)| match op {
                 Op::Jump(t) if *t as usize <= pc => Some((*t as usize, pc)),
                 _ => None,
             })
-            .collect();
-        let innermost = |&(a, b): &(usize, usize)| {
-            !loops.iter().any(|&(c, d)| (c, d) != (a, b) && a <= c && d <= b)
-        };
-        code.iter()
-            .enumerate()
-            .filter(|(_, op)| matches!(op, Op::Cast(_) | Op::CastStore { .. }))
-            .filter_map(|(pc, _)| {
-                let around: Vec<_> = loops.iter().filter(|&&(a, b)| a <= pc && pc <= b).collect();
-                (!around.is_empty()).then(|| (pc, around.into_iter().any(innermost)))
-            })
+            .collect()
+    }
+
+    /// The loops of `code` that contain no other loop.
+    fn innermost_loops(code: &[Op]) -> Vec<(usize, usize)> {
+        let all = loop_ranges(code);
+        all.iter()
+            .copied()
+            .filter(|&(a, b)| !all.iter().any(|&(c, d)| (c, d) != (a, b) && a <= c && d <= b))
             .collect()
     }
 
@@ -450,19 +448,14 @@ mod tests {
             let (p, a) = build(src);
             let m = compile(&p, &a).unwrap();
             let code = &m.main.code;
-            for (pc, innermost) in casts_in_loops(code) {
-                // The one cast a loop keeps is a NUMBR literal stored to
-                // a NUMBAR (`ax R 0` in n-body's particle loop): the
-                // value is converted, so the cast is not redundant. No
-                // innermost (hot) loop keeps any.
-                assert!(!innermost, "{name}: cast in an innermost loop at pc {pc}");
-                let lit = match (&code[pc], pc.checked_sub(1).map(|i| &code[i])) {
-                    (Op::CastStore { ty: lol_ast::LolType::Numbar, .. }, Some(Op::Const(k))) => {
-                        &m.consts[*k as usize]
-                    }
-                    (op, _) => panic!("{name}: unexpected cast {op:?} in a loop at pc {pc}"),
-                };
-                assert!(matches!(lit, lol_interp::Value::Numbr(_)), "{name}: pc {pc}");
+            for (start, end) in loop_ranges(code) {
+                // The one conversion a loop keeps is `ax R 0` in n-body's
+                // particle loop: a NUMBR constant widened into a NUMBAR
+                // register (`I2D`), not a cast.
+                assert!(
+                    !code[start..=end].iter().any(|op| matches!(op, Op::Cast(_))),
+                    "{name}: a cast in the loop {start}..={end}"
+                );
             }
             assert!(
                 !all_code(&m).any(|op| matches!(
@@ -631,6 +624,204 @@ mod tests {
         );
     }
 
+    #[test]
+    fn kernels_innermost_loops_never_touch_the_stack() {
+        // The VM twin of the C backend's `nbody_hot_loops_are_native`:
+        // every innermost compute loop of the two kernels runs on
+        // registers. The loops that print (`VISIBLE` takes its operands
+        // from the stack) are output, not compute.
+        for (name, src, compute_loops) in [
+            ("nbody_bench", include_str!("../../../corpus/nbody_bench.lol"), 4),
+            ("heat2d_bench", include_str!("../../../corpus/heat2d_bench.lol"), 6),
+        ] {
+            let (p, a) = build(src);
+            let m = compile(&p, &a).unwrap();
+            let code = &m.main.code;
+            let mut checked = 0;
+            for (start, end) in innermost_loops(code) {
+                let body = &code[start..=end];
+                if body.iter().any(|op| matches!(op, Op::Visible { .. })) {
+                    continue;
+                }
+                checked += 1;
+                for (pc, op) in body.iter().enumerate() {
+                    assert!(
+                        !matches!(
+                            op,
+                            Op::LoadLocal(_)
+                                | Op::StoreLocal(_)
+                                | Op::Bin(_)
+                                | Op::Un(_)
+                                | Op::Const(_)
+                        ),
+                        "{name}: {op:?} at pc {} in the innermost loop {start}..={end}",
+                        start + pc
+                    );
+                }
+            }
+            assert_eq!(checked, compute_loops, "{name}: innermost compute loops");
+        }
+    }
+
+    /// Run `src` on one PE on the VM and on the interpreter.
+    fn outcomes(src: &str) -> (Module, Result<String, RunError>, Result<String, RunError>) {
+        let (p, a) = build(src);
+        let m = compile(&p, &a).expect("compile failed");
+        let vm = run_spmd(cfg(1), |pe| run_on_pe(&m, pe, &[])).unwrap().pop().unwrap();
+        let interp =
+            run_spmd(cfg(1), |pe| lol_interp::run_on_pe(&p, &a, pe, &[])).unwrap().pop().unwrap();
+        (m, vm, interp)
+    }
+
+    #[test]
+    fn typed_register_ops_keep_every_fault_and_edge() {
+        // Each case runs twice: with its locals pinned (`{N}`/`{D}`
+        // expand to `SRSLY A NUMBR/NUMBAR AN ITZ`), so the operators run
+        // on registers, and unpinned (both expand to nothing), so they
+        // run on the stack. Both runs must produce the same output or
+        // the same fault, code and message, and the interpreter the
+        // same output or fault code. `want` is the output, or the code.
+        let cases: [(&str, &[&str], Result<&str, &str>); 10] = [
+            (
+                "I HAS A a ITZ {N} 7\nI HAS A z ITZ {N} 0\nVISIBLE \"GO\"\nVISIBLE QUOSHUNT OF a AN z",
+                &["ArithI"],
+                Err("RUN0001"),
+            ),
+            (
+                "I HAS A a ITZ {N} 7\nI HAS A z ITZ {N} 0\nVISIBLE MOD OF a AN z",
+                &["ArithI"],
+                Err("RUN0001"),
+            ),
+            (
+                "I HAS A m ITZ {N} DIFF OF -9223372036854775807 AN 1\nI HAS A n ITZ {N} -1\n\
+                 VISIBLE QUOSHUNT OF m AN n\nVISIBLE MOD OF m AN n",
+                &["SubI", "ArithI"],
+                Ok("-9223372036854775808\n0"),
+            ),
+            (
+                "I HAS A m ITZ {N} 9223372036854775807\nVISIBLE SUM OF m AN 1\n\
+                 VISIBLE PRODUKT OF m AN 3\nVISIBLE DIFF OF DIFF OF 0 AN m AN 2",
+                &["AddI", "MulI", "SubI"],
+                Ok("-9223372036854775808\n9223372036854775805\n9223372036854775807"),
+            ),
+            (
+                "I HAS A z ITZ {D} 0.0\nI HAS A q ITZ {D} QUOSHUNT OF z AN z\n\
+                 VISIBLE BIGGR OF q AN 1.5\nVISIBLE BIGGR OF 1.5 AN q\n\
+                 VISIBLE SMALLR OF q AN -2.0\nVISIBLE q",
+                &["DivD", "ArithD"],
+                Ok("1.50\n1.50\n-2.00\nnan"),
+            ),
+            (
+                "I HAS A a ITZ {N} 9007199254740993\nI HAS A b ITZ {N} 9007199254740992\n\
+                 I HAS A f ITZ {D} 9007199254740992.0\n\
+                 VISIBLE BIGGER a AN b\nVISIBLE SMALLR b AN a\nVISIBLE BOTH SAEM a AN b\n\
+                 VISIBLE BOTH SAEM a AN f\nVISIBLE DIFFRINT b AN f",
+                &["CmpI", "I2D", "CmpD"],
+                Ok("FAIL\nFAIL\nFAIL\nWIN\nFAIL"),
+            ),
+            (
+                "I HAS A a ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 3\nI HAS A i ITZ {N} 3\n\
+                 VISIBLE \"GO\"\nVISIBLE a'Z i",
+                &["ArrLoadR"],
+                Err("RUN0123"),
+            ),
+            (
+                // An index past 2^32 must not wrap into range.
+                "I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 3\nI HAS A i ITZ {N} 4294967297\n\
+                 a'Z i R 5",
+                &["ArrStoreR"],
+                Err("RUN0123"),
+            ),
+            (
+                "WE HAS A s ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 2\nI HAS A i ITZ {N} -1\n\
+                 VISIBLE s'Z i",
+                &["SharedLoadIdxR"],
+                Err("RUN0123"),
+            ),
+            (
+                // Typed values stored into IT, through an expression
+                // statement, a fused `O RLY?` and an assignment.
+                "I HAS A x ITZ {N} 4\nSUM OF x AN 1\nVISIBLE IT\n\
+                 BOTH SAEM x AN 4, O RLY?\nYA RLY\nVISIBLE IT\nOIC\n\
+                 IT R PRODUKT OF x AN 0.5\nVISIBLE IT",
+                &["AddI", "JumpCmpI", "MulD"],
+                Ok("5\nWIN\n2.00"),
+            ),
+        ];
+        for (body, ops, want) in cases {
+            let typed = prog(
+                &body
+                    .replace("{N}", "SRSLY A NUMBR AN ITZ")
+                    .replace("{D}", "SRSLY A NUMBAR AN ITZ"),
+            );
+            let untyped = prog(&body.replace("{N} ", "").replace("{D} ", ""));
+            let (m, vm, interp) = outcomes(&typed);
+            let names: Vec<&str> =
+                all_code(&m).map(|op| Op::profile_name(op.profile_index())).collect();
+            for op in ops {
+                assert!(names.contains(op), "no {op} in the typed form of:\n{body}\n{names:?}");
+            }
+            let (_, stack_vm, _) = outcomes(&untyped);
+            assert_eq!(vm, stack_vm, "register and stack paths differ on:\n{body}");
+            match (&vm, &interp, want) {
+                (Ok(out), Ok(i), Ok(want)) => {
+                    assert_eq!(out, &format!("{want}\n"), "on:\n{body}");
+                    assert_eq!(out, i, "interp differs on:\n{body}");
+                }
+                (Err(e), Err(i), Err(code)) => {
+                    assert_eq!((e.code, i.code), (code, code), "on:\n{body}");
+                }
+                other => panic!("unexpected outcome {other:?} on:\n{body}"),
+            }
+        }
+    }
+
+    #[test]
+    fn register_banks_are_sized_per_chunk() {
+        // Typed locals, constants and temporaries get registers; a
+        // chunk with none has an empty bank (no allocation per call).
+        let (p, a) = build(
+            "HAI 1.2\nHOW IZ I f YR x\nFOUND YR SMOOSH x AN \"!\" MKAY\nIF U SAY SO\n\
+             I HAS A n ITZ SRSLY A NUMBR AN ITZ 3\nVISIBLE PRODUKT OF n AN SUM OF n AN 1\n\
+             VISIBLE I IZ f YR n MKAY\nKTHXBYE",
+        );
+        let m = compile(&p, &a).unwrap();
+        assert!(m.funcs[0].1.regs.is_empty(), "{:?}", m.funcs[0].1.regs);
+        // n, the constants 3 and 1, and one temporary.
+        assert_eq!(m.main.regs.len(), 4, "{:?}", m.main.code);
+        assert!(m.main.regs.contains(&3) && m.main.regs.contains(&1));
+    }
+
+    #[test]
+    fn malformed_register_ops_are_vm_bugs() {
+        let with_main = |code: Vec<Op>, regs: Vec<u64>| Module {
+            main: Chunk { code, n_slots: 1, n_arrays: 1, regs },
+            ..Default::default()
+        };
+        for (what, m) in [
+            ("register out of range", with_main(vec![Op::Mov { d: 0, s: 9 }, Op::Halt], vec![0])),
+            ("store to a register out of range", with_main(vec![Op::Mov { d: 9, s: 0 }], vec![0])),
+            (
+                "raw access to a YARN array",
+                with_main(
+                    vec![
+                        Op::Const(0),
+                        Op::LocalArrNew { arr: 0, ty: lol_ast::LolType::Yarn },
+                        Op::ArrLoadR { d: 0, arr: 0, idx: 0 },
+                    ],
+                    vec![0],
+                ),
+            ),
+        ] {
+            let m = Module { consts: vec![lol_interp::Value::Numbr(2)], ..m };
+            let err = run_spmd(cfg(1), |pe| run_on_pe(&m, pe, &[]).expect_err(what))
+                .unwrap()
+                .pop()
+                .unwrap();
+            assert_eq!(err.code, "RUN0192", "{what}: {err}");
+        }
+    }
+
     // -----------------------------------------------------------------
     // Fault paths: malformed bytecode must die with RUN0192, not a
     // naked panic
@@ -642,7 +833,7 @@ mod tests {
     fn malformed_modules() -> Vec<(&'static str, Module)> {
         use lol_ast::BinOp;
         let with_main = |code: Vec<Op>| Module {
-            main: Chunk { code, n_slots: 1, n_arrays: 0 },
+            main: Chunk { code, n_slots: 1, ..Default::default() },
             ..Default::default()
         };
         vec![
@@ -687,7 +878,11 @@ mod tests {
     fn machine_is_dead_after_vm_bug() {
         use lol_ast::BinOp;
         let m = Module {
-            main: Chunk { code: vec![Op::Bin(BinOp::Sum), Op::Halt], n_slots: 1, n_arrays: 0 },
+            main: Chunk {
+                code: vec![Op::Bin(BinOp::Sum), Op::Halt],
+                n_slots: 1,
+                ..Default::default()
+            },
             ..Default::default()
         };
         run_spmd(cfg(1), |pe| {

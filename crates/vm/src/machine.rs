@@ -23,16 +23,21 @@
 //! # Hot-path layout
 //!
 //! [`Machine::resume`] destructures `self` into disjoint field borrows
-//! and holds `&mut Frame` for the whole frame activation, so a scalar
-//! load is one bounds-checked index — not a `frames[fi].slots[s]`
-//! double hop — and `pc` lives in a register, written back only at
-//! control transfers (call, return, block). Scalar slots are a plain
-//! `Vec<Value>` and local arrays live in a separate per-frame table, so
-//! the scalar fast path never branches on an array/scalar discriminant
-//! and NUMBR/NUMBAR/TROOF moves are plain 24-byte copies that never
-//! touch an `Arc`. Superinstructions (see [`Op`]) collapse the
-//! compiler's loop-guard, pinned-store and stencil idioms into single
-//! dispatches.
+//! and holds `&mut Frame` for the whole frame activation, so a slot or
+//! register access is one bounds-checked index — not a
+//! `frames[fi].slots[s]` double hop — and `pc` lives in a register,
+//! written back only at control transfers (call, return, block).
+//!
+//! A frame has three tables: value slots (`Vec<Value>`, slot 0 is `IT`)
+//! for untyped locals, local arrays, and a bank of raw 64-bit registers
+//! (`Vec<u64>`) for the values the compiler typed NUMBR (`i64`), NUMBAR
+//! (an `f64`'s bits) or TROOF (0 or 1). A register op reads and writes
+//! 8-byte words in place: no operand stack, no tag to check, no 24-byte
+//! [`Value`] to move. NUMBR, NUMBAR and TROOF local arrays hold the same
+//! raw words, and the symmetric heap already stores them. A frame's
+//! bank starts as a copy of its chunk's (constants included), so a
+//! chunk without typed values allocates none. The stack ops and their
+//! superinstructions (see [`Op`]) run everything else.
 //!
 //! Internal invariant violations (operand-stack underflow, slot or
 //! constant indices out of range — only reachable with a malformed
@@ -47,7 +52,7 @@
 //! recursive loop; the differential tests in `lib.rs` pin VM output to
 //! the interpreter's byte-for-byte.
 
-use crate::ops::{ArrLoc, Chunk, Module, Op};
+use crate::ops::{is_raw, ArrLoc, Chunk, Cmp, Module, Op};
 use crate::profile::VmProfile;
 use lol_ast::LolType;
 use lol_interp::value::{arith, cast, compare, default_for, RResult, RunError, Value};
@@ -76,11 +81,88 @@ fn vmbug(what: &str) -> RunError {
     RunError::new("RUN0192", format!("INTERNAL VM BUG: {what} — DIS IZ NOT UR PROGRAMZ FAULT"))
 }
 
-/// A local (`I HAS A ... LOTZ`) array.
+/// A local (`I HAS A ... LOTZ`) array: NUMBR, NUMBAR and TROOF arrays
+/// hold raw register words, YARN and NOOB arrays hold values.
 #[derive(Debug, Clone)]
-struct LocalArr {
-    elems: Vec<Value>,
-    ty: LolType,
+enum LocalArr {
+    Raw { elems: Vec<u64>, ty: LolType },
+    Boxed { elems: Vec<Value>, ty: LolType },
+}
+
+impl LocalArr {
+    fn new(ty: LolType, n: usize) -> Self {
+        if is_raw(ty) {
+            // Every raw default (0, 0.0, FAIL) is word 0.
+            LocalArr::Raw { elems: vec![0; n], ty }
+        } else {
+            LocalArr::Boxed { elems: vec![default_for(ty); n], ty }
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            LocalArr::Raw { elems, .. } => elems.len(),
+            LocalArr::Boxed { elems, .. } => elems.len(),
+        }
+    }
+
+    /// Element `i` (in range) as a value.
+    fn get(&self, i: usize) -> Value {
+        match self {
+            LocalArr::Raw { elems, ty } => boxed(elems[i], *ty),
+            LocalArr::Boxed { elems, .. } => elems[i].clone(),
+        }
+    }
+
+    /// Store `v` at `i` (in range), cast to the element type unless the
+    /// compiler proved it has it (`cast == false`).
+    fn set(&mut self, i: usize, v: Value, cast_it: bool) -> RResult<()> {
+        match self {
+            LocalArr::Raw { elems, ty } => elems[i] = unboxed(&v, *ty)?,
+            LocalArr::Boxed { elems, ty } => elems[i] = if cast_it { cast(&v, *ty)? } else { v },
+        }
+        Ok(())
+    }
+
+    fn values(&self) -> Vec<Value> {
+        (0..self.len()).map(|i| self.get(i)).collect()
+    }
+
+    /// Replace the whole array by `values`, each cast to the element
+    /// type.
+    fn assign(&mut self, values: &[Value]) -> RResult<()> {
+        match self {
+            LocalArr::Raw { elems, ty } => {
+                *elems = values.iter().map(|v| unboxed(v, *ty)).collect::<RResult<_>>()?
+            }
+            LocalArr::Boxed { elems, ty } => {
+                *elems = values.iter().map(|v| cast(v, *ty)).collect::<RResult<_>>()?
+            }
+        }
+        Ok(())
+    }
+}
+
+/// A raw register word as a `ty` value.
+#[inline]
+fn boxed(w: u64, ty: LolType) -> Value {
+    match ty {
+        LolType::Numbar => Value::Numbar(f64::from_bits(w)),
+        LolType::Troof => Value::Troof(w != 0),
+        _ => Value::Numbr(w as i64),
+    }
+}
+
+/// `v` cast to the raw type `ty` exactly as [`cast`] does (same
+/// faults), as a register word.
+#[inline]
+fn unboxed(v: &Value, ty: LolType) -> RResult<u64> {
+    Ok(match ty {
+        LolType::Numbr => v.to_numbr()? as u64,
+        LolType::Numbar => v.to_numbar()?.to_bits(),
+        LolType::Troof => v.to_troof() as u64,
+        _ => return Err(vmbug("UNBOX TO A TYPE WITH NO REGISTER FORM")),
+    })
 }
 
 /// Which chunk a frame executes.
@@ -96,6 +178,8 @@ struct Frame {
     pc: usize,
     /// Scalar slots (slot 0 = IT).
     slots: Vec<Value>,
+    /// The raw register bank (see [`Chunk::regs`]).
+    regs: Vec<u64>,
     /// Local arrays (separate index space); `None` until `LocalArrNew`.
     arrays: Vec<Option<LocalArr>>,
 }
@@ -196,6 +280,11 @@ impl<'a> Machine<'a> {
         // stack and output buffer without going through `self`.
         let Machine { frames, stack, bff, out, input, prof, .. } = self;
         let mut prof = prof.as_deref_mut();
+        if let Some(p) = prof.as_deref_mut() {
+            // A sample left open when the last `resume` returned would
+            // charge the caller's time to an opcode.
+            p.pause();
+        }
         // Outer loop: one iteration per frame activation. The inner
         // loop keeps `pc` and `chunk` in locals — `chunk` borrows from
         // `module` (not `self`) — and breaks with the control transfer
@@ -256,13 +345,13 @@ impl<'a> Machine<'a> {
                     }
                     Op::SharedLoadIdx { off, len, ty, remote } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(index(&pop(stack)?)?, *len)?;
+                        let i = bounds(index(&pop(stack)?)?, *len as usize)?;
                         let v = shared_read(base, sub, *off, i, *ty, t);
                         stack.push(v);
                     }
                     Op::SharedStoreIdx { off, len, ty, remote } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(index(&pop(stack)?)?, *len)?;
+                        let i = bounds(index(&pop(stack)?)?, *len as usize)?;
                         let v = pop(stack)?;
                         shared_write(base, sub, *off, i, *ty, t, &v)?;
                     }
@@ -278,21 +367,19 @@ impl<'a> Machine<'a> {
                             .arrays
                             .get_mut(*arr as usize)
                             .ok_or_else(|| vmbug("ARRAY SLOT OUT OF RANGE"))? =
-                            Some(LocalArr { elems: vec![default_for(*ty); n as usize], ty: *ty });
+                            Some(LocalArr::new(*ty, n as usize));
                     }
                     Op::LocalArrLoad { arr: a } => {
                         let i = index(&pop(stack)?)?;
                         let la = arr(frame, *a)?;
-                        let i = bounds(i, la.elems.len() as u32)?;
-                        let v = la.elems[i].clone();
+                        let v = la.get(bounds(i, la.len())?);
                         stack.push(v);
                     }
                     Op::LocalArrStore { arr: a, cast: c } => {
                         let i = index(&pop(stack)?)?;
                         let v = pop(stack)?;
                         let la = arr_mut(frame, *a)?;
-                        let i = bounds(i, la.elems.len() as u32)?;
-                        la.elems[i] = if *c { cast(&v, la.ty)? } else { v };
+                        la.set(bounds(i, la.len())?, v, *c)?;
                     }
                     Op::ArrayCopy { dst, src } => array_copy(frame, sub, base, bff, dst, src)?,
                     Op::Bin(op) => {
@@ -332,11 +419,6 @@ impl<'a> Machine<'a> {
                         let r = binop(*op, slot(frame, *a)?, konst(module, *k)?)?;
                         *slot_mut(frame, *dst)? = r;
                     }
-                    Op::CastStore { ty, slot: s } => {
-                        let v = pop(stack)?;
-                        let c = cast(&v, *ty)?;
-                        *slot_mut(frame, *s)? = c;
-                    }
                     Op::JumpIfLocalEqConst { slot: s, k, target } => {
                         if slot(frame, *s)?.saem(konst(module, *k)?) {
                             pc = *target as usize;
@@ -355,26 +437,24 @@ impl<'a> Machine<'a> {
                     Op::LocalArrLoadL { arr: a, idx } => {
                         let i = index(slot(frame, *idx)?)?;
                         let la = arr(frame, *a)?;
-                        let i = bounds(i, la.elems.len() as u32)?;
-                        let v = la.elems[i].clone();
+                        let v = la.get(bounds(i, la.len())?);
                         stack.push(v);
                     }
                     Op::LocalArrStoreL { arr: a, idx, cast: c } => {
                         let i = index(slot(frame, *idx)?)?;
                         let v = pop(stack)?;
                         let la = arr_mut(frame, *a)?;
-                        let i = bounds(i, la.elems.len() as u32)?;
-                        la.elems[i] = if *c { cast(&v, la.ty)? } else { v };
+                        la.set(bounds(i, la.len())?, v, *c)?;
                     }
                     Op::SharedLoadIdxL { off, len, ty, remote, idx } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(index(slot(frame, *idx)?)?, *len)?;
+                        let i = bounds(index(slot(frame, *idx)?)?, *len as usize)?;
                         let v = shared_read(base, sub, *off, i, *ty, t);
                         stack.push(v);
                     }
                     Op::SharedStoreIdxL { off, len, ty, remote, idx } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(index(slot(frame, *idx)?)?, *len)?;
+                        let i = bounds(index(slot(frame, *idx)?)?, *len as usize)?;
                         let v = pop(stack)?;
                         shared_write(base, sub, *off, i, *ty, t, &v)?;
                     }
@@ -494,6 +574,117 @@ impl<'a> Machine<'a> {
                     Op::MahFrenz => stack.push(Value::Numbr(sub.n_pes() as i64)),
                     Op::RandI => stack.push(Value::Numbr(sub.rand_i64())),
                     Op::RandF => stack.push(Value::Numbar(sub.rand_f64())),
+                    Op::Mov { d, s } => {
+                        let w = reg(frame, *s)?;
+                        set_reg(frame, *d, w)?;
+                    }
+                    Op::Box { s, ty } => stack.push(boxed(reg(frame, *s)?, *ty)),
+                    Op::Unbox { d, ty } => {
+                        let w = unboxed(&pop(stack)?, *ty)?;
+                        set_reg(frame, *d, w)?;
+                    }
+                    Op::AddI { d, a, b } => {
+                        let w = int(frame, *a)?.wrapping_add(int(frame, *b)?);
+                        set_reg(frame, *d, w as u64)?;
+                    }
+                    Op::SubI { d, a, b } => {
+                        let w = int(frame, *a)?.wrapping_sub(int(frame, *b)?);
+                        set_reg(frame, *d, w as u64)?;
+                    }
+                    Op::MulI { d, a, b } => {
+                        let w = int(frame, *a)?.wrapping_mul(int(frame, *b)?);
+                        set_reg(frame, *d, w as u64)?;
+                    }
+                    Op::ArithI { op, d, a, b } => {
+                        let (x, y) = (Value::Numbr(int(frame, *a)?), Value::Numbr(int(frame, *b)?));
+                        let w = unboxed(&arith(*op, &x, &y)?, LolType::Numbr)?;
+                        set_reg(frame, *d, w)?;
+                    }
+                    Op::AddD { d, a, b } => {
+                        let f = flt(frame, *a)? + flt(frame, *b)?;
+                        set_reg(frame, *d, f.to_bits())?;
+                    }
+                    Op::SubD { d, a, b } => {
+                        let f = flt(frame, *a)? - flt(frame, *b)?;
+                        set_reg(frame, *d, f.to_bits())?;
+                    }
+                    Op::MulD { d, a, b } => {
+                        let f = flt(frame, *a)? * flt(frame, *b)?;
+                        set_reg(frame, *d, f.to_bits())?;
+                    }
+                    Op::DivD { d, a, b } => {
+                        let f = flt(frame, *a)? / flt(frame, *b)?;
+                        set_reg(frame, *d, f.to_bits())?;
+                    }
+                    Op::ArithD { op, d, a, b } => {
+                        let (x, y) =
+                            (Value::Numbar(flt(frame, *a)?), Value::Numbar(flt(frame, *b)?));
+                        let w = unboxed(&arith(*op, &x, &y)?, LolType::Numbar)?;
+                        set_reg(frame, *d, w)?;
+                    }
+                    Op::SqrtD { d, s } => {
+                        let f = flt(frame, *s)?.sqrt();
+                        set_reg(frame, *d, f.to_bits())?;
+                    }
+                    Op::RecipD { d, s } => {
+                        let f = 1.0 / flt(frame, *s)?;
+                        set_reg(frame, *d, f.to_bits())?;
+                    }
+                    Op::I2D { d, s } => {
+                        let f = int(frame, *s)? as f64;
+                        set_reg(frame, *d, f.to_bits())?;
+                    }
+                    Op::CmpI { cmp, d, a, b } => {
+                        let r = cmp_i(*cmp, int(frame, *a)?, int(frame, *b)?);
+                        set_reg(frame, *d, r as u64)?;
+                    }
+                    Op::CmpD { cmp, d, a, b } => {
+                        let r = cmp_d(*cmp, flt(frame, *a)?, flt(frame, *b)?);
+                        set_reg(frame, *d, r as u64)?;
+                    }
+                    Op::JumpCmpI { cmp, when, set_it, a, b, target } => {
+                        let r = cmp_i(*cmp, int(frame, *a)?, int(frame, *b)?);
+                        if *set_it {
+                            *slot_mut(frame, 0)? = Value::Troof(r);
+                        }
+                        if r == *when {
+                            pc = *target as usize;
+                        }
+                    }
+                    Op::JumpCmpD { cmp, when, set_it, a, b, target } => {
+                        let r = cmp_d(*cmp, flt(frame, *a)?, flt(frame, *b)?);
+                        if *set_it {
+                            *slot_mut(frame, 0)? = Value::Troof(r);
+                        }
+                        if r == *when {
+                            pc = *target as usize;
+                        }
+                    }
+                    Op::ArrLoadR { d, arr: a, idx } => {
+                        let i = int(frame, *idx)?;
+                        let elems = raw_arr(frame, *a)?;
+                        let w = elems[bounds(i, elems.len())?];
+                        set_reg(frame, *d, w)?;
+                    }
+                    Op::ArrStoreR { s, arr: a, idx } => {
+                        let (i, w) = (int(frame, *idx)?, reg(frame, *s)?);
+                        let elems = raw_arr_mut(frame, *a)?;
+                        let i = bounds(i, elems.len())?;
+                        elems[i] = w;
+                    }
+                    Op::SharedLoadIdxR { d, off, len, ty, remote, idx } => {
+                        let t = target(bff, sub, *remote)?;
+                        let i = bounds(int(frame, *idx)?, *len as usize)?;
+                        let w = sub.get_u64(base.offset(*off as usize + i), t);
+                        // A TROOF cell reads as WIN when nonzero.
+                        let w = if *ty == LolType::Troof { (w != 0) as u64 } else { w };
+                        set_reg(frame, *d, w)?;
+                    }
+                    Op::SharedStoreIdxR { s, off, len, remote, idx, .. } => {
+                        let t = target(bff, sub, *remote)?;
+                        let i = bounds(int(frame, *idx)?, *len as usize)?;
+                        sub.put_u64(base.offset(*off as usize + i), t, reg(frame, *s)?);
+                    }
                     Op::Halt => {
                         // Halt inside a function behaves like falling off
                         // the end: the call produced no value.
@@ -543,6 +734,51 @@ fn slot_mut(frame: &mut Frame, s: u16) -> RResult<&mut Value> {
     frame.slots.get_mut(s as usize).ok_or_else(|| vmbug("SCALAR SLOT OUT OF RANGE"))
 }
 
+#[inline(always)]
+fn reg(frame: &Frame, r: u16) -> RResult<u64> {
+    frame.regs.get(r as usize).copied().ok_or_else(|| vmbug("REGISTER OUT OF RANGE"))
+}
+
+/// A NUMBR (or TROOF) register.
+#[inline(always)]
+fn int(frame: &Frame, r: u16) -> RResult<i64> {
+    reg(frame, r).map(|w| w as i64)
+}
+
+/// A NUMBAR register.
+#[inline(always)]
+fn flt(frame: &Frame, r: u16) -> RResult<f64> {
+    reg(frame, r).map(f64::from_bits)
+}
+
+#[inline(always)]
+fn set_reg(frame: &mut Frame, r: u16, w: u64) -> RResult<()> {
+    *frame.regs.get_mut(r as usize).ok_or_else(|| vmbug("REGISTER OUT OF RANGE"))? = w;
+    Ok(())
+}
+
+/// A comparison of NUMBR (or TROOF) registers: equality is exact,
+/// `BIGGER`/`SMALLR` compare in the float domain like [`compare`].
+#[inline(always)]
+fn cmp_i(cmp: Cmp, a: i64, b: i64) -> bool {
+    match cmp {
+        Cmp::Eq => a == b,
+        Cmp::Ne => a != b,
+        Cmp::Gt => a as f64 > b as f64,
+        Cmp::Lt => (a as f64) < b as f64,
+    }
+}
+
+#[inline(always)]
+fn cmp_d(cmp: Cmp, a: f64, b: f64) -> bool {
+    match cmp {
+        Cmp::Eq => a == b,
+        Cmp::Ne => a != b,
+        Cmp::Gt => a > b,
+        Cmp::Lt => a < b,
+    }
+}
+
 #[inline]
 fn konst(module: &Module, k: u16) -> RResult<&Value> {
     module.consts.get(k as usize).ok_or_else(|| vmbug("CONSTANT INDEX OUT OF RANGE"))
@@ -564,6 +800,21 @@ fn arr_mut(frame: &mut Frame, a: u16) -> RResult<&mut LocalArr> {
         .ok_or_else(|| vmbug("ARRAY SLOT OUT OF RANGE"))?
         .as_mut()
         .ok_or_else(|| RunError::new("RUN0122", "NOT LOTZ A THINGZ"))
+}
+
+/// A local array the compiler typed NUMBR, NUMBAR or TROOF.
+fn raw_arr(frame: &Frame, a: u16) -> RResult<&Vec<u64>> {
+    match arr(frame, a)? {
+        LocalArr::Raw { elems, .. } => Ok(elems),
+        LocalArr::Boxed { .. } => Err(vmbug("REGISTER ACCESS TO A YARN OR NOOB ARRAY")),
+    }
+}
+
+fn raw_arr_mut(frame: &mut Frame, a: u16) -> RResult<&mut Vec<u64>> {
+    match arr_mut(frame, a)? {
+        LocalArr::Raw { elems, .. } => Ok(elems),
+        LocalArr::Boxed { .. } => Err(vmbug("REGISTER ACCESS TO A YARN OR NOOB ARRAY")),
+    }
 }
 
 fn target<S: Substrate + ?Sized>(bff: &[usize], sub: &S, remote: bool) -> RResult<usize> {
@@ -620,8 +871,8 @@ fn index(v: &Value) -> RResult<i64> {
     }
 }
 
-fn bounds(idx: i64, len: u32) -> RResult<usize> {
-    if idx < 0 || idx as u32 >= len {
+fn bounds(idx: i64, len: usize) -> RResult<usize> {
+    if idx < 0 || idx as u64 >= len as u64 {
         Err(RunError::new(
             "RUN0123",
             format!("INDEX {idx} IZ OUTSIDE DA ARRAY (IT HAS {len} THINGZ)"),
@@ -640,19 +891,14 @@ fn array_copy<S: Substrate + ?Sized>(
     src: &ArrLoc,
 ) -> RResult<()> {
     let values: Vec<Value> = match src {
-        ArrLoc::Local { arr: a } => arr(frame, *a)?.elems.clone(),
+        ArrLoc::Local { arr: a } => arr(frame, *a)?.values(),
         ArrLoc::Shared { off, len, ty, remote } => {
             let t = target(bff, sub, *remote)?;
             (0..*len as usize).map(|i| shared_read(base, sub, *off, i, *ty, t)).collect()
         }
     };
     match dst {
-        ArrLoc::Local { arr: a } => {
-            let ty = arr(frame, *a)?.ty;
-            let converted: RResult<Vec<Value>> = values.iter().map(|v| cast(v, ty)).collect();
-            arr_mut(frame, *a)?.elems = converted?;
-            Ok(())
-        }
+        ArrLoc::Local { arr: a } => arr_mut(frame, *a)?.assign(&values),
         ArrLoc::Shared { off, len, ty, remote } => {
             if values.len() != *len as usize {
                 return Err(RunError::new(
@@ -699,6 +945,7 @@ fn new_frame(cref: ChunkRef, chunk: &Chunk) -> Frame {
         chunk: cref,
         pc: 0,
         slots: vec![Value::Noob; chunk.n_slots as usize],
+        regs: chunk.regs.clone(),
         arrays: vec![None; chunk.n_arrays as usize],
     }
 }

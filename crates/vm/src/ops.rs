@@ -1,14 +1,29 @@
 //! The bytecode instruction set.
 //!
-//! A compact stack machine: expressions leave values on the operand
-//! stack, locals live in a per-frame slot array (slot 0 is `IT`), and
-//! shared (symmetric) accesses carry their resolved heap offset, type
+//! Two value paths share one instruction stream:
+//!
+//! * the **stack path**: expressions of unknown static type leave
+//!   [`Value`]s on the operand stack, and untyped locals live in a
+//!   per-frame slot array (slot 0 is `IT`);
+//! * the **register path**: values the compiler proves NUMBR, NUMBAR or
+//!   TROOF live in a per-frame bank of raw 64-bit registers (an `i64`,
+//!   an `f64`'s bits, or 0/1), and three-address ops (`AddI d a b`,
+//!   `MulD`, typed compare-and-branch, typed array loads and stores)
+//!   compute on them without touching the stack. [`Op::Box`] and
+//!   [`Op::Unbox`] cross between the two.
+//!
+//! Shared (symmetric) accesses carry their resolved heap offset, type
 //! and length — everything the semantic analysis could pin down ahead
-//! of time, which is exactly where the speedup over the tree-walker
-//! comes from.
+//! of time.
 
 use lol_ast::{BinOp, LolType, UnOp};
 use lol_interp::Value;
+
+/// Does a `ty` value live in a raw register word (NUMBR, NUMBAR and
+/// TROOF do; YARN and NOOB stay values)?
+pub fn is_raw(ty: LolType) -> bool {
+    matches!(ty, LolType::Numbr | LolType::Numbar | LolType::Troof)
+}
 
 /// Where an array lives, for whole-array copies.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,7 +36,19 @@ pub enum ArrLoc {
     Shared { off: u32, len: u32, ty: LolType, remote: bool },
 }
 
-/// One instruction.
+/// A typed comparison: `BOTH SAEM`, `DIFFRINT`, `BIGGER`, `SMALLR`.
+/// On NUMBR registers `Gt`/`Lt` compare in the float domain, as every
+/// backend does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cmp {
+    Eq,
+    Ne,
+    Gt,
+    Lt,
+}
+
+/// One instruction. `d`, `s`, `a`, `b` and `idx` of the register ops
+/// name registers of the frame's raw bank.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Push constant `k`.
@@ -131,12 +158,6 @@ pub enum Op {
         k: u16,
         dst: u16,
     },
-    /// `Cast(ty); StoreLocal(slot)` — a store to a pinned
-    /// (`ITZ SRSLY A`) variable from a source not statically `ty`.
-    CastStore {
-        ty: LolType,
-        slot: u16,
-    },
     /// Counted-loop guard: jump when `slots[slot]` SAEMs `consts[k]`.
     /// Fuses both guard shapes the compiler emits (`TIL BOTH SAEM`
     /// via `Bin(BothSaem); Un(Not); JumpIfFalse` and `WILE DIFFRINT`
@@ -241,6 +262,164 @@ pub enum Op {
     RandI,
     RandF,
 
+    // Register ops: three-address code over the frame's raw bank.
+    /// `regs[d] = regs[s]`.
+    Mov {
+        d: u16,
+        s: u16,
+    },
+    /// Push `regs[s]` as a `ty` value.
+    Box {
+        s: u16,
+        ty: LolType,
+    },
+    /// Pop a value and store it raw as a `ty` in `regs[d]`. The
+    /// compiler emits it only on values already of type `ty` (a pinned
+    /// store from an unproven value casts first); any other value
+    /// converts as [`Op::Cast`] would.
+    Unbox {
+        d: u16,
+        ty: LolType,
+    },
+    /// NUMBR `SUM OF` (wrapping).
+    AddI {
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// NUMBR `DIFF OF` (wrapping).
+    SubI {
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// NUMBR `PRODUKT OF` (wrapping).
+    MulI {
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// The other NUMBR arithmetic operators (`QUOSHUNT`, `MOD`,
+    /// `BIGGR`, `SMALLR`), with the stack path's faults.
+    ArithI {
+        op: BinOp,
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// NUMBAR `SUM OF`.
+    AddD {
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// NUMBAR `DIFF OF`.
+    SubD {
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// NUMBAR `PRODUKT OF`.
+    MulD {
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// NUMBAR `QUOSHUNT OF`.
+    DivD {
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// The other NUMBAR arithmetic operators (`MOD`, `BIGGR`,
+    /// `SMALLR`).
+    ArithD {
+        op: BinOp,
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// NUMBAR `UNSQUAR OF`.
+    SqrtD {
+        d: u16,
+        s: u16,
+    },
+    /// NUMBAR `FLIP OF`.
+    RecipD {
+        d: u16,
+        s: u16,
+    },
+    /// NUMBR (or TROOF) to NUMBAR.
+    I2D {
+        d: u16,
+        s: u16,
+    },
+    /// `regs[d]` = the TROOF `a cmp b` over NUMBR (or TROOF) registers.
+    CmpI {
+        cmp: Cmp,
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// `regs[d]` = the TROOF `a cmp b` over NUMBAR registers.
+    CmpD {
+        cmp: Cmp,
+        d: u16,
+        a: u16,
+        b: u16,
+    },
+    /// Typed compare-and-branch over NUMBR (or TROOF) registers: jump
+    /// when `a cmp b` is `when`; with `set_it`, first store the result
+    /// in `IT` (an `O RLY?` on a comparison statement).
+    JumpCmpI {
+        cmp: Cmp,
+        when: bool,
+        set_it: bool,
+        a: u16,
+        b: u16,
+        target: u32,
+    },
+    /// [`Op::JumpCmpI`] over NUMBAR registers.
+    JumpCmpD {
+        cmp: Cmp,
+        when: bool,
+        set_it: bool,
+        a: u16,
+        b: u16,
+        target: u32,
+    },
+    /// `regs[d]` = element `regs[idx]` of the raw local array `arr`.
+    ArrLoadR {
+        d: u16,
+        arr: u16,
+        idx: u16,
+    },
+    /// Element `regs[idx]` of the raw local array `arr` = `regs[s]`.
+    ArrStoreR {
+        s: u16,
+        arr: u16,
+        idx: u16,
+    },
+    /// `regs[d]` = element `regs[idx]` of a shared array.
+    SharedLoadIdxR {
+        d: u16,
+        off: u32,
+        len: u32,
+        ty: LolType,
+        remote: bool,
+        idx: u16,
+    },
+    /// Element `regs[idx]` of a shared array = `regs[s]`, which already
+    /// has the array's element representation.
+    SharedStoreIdxR {
+        s: u16,
+        off: u32,
+        len: u32,
+        ty: LolType,
+        remote: bool,
+        idx: u16,
+    },
+
     /// End of the main chunk.
     Halt,
 }
@@ -270,7 +449,6 @@ const PROFILE_NAMES: [&str; Op::COUNT] = [
     "BinSC",
     "BinLLS",
     "BinLCS",
-    "CastStore",
     "JumpIfLocalEqConst",
     "JumpIfLocalEqLocal",
     "JumpIfLocalFalse",
@@ -297,17 +475,46 @@ const PROFILE_NAMES: [&str; Op::COUNT] = [
     "MahFrenz",
     "RandI",
     "RandF",
+    "Mov",
+    "Box",
+    "Unbox",
+    "AddI",
+    "SubI",
+    "MulI",
+    "ArithI",
+    "AddD",
+    "SubD",
+    "MulD",
+    "DivD",
+    "ArithD",
+    "SqrtD",
+    "RecipD",
+    "I2D",
+    "CmpI",
+    "CmpD",
+    "JumpCmpI",
+    "JumpCmpD",
+    "ArrLoadR",
+    "ArrStoreR",
+    "SharedLoadIdxR",
+    "SharedStoreIdxR",
     "Halt",
 ];
 
-/// Profile indices `15..29` are the superinstructions.
+/// Profile indices `15..28` are the superinstructions.
 const SUPER_FIRST: usize = 15;
-const SUPER_LAST: usize = 28;
+const SUPER_LAST: usize = 27;
+/// Profile indices `47..70` are the register ops; `Box` and `Unbox`
+/// among them cross to the stack.
+const REG_FIRST: usize = 47;
+const REG_LAST: usize = 69;
+const BOX: usize = 48;
+const UNBOX: usize = 49;
 
 impl Op {
     /// Number of distinct opcodes (the length of a per-opcode profile
     /// counter array).
-    pub const COUNT: usize = 49;
+    pub const COUNT: usize = 71;
 
     /// This op's dense profile index (`0..Op::COUNT`), operand-blind:
     /// every `Bin` counts in the same cell regardless of operator.
@@ -336,34 +543,56 @@ impl Op {
             Op::BinSC { .. } => 18,
             Op::BinLLS { .. } => 19,
             Op::BinLCS { .. } => 20,
-            Op::CastStore { .. } => 21,
-            Op::JumpIfLocalEqConst { .. } => 22,
-            Op::JumpIfLocalEqLocal { .. } => 23,
-            Op::JumpIfLocalFalse { .. } => 24,
-            Op::LocalArrLoadL { .. } => 25,
-            Op::LocalArrStoreL { .. } => 26,
-            Op::SharedLoadIdxL { .. } => 27,
-            Op::SharedStoreIdxL { .. } => 28,
-            Op::Smoosh(_) => 29,
-            Op::AllOf(_) => 30,
-            Op::AnyOf(_) => 31,
-            Op::Jump(_) => 32,
-            Op::JumpIfFalse(_) => 33,
-            Op::Call { .. } => 34,
-            Op::Ret => 35,
-            Op::Visible { .. } => 36,
-            Op::ReadLine => 37,
-            Op::Barrier => 38,
-            Op::LockAcquire { .. } => 39,
-            Op::LockTry { .. } => 40,
-            Op::LockRelease { .. } => 41,
-            Op::PushBff => 42,
-            Op::PopBff => 43,
-            Op::Me => 44,
-            Op::MahFrenz => 45,
-            Op::RandI => 46,
-            Op::RandF => 47,
-            Op::Halt => 48,
+            Op::JumpIfLocalEqConst { .. } => 21,
+            Op::JumpIfLocalEqLocal { .. } => 22,
+            Op::JumpIfLocalFalse { .. } => 23,
+            Op::LocalArrLoadL { .. } => 24,
+            Op::LocalArrStoreL { .. } => 25,
+            Op::SharedLoadIdxL { .. } => 26,
+            Op::SharedStoreIdxL { .. } => 27,
+            Op::Smoosh(_) => 28,
+            Op::AllOf(_) => 29,
+            Op::AnyOf(_) => 30,
+            Op::Jump(_) => 31,
+            Op::JumpIfFalse(_) => 32,
+            Op::Call { .. } => 33,
+            Op::Ret => 34,
+            Op::Visible { .. } => 35,
+            Op::ReadLine => 36,
+            Op::Barrier => 37,
+            Op::LockAcquire { .. } => 38,
+            Op::LockTry { .. } => 39,
+            Op::LockRelease { .. } => 40,
+            Op::PushBff => 41,
+            Op::PopBff => 42,
+            Op::Me => 43,
+            Op::MahFrenz => 44,
+            Op::RandI => 45,
+            Op::RandF => 46,
+            Op::Mov { .. } => 47,
+            Op::Box { .. } => 48,
+            Op::Unbox { .. } => 49,
+            Op::AddI { .. } => 50,
+            Op::SubI { .. } => 51,
+            Op::MulI { .. } => 52,
+            Op::ArithI { .. } => 53,
+            Op::AddD { .. } => 54,
+            Op::SubD { .. } => 55,
+            Op::MulD { .. } => 56,
+            Op::DivD { .. } => 57,
+            Op::ArithD { .. } => 58,
+            Op::SqrtD { .. } => 59,
+            Op::RecipD { .. } => 60,
+            Op::I2D { .. } => 61,
+            Op::CmpI { .. } => 62,
+            Op::CmpD { .. } => 63,
+            Op::JumpCmpI { .. } => 64,
+            Op::JumpCmpD { .. } => 65,
+            Op::ArrLoadR { .. } => 66,
+            Op::ArrStoreR { .. } => 67,
+            Op::SharedLoadIdxR { .. } => 68,
+            Op::SharedStoreIdxR { .. } => 69,
+            Op::Halt => 70,
         }
     }
 
@@ -378,6 +607,12 @@ impl Op {
     pub fn is_superinstruction(idx: usize) -> bool {
         (SUPER_FIRST..=SUPER_LAST).contains(&idx)
     }
+
+    /// Is profile index `idx` a register op (one that computes on the
+    /// raw bank without touching the operand stack)?
+    pub fn is_register_op(idx: usize) -> bool {
+        (REG_FIRST..=REG_LAST).contains(&idx) && idx != BOX && idx != UNBOX
+    }
 }
 
 /// A compiled chunk: code plus frame size.
@@ -389,6 +624,11 @@ pub struct Chunk {
     /// Number of local-array slots (a separate index space, so scalar
     /// loads never branch on an array/scalar discriminant).
     pub n_arrays: u16,
+    /// The raw register bank every activation starts from: its length
+    /// is the bank size, and the constant registers hold their
+    /// literals' bits (every other register starts at 0). Empty for a
+    /// chunk without typed values, which then allocates no bank.
+    pub regs: Vec<u64>,
 }
 
 /// A compiled module: main chunk, function chunks, constant pool.
@@ -425,7 +665,7 @@ mod tests {
         m.main.code = vec![Op::Halt];
         m.funcs.push((
             "f".into(),
-            Chunk { code: vec![Op::Ret, Op::Ret], n_slots: 1, n_arrays: 0 },
+            Chunk { code: vec![Op::Ret, Op::Ret], n_slots: 1, ..Default::default() },
             0,
         ));
         assert_eq!(m.code_len(), 3);

@@ -13,11 +13,22 @@
 //!   bytecode ranges (inner loops show up as single ranges, not a
 //!   smear of individual pcs).
 //!
+//! A third plane estimates where the time goes: every
+//! [`SAMPLE_EVERY`]th dispatch is time-stamped, and the time until the
+//! next dispatch, less the calibrated cost of an empty sample, is
+//! charged to the sampled opcode ([`VmProfile::op_time_bp`]). Sampling
+//! one dispatch in 1024 keeps the clock reads out of the measured
+//! shares.
+//!
 //! Profiles from different PEs of the same module share a shape and
 //! [merge](VmProfile::merge) by element-wise addition, so a threaded
 //! run reports one job-wide profile.
 
 use crate::ops::{Module, Op};
+use std::time::{Duration, Instant};
+
+/// One dispatch in this many is time-sampled (a power of two).
+pub const SAMPLE_EVERY: u64 = 1024;
 
 /// Execution counters for one run of a [`Module`] (see module docs).
 #[derive(Clone, Debug)]
@@ -27,6 +38,15 @@ pub struct VmProfile {
     /// `heat[chunk][pc]` = times the op at `pc` executed. Chunk 0 is
     /// `main`, chunk `i + 1` is `funcs[i]`.
     heat: Vec<Vec<u64>>,
+    /// `time_ns[Op::profile_index()]` = sampled nanoseconds charged to
+    /// that opcode.
+    time_ns: Vec<u64>,
+    /// Dispatches seen, for picking every [`SAMPLE_EVERY`]th.
+    ticks: u64,
+    /// The open sample: when it was taken and the opcode it times.
+    open: Option<(Instant, usize)>,
+    /// What an empty sample (two back-to-back clock reads) costs.
+    empty: Duration,
 }
 
 /// One contiguous run of executed bytecode, scored by total op count.
@@ -50,16 +70,38 @@ impl VmProfile {
         for (_, chunk, _) in &module.funcs {
             heat.push(vec![0u64; chunk.code.len()]);
         }
-        VmProfile { ops: vec![0u64; Op::COUNT], heat }
+        VmProfile {
+            ops: vec![0u64; Op::COUNT],
+            heat,
+            time_ns: vec![0u64; Op::COUNT],
+            ticks: 0,
+            open: None,
+            empty: empty_sample(),
+        }
     }
 
-    /// Record one op execution. Two bounds-checked array increments —
-    /// cheap enough for every dispatched op when profiling is on, and
-    /// never called when it is off.
+    /// Record one op execution: two bounds-checked array increments,
+    /// plus closing the open time sample and, on every
+    /// [`SAMPLE_EVERY`]th dispatch, opening the next. Never called when
+    /// profiling is off.
     #[inline]
     pub(crate) fn hit(&mut self, chunk: usize, pc: usize, op_idx: usize) {
+        if let Some((t0, idx)) = self.open.take() {
+            let took = t0.elapsed().saturating_sub(self.empty);
+            self.time_ns[idx] += took.as_nanos() as u64;
+        }
         self.ops[op_idx] += 1;
         self.heat[chunk][pc] += 1;
+        self.ticks += 1;
+        if self.ticks.is_multiple_of(SAMPLE_EVERY) {
+            self.open = Some((Instant::now(), op_idx));
+        }
+    }
+
+    /// Drop the open time sample (the machine is leaving its dispatch
+    /// loop, so the time to the next dispatch is not the op's).
+    pub(crate) fn pause(&mut self) {
+        self.open = None;
     }
 
     /// Fold another PE's profile of the same module into this one.
@@ -72,6 +114,28 @@ impl VmProfile {
                 *x += y;
             }
         }
+        for (a, b) in self.time_ns.iter_mut().zip(&other.time_ns) {
+            *a += b;
+        }
+    }
+
+    /// Each time-sampled opcode's share of the sampled execution time,
+    /// as `(name, parts per 10 000)`, descending (ties by profile
+    /// index). Empty when no sample closed.
+    pub fn op_time_bp(&self) -> Vec<(&'static str, u64)> {
+        let total: u64 = self.time_ns.iter().sum();
+        if total == 0 {
+            return Vec::new();
+        }
+        let mut rows: Vec<(usize, u64)> = self
+            .time_ns
+            .iter()
+            .enumerate()
+            .filter(|&(_, &ns)| ns > 0)
+            .map(|(i, &ns)| (i, ns * 10_000 / total))
+            .collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        rows.into_iter().map(|(i, bp)| (Op::profile_name(i), bp)).collect()
     }
 
     /// Total ops executed.
@@ -148,6 +212,18 @@ impl VmProfile {
     }
 }
 
+/// The cost of an empty sample: the smallest gap between two
+/// back-to-back clock reads over a few tries.
+fn empty_sample() -> Duration {
+    (0..64)
+        .map(|_| {
+            let t0 = Instant::now();
+            t0.elapsed()
+        })
+        .min()
+        .unwrap_or_default()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,14 +239,14 @@ mod tests {
         assert!(Op::is_superinstruction(Op::BinLL { op: sum, a: 0, b: 0 }.profile_index()));
         assert!(!Op::is_superinstruction(Op::Bin(sum).profile_index()));
         let n_super = (0..Op::COUNT).filter(|&i| Op::is_superinstruction(i)).count();
-        assert_eq!(n_super, 14);
+        assert_eq!(n_super, 13);
     }
 
     #[test]
     fn merge_and_hot_ranges_are_deterministic() {
         let module = Module {
             consts: Vec::new(),
-            main: crate::ops::Chunk { code: vec![Op::Halt; 8], n_slots: 0, n_arrays: 0 },
+            main: crate::ops::Chunk { code: vec![Op::Halt; 8], ..Default::default() },
             funcs: Vec::new(),
             shared_words: 0,
         };
@@ -192,5 +268,32 @@ mod tests {
         let counts = a.op_counts();
         assert_eq!(counts, vec![("Halt", 31, false)]);
         assert_eq!(VmProfile::chunk_label(&module, 0), "main");
+    }
+
+    #[test]
+    fn time_samples_charge_the_sampled_opcode() {
+        let module = Module {
+            main: crate::ops::Chunk { code: vec![Op::Halt; 2], ..Default::default() },
+            ..Default::default()
+        };
+        let mut p = VmProfile::for_module(&module);
+        assert!(p.op_time_bp().is_empty(), "no sample closed yet");
+        for _ in 0..SAMPLE_EVERY - 1 {
+            p.hit(0, 0, Op::Pop.profile_index());
+        }
+        // The SAMPLE_EVERY-th dispatch opens a sample; the time until
+        // the next dispatch is that opcode's.
+        p.hit(0, 1, Op::Halt.profile_index());
+        std::thread::sleep(Duration::from_millis(2));
+        p.hit(0, 0, Op::Pop.profile_index());
+        assert_eq!(p.op_time_bp(), vec![("Halt", 10_000)]);
+        // A paused sample charges nothing.
+        for _ in 0..SAMPLE_EVERY - 1 {
+            p.hit(0, 0, Op::Pop.profile_index());
+        }
+        p.pause();
+        std::thread::sleep(Duration::from_millis(2));
+        p.hit(0, 0, Op::Pop.profile_index());
+        assert_eq!(p.op_time_bp(), vec![("Halt", 10_000)]);
     }
 }

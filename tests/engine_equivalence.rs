@@ -140,6 +140,10 @@ enum GenBucket {
     /// counters some bodies retype to NUMBAR — the paths the VM's typed
     /// lowering compiles without a runtime cast.
     Pinned,
+    /// Operators, `SMOOSH` and argument lists whose operands are calls
+    /// to functions that print their arguments, some after an operand
+    /// that faults: every engine must evaluate operands in source order.
+    Calls,
 }
 
 impl ProgramGen {
@@ -210,6 +214,39 @@ impl ProgramGen {
         }
     }
 
+    /// A call-flavoured expression: operands that are calls to the
+    /// printing functions `f` and `g` (see [`ProgramGen::program`]).
+    fn calls_expr(&mut self, depth: u32) -> String {
+        let d = depth.saturating_sub(1);
+        match self.rng.below(20) {
+            0..=6 => self.call(d),
+            7..=11 => {
+                let op = self.pick(&["SUM OF", "DIFF OF", "BIGGR OF", "BOTH SAEM", "BIGGER"]);
+                format!("{op} {} AN {}", self.call(d), self.call(d))
+            }
+            12 | 13 => {
+                format!("SMOOSH {} AN {} AN {} MKAY", self.call(d), self.expr(d), self.call(d))
+            }
+            14..=16 => format!("I IZ g YR {} AN YR {} MKAY", self.call(d), self.call(d)),
+            17 | 18 => format!("PRODUKT OF {} AN {}", self.expr(d), self.call(d)),
+            // An operand that may fault (NUMBR division by zero) before
+            // a printing call.
+            _ => {
+                let by = self.pick(&["0", "1", "2", "3", "5", "7"]);
+                format!("SUM OF QUOSHUNT OF {} AN {by} AN {}", self.expr(d), self.call(d))
+            }
+        }
+    }
+
+    /// A call to `f` or `g`.
+    fn call(&mut self, depth: u32) -> String {
+        if self.rng.below(2) == 0 {
+            format!("I IZ f YR {} MKAY", self.expr(depth))
+        } else {
+            format!("I IZ g YR {} AN YR {} MKAY", self.expr(depth), self.expr(depth))
+        }
+    }
+
     /// A store to a typed local or array element, or a print of every
     /// typed local through YARN interpolation.
     fn pinned_stmt(&mut self) -> String {
@@ -232,6 +269,7 @@ impl ProgramGen {
             GenBucket::YarnHeavy if self.rng.below(2) == 0 => return self.yarn_expr(depth),
             GenBucket::OverflowHeavy if self.rng.below(2) == 0 => return self.overflow_expr(depth),
             GenBucket::Pinned if self.rng.below(2) == 0 => return self.pinned_expr(depth),
+            GenBucket::Calls if self.rng.below(3) == 0 => return self.calls_expr(depth),
             _ => {}
         }
         if depth == 0 || self.rng.below(3) == 0 {
@@ -268,6 +306,9 @@ impl ProgramGen {
                 format!("MAEK {} A {ty}", self.expr(depth - 1))
             }
             6 => format!("SMOOSH {} AN {} MKAY", self.expr(depth - 1), self.expr(depth - 1)),
+            // The C engine's RNG is a different stream: the calls
+            // battery, which runs on it, calls instead.
+            _ if self.bucket == GenBucket::Calls => self.call(depth - 1),
             // Seeded per-PE stream: same seed => same values on both
             // engines. Keep it bounded so arithmetic stays tame.
             _ => "MOD OF WHATEVR AN 97".to_string(),
@@ -376,11 +417,17 @@ impl ProgramGen {
         } else {
             (String::new(), "")
         };
+        let funcs = if self.bucket == GenBucket::Calls {
+            "HOW IZ I f YR x\nVISIBLE \"F \" x\nFOUND YR x\nIF U SAY SO\n\
+             HOW IZ I g YR x AN YR y\nVISIBLE \"G \" x \" \" y\nFOUND YR y\nIF U SAY SO\n"
+        } else {
+            ""
+        };
         let phase1 = self.block(2);
         let phase2 = self.block(2);
         format!(
             "HAI 1.2\n\
-             WE HAS A s0 ITZ SRSLY A NUMBR\n\
+             {funcs}WE HAS A s0 ITZ SRSLY A NUMBR\n\
              I HAS A a0 ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 8\n\
              I HAS A g0 ITZ 0\n\
              {pinned_decls}{decls}{phase1}\n\
@@ -410,12 +457,26 @@ fn generated_grammar_programs_agree_across_engines() {
 /// where the VM compiles stores without a runtime cast.
 #[test]
 fn pinned_bucket_programs_agree_across_engines() {
-    battery(ProgramGen::bucketed(0x5125_1A7E, GenBucket::Pinned));
+    let typed = battery(ProgramGen::bucketed(0x5125_1A7E, GenBucket::Pinned));
+    eprintln!("pinned: {typed} register-op dispatches");
+    // The battery must reach the VM's register path, not only the stack.
+    assert!(typed >= 5_000, "only {typed} register-op dispatches in the pinned battery");
+}
+
+/// The register ops a profiled vm run dispatched (its typed path; `Box`
+/// and `Unbox`, which cross to the stack, do not count).
+fn register_dispatches(r: &RunReport) -> u64 {
+    use icanhas::vm::Op;
+    let names: Vec<&str> =
+        (0..Op::COUNT).filter(|&i| Op::is_register_op(i)).map(Op::profile_name).collect();
+    let p = r.profile.as_ref().expect("a profiled vm run");
+    p.ops.iter().filter(|(n, _, _)| names.contains(&n.as_str())).map(|(_, c, _)| c).sum()
 }
 
 /// Drive 200 programs from `gen` through interp, vm and sim at 1 and
-/// 3 PEs.
-fn battery(mut gen: ProgramGen) {
+/// 3 PEs; returns the register ops the vm runs dispatched.
+fn battery(mut gen: ProgramGen) -> u64 {
+    let mut typed = 0u64;
     let mut compiled = 0usize;
     let mut faulted = 0usize;
     for case in 0..200 {
@@ -428,10 +489,11 @@ fn battery(mut gen: ProgramGen) {
         for n_pes in [1usize, 3] {
             let cfg = RunConfig::new(n_pes).seed(case as u64).timeout(Duration::from_secs(20));
             let a = InterpEngine.run(&artifact, &cfg);
-            let b = VmEngine.run(&artifact, &cfg);
+            let b = VmEngine.run(&artifact, &cfg.clone().profile(true));
             let s = SimEngine.run(&artifact, &cfg);
             match (a, b, s) {
                 (Ok(x), Ok(y), Ok(z)) => {
+                    typed += register_dispatches(&y);
                     assert_eq!(
                         x.outputs, y.outputs,
                         "case {case}: engine divergence at {n_pes} PEs on:\n{src}"
@@ -456,6 +518,7 @@ fn battery(mut gen: ProgramGen) {
     // front end or at runtime.
     assert!(compiled >= 150, "only {compiled}/200 programs compiled — generator drifted");
     assert!(faulted <= compiled / 2, "{faulted} runtime faults in {compiled} programs");
+    typed
 }
 
 /// The value-representation stress buckets: YARN-heavy and
@@ -473,6 +536,7 @@ fn yarn_and_overflow_buckets_agree_with_full_observability() {
         let mut gen = ProgramGen::bucketed(seed, bucket);
         let mut compiled = 0usize;
         let mut ran = 0usize;
+        let mut typed = 0u64;
         for case in 0..40u64 {
             let src = gen.program();
             let Ok(artifact) = compile(&src) else { continue };
@@ -484,11 +548,12 @@ fn yarn_and_overflow_buckets_agree_with_full_observability() {
                 .clock(ClockMode::Virtual)
                 .latency(LatencyModel::epiphany16());
             let a = InterpEngine.run(&artifact, &cfg);
-            let b = VmEngine.run(&artifact, &cfg);
+            let b = VmEngine.run(&artifact, &cfg.clone().profile(true));
             let s = SimEngine.run(&artifact, &cfg);
             match (a, b, s) {
                 (Ok(x), Ok(y), Ok(z)) => {
                     ran += 1;
+                    typed += register_dispatches(&y);
                     for (other, which) in [(&y, "vm"), (&z, "sim")] {
                         assert_eq!(
                             x.outputs, other.outputs,
@@ -521,6 +586,11 @@ fn yarn_and_overflow_buckets_agree_with_full_observability() {
         }
         assert!(compiled >= 25, "{label}: only {compiled}/40 compiled — generator drifted");
         assert!(ran >= 12, "{label}: only {ran}/{compiled} ran clean — too fault-happy");
+        eprintln!("{label}: {typed} register-op dispatches");
+        if bucket == GenBucket::OverflowHeavy {
+            // The wrapping arithmetic must reach the VM's register path.
+            assert!(typed >= 500, "{label}: only {typed} register-op dispatches");
+        }
     }
 }
 
@@ -844,6 +914,73 @@ fn c_engine_agrees_on_pinned_and_overflow_buckets() {
         assert!(compared >= 20, "{label}: only {compared} programs compared — generator drifted");
         eprintln!("{label}: {clean_programs} of {compared} programs ran clean at some PE count");
         assert!(clean_programs >= 20, "{label}: only {clean_programs} programs ran clean");
+    }
+}
+
+/// The [`GenBucket::Calls`] battery: operands that are printing calls,
+/// under operators, `SMOOSH` and argument lists, must run in source order
+/// on interp, vm, sim and c (at 1 and 3 PEs, virtual clock): the same
+/// per-PE outputs, or a fault on every engine. The C engine is skipped
+/// for programs that draw on `WHATEVR` (its RNG is a different stream)
+/// and where no C compiler is installed.
+#[test]
+fn calls_bucket_programs_agree_on_every_engine() {
+    let c_engine = engine_for(Backend::C);
+    let with_c = c_engine.available();
+    if !with_c {
+        eprintln!("no C compiler: the calls battery runs without the C engine");
+    }
+    let mut gen = ProgramGen::bucketed(0xCA11_0D3E, GenBucket::Calls);
+    let (mut compiled, mut clean, mut on_c) = (0usize, 0usize, 0usize);
+    for case in 0..60u64 {
+        let src = gen.program();
+        let Ok(artifact) = compile(&src) else { continue };
+        compiled += 1;
+        let configs: Vec<RunConfig> = [1usize, 3]
+            .into_iter()
+            .map(|n| {
+                RunConfig::new(n)
+                    .seed(case)
+                    .timeout(Duration::from_secs(30))
+                    .clock(ClockMode::Virtual)
+                    .latency(LatencyModel::epiphany16())
+            })
+            .collect();
+        let mut runs = vec![
+            ("interp", InterpEngine.run_many(&artifact, &configs)),
+            ("vm", VmEngine.run_many(&artifact, &configs)),
+            ("sim", SimEngine.run_many(&artifact, &configs)),
+        ];
+        if with_c && !src.contains("WHATEV") {
+            runs.push(("c", c_engine.run_many(&artifact, &configs)));
+            on_c += 1;
+        }
+        let (_, reference) = &runs[0];
+        for (i, cfg) in configs.iter().enumerate() {
+            let n = cfg.n_pes;
+            for (engine, results) in &runs[1..] {
+                match (&reference[i], &results[i]) {
+                    (Ok(x), Ok(y)) => assert_eq!(
+                        x.outputs, y.outputs,
+                        "case {case}: {engine} diverges at {n} PEs on:\n{src}"
+                    ),
+                    (Err(_), Err(_)) => {}
+                    (a, b) => panic!(
+                        "case {case}: interp and {engine} disagree about faulting at {n} PEs: \
+                         {:?} vs {:?}\n{src}",
+                        a.as_ref().map(|r| &r.outputs),
+                        b.as_ref().map(|r| &r.outputs)
+                    ),
+                }
+            }
+            clean += usize::from(reference[i].is_ok());
+        }
+    }
+    eprintln!("calls: {compiled} programs, {clean} clean runs, {on_c} on c");
+    assert!(compiled >= 45, "only {compiled}/60 programs compiled — generator drifted");
+    assert!(clean >= 30, "only {clean} clean runs of {compiled} programs");
+    if with_c {
+        assert!(on_c >= 20, "only {on_c} programs ran on the C engine");
     }
 }
 
