@@ -4,10 +4,12 @@
 //! lcc code.lol -o executable.c
 //! ```
 //!
-//! Translates parallel LOLCODE to C with OpenSHMEM calls. With
-//! `--stub`, also writes the multi-PE pthread `shmem.h` stub next to
-//! the output so the result builds *and runs SPMD* on machines without
-//! an OpenSHMEM installation:
+//! Translates parallel LOLCODE to C with OpenSHMEM calls: one
+//! self-contained translation unit holding the runtime header, the
+//! runtime source and the program. With `--stub`, also writes the
+//! multi-PE pthread `shmem.h` stub (its header and source in one file)
+//! next to the output so the result builds *and runs SPMD* on machines
+//! without an OpenSHMEM installation:
 //!
 //! ```text
 //! lcc code.lol -o prog.c --stub
@@ -16,8 +18,9 @@
 //! LOL_STUB_NPES=8 ./prog         # 8 PE threads
 //! ```
 //!
-//! (`lolrun --backend c` drives exactly this pipeline automatically,
-//! with per-PE output capture.)
+//! (`lolrun --backend c` drives the same code automatically, with
+//! per-PE output capture; it compiles the runtime and the stub once
+//! into a cached object and links each program against it.)
 
 use std::process::ExitCode;
 
@@ -98,7 +101,7 @@ fn main() -> ExitCode {
     }
 
     let c = match artifact.emit_c() {
-        Ok(c) => c,
+        Ok(unit) => lol_c_codegen::standalone(&unit),
         Err(e) => {
             eprint!("{e}");
             return ExitCode::FAILURE;
@@ -117,7 +120,7 @@ fn main() -> ExitCode {
                     .map(|p| p.to_path_buf())
                     .unwrap_or_default();
                 let stub_path = dir.join("shmem.h");
-                if let Err(e) = std::fs::write(&stub_path, lol_c_codegen::SHMEM_STUB_H) {
+                if let Err(e) = std::fs::write(&stub_path, lol_c_codegen::standalone_stub()) {
                     eprintln!("O NOES! CANT WRITE {}: {e}", stub_path.display());
                     return ExitCode::FAILURE;
                 }

@@ -398,6 +398,54 @@ fn lcc_full_paper_workflow_compiles_with_cc() {
     }
 }
 
+/// `lcc --stub` writes one self-contained unit and a one-file stub that
+/// build with the documented one-liner; at 1 and 4 PEs the binary's
+/// per-PE output matches the C engine's, which links the runtime as a
+/// cached object instead.
+#[test]
+fn lcc_stub_output_builds_alone_and_matches_the_c_engine() {
+    use lolcode::{compile, engine_for, Backend, RunConfig};
+    let Some(cc) = lol_c_codegen::driver::cc() else {
+        eprintln!("skipping: no C compiler");
+        return;
+    };
+    for (name, src) in
+        [("hello", HELLO), ("heat2d_4x8", include_str!("../../../corpus/heat2d_4x8.lol"))]
+    {
+        let prog = write_temp(&format!("{name}.lol"), src);
+        let dir = prog.parent().unwrap().join(format!("{name}_stub"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let lcc = Command::new(env!("CARGO_BIN_EXE_lcc"))
+            .arg(&prog)
+            .args(["-o", "out.c", "--stub"])
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert!(lcc.status.success(), "{}", String::from_utf8_lossy(&lcc.stderr));
+        let build = Command::new(&cc.path)
+            .args(["-std=c99", "-I.", "out.c", "-lm", "-pthread", "-o", "prog"])
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert!(build.status.success(), "{name}: {}", String::from_utf8_lossy(&build.stderr));
+        let artifact = compile(src).unwrap();
+        for n_pes in [1usize, 4] {
+            let run = Command::new(dir.join("prog"))
+                .env("LOL_STUB_NPES", n_pes.to_string())
+                .env("LOL_STUB_OUT", dir.join("cap"))
+                .output()
+                .unwrap();
+            assert!(run.status.success(), "{name}: {}", String::from_utf8_lossy(&run.stderr));
+            let outputs: Vec<String> = (0..n_pes)
+                .map(|pe| std::fs::read_to_string(dir.join(format!("cap.pe{pe}.out"))).unwrap())
+                .collect();
+            let cfg = RunConfig::new(n_pes).backend(Backend::C);
+            let engine = engine_for(Backend::C).run(&artifact, &cfg).unwrap();
+            assert_eq!(outputs, engine.outputs, "{name} at {n_pes} PEs");
+        }
+    }
+}
+
 #[test]
 fn lcc_check_mode() {
     let prog = write_temp("chk.lol", "HAI 1.2\nWIN, O RLY?\nYA RLY\nHUGZ\nOIC\nKTHXBYE\n");

@@ -2,10 +2,14 @@
 //! `lcc code.lol -o executable.x && coprsh -np 16 ./executable.x`
 //! workflow that happens *after* code generation.
 //!
-//! [`build`] writes the generated C plus the multi-PE
-//! [`SHMEM_STUB_H`] runtime into a fresh temp
-//! directory and hands them to the system C compiler (probed **once**
-//! per process — [`cc`]); the resulting [`CBinary`] can then be
+//! [`build`] compiles a generated unit and links it against the
+//! runtime object: [`LOL_RUNTIME_C`] and the multi-PE stub's
+//! [`SHMEM_STUB_C`], compiled **once** per key into a per-user cache
+//! directory. The unit itself starts with the runtime header, and its
+//! `#include <shmem.h>` finds the stub header [`SHMEM_STUB_H`] in the
+//! build's private temp directory, so `cc` (probed once per process —
+//! [`cc`]) only compiles the headers and the program each time. The
+//! resulting [`CBinary`] can then be
 //! [run][CBinary::run] any number of times across PE counts, seeds,
 //! inputs, interconnect models and barrier/lock algorithms. Each run
 //! talks to the stub over a small env protocol (`LOL_STUB_NPES` /
@@ -15,19 +19,37 @@
 //! C-backend run reports the same per-PE shape as the in-process
 //! engines.
 //!
+//! # The runtime object cache
+//!
+//! The object lives in `$TMPDIR/lolcc-rt-<uid>/<key>.o`. The key is a
+//! 64-bit FNV-1a hash over the compiler's path and `--version` line,
+//! the flags, and the text of the runtime and stub headers and
+//! sources, so a changed runtime or toolchain never links a stale
+//! object. A missing object (first build, or deleted while the process
+//! runs) is rebuilt; builders in one process wait for one compile, and
+//! builders in different processes each compile under a unique name
+//! and `rename` it into place, so nobody links a half-written file.
+//!
+//! Temp files are private. Each build directory is created fresh with
+//! mode 0700 (a name that already exists is skipped, never reused),
+//! and the cache directory is used only if it is a real directory that
+//! we own and that nobody else can write; otherwise the object is
+//! compiled into the build directory, uncached.
+//!
 //! Everything here degrades cleanly: no compiler on the machine is
 //! [`DriverError::NoCompiler`] (callers surface it as "unsupported",
 //! not a failure), and a hung binary is killed at the caller's
 //! deadline.
 
-use crate::runtime::SHMEM_STUB_H;
+use crate::runtime::{LOL_RUNTIME_C, LOL_RUNTIME_H, SHMEM_STUB_C, SHMEM_STUB_H};
 use lol_shmem::{BarrierKind, CommStats, LatencyModel, LockKind};
 use lol_trace::{ClockMode, EventKind, PeTrace, TraceEvent};
 use std::io::Read as _;
-use std::path::PathBuf;
+use std::os::unix::fs::{DirBuilderExt as _, MetadataExt as _};
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The stub's hard PE-thread cap (`LOL_STUB_MAX_PES` in
@@ -196,38 +218,144 @@ impl Drop for CBinary {
     }
 }
 
-/// Compile a generated translation unit against the bundled stub.
+/// The flags of every compile, the runtime object's and each
+/// program's. `_POSIX_C_SOURCE` unhides `clock_gettime`/`nanosleep`
+/// under `-std=c99`: the stub's latency models busy-wait on the
+/// monotonic clock (and degrade to zero-delay when the host genuinely
+/// lacks it).
+const CFLAGS: [&str; 4] = ["-std=c99", "-D_POSIX_C_SOURCE=200809L", "-O1", "-pthread"];
+
+/// Compile a unit from [`emit_c`][crate::emit_c] and link it against
+/// the cached runtime object.
 pub fn build(c_source: &str) -> Result<CBinary, DriverError> {
+    static CACHE: OnceLock<RuntimeCache> = OnceLock::new();
+    build_with(CACHE.get_or_init(|| RuntimeCache::new(std::env::temp_dir())), c_source)
+}
+
+fn io(e: std::io::Error) -> DriverError {
+    DriverError::Io(e.to_string())
+}
+
+fn build_with(cache: &RuntimeCache, c_source: &str) -> Result<CBinary, DriverError> {
     let cc = cc().ok_or(DriverError::NoCompiler)?;
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "lolcc-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let io = |e: std::io::Error| DriverError::Io(e.to_string());
-    std::fs::create_dir_all(&dir).map_err(io)?;
+    let dir = private_dir(&std::env::temp_dir())?;
+    // From here on the binary's drop removes the directory on any error.
+    let binary = CBinary { bin: dir.join("prog"), dir, runs: AtomicU64::new(0) };
+    let dir = &binary.dir;
     std::fs::write(dir.join("shmem.h"), SHMEM_STUB_H).map_err(io)?;
     let c_path = dir.join("prog.c");
     std::fs::write(&c_path, c_source).map_err(io)?;
-    let bin = dir.join("prog");
-    // _POSIX_C_SOURCE unhides clock_gettime/nanosleep under -std=c99:
-    // the stub's latency models busy-wait on the monotonic clock (and
-    // degrade to zero-delay when the host genuinely lacks it).
-    let out = Command::new(&cc.path)
-        .args(["-std=c99", "-D_POSIX_C_SOURCE=200809L", "-O1", "-pthread", "-I"])
-        .arg(&dir)
-        .arg(&c_path)
-        .arg("-lm")
-        .arg("-o")
-        .arg(&bin)
-        .output()
-        .map_err(io)?;
+    let object = cache.object(cc, dir)?;
+    let mut link = Command::new(&cc.path);
+    link.args(CFLAGS).arg("-I").arg(dir).arg(&c_path).arg(object).arg("-lm");
+    run_cc(link.arg("-o").arg(&binary.bin))?;
+    Ok(binary)
+}
+
+/// Run one `cc` command; a nonzero exit is [`DriverError::Build`] with
+/// its stderr.
+fn run_cc(cmd: &mut Command) -> Result<(), DriverError> {
+    let out = cmd.output().map_err(io)?;
     if !out.status.success() {
-        let _ = std::fs::remove_dir_all(&dir);
         return Err(DriverError::Build(String::from_utf8_lossy(&out.stderr).into_owned()));
     }
-    Ok(CBinary { dir, bin, runs: AtomicU64::new(0) })
+    Ok(())
+}
+
+/// The `<seq>` of the next build directory name.
+static BUILD_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Create a fresh directory `lolcc-<pid>-<seq>` under `parent`, mode
+/// 0700. A name that already exists may have been planted by another
+/// user to swap our sources, so it is skipped for the next sequence
+/// number, never reused.
+fn private_dir(parent: &Path) -> Result<PathBuf, DriverError> {
+    for _ in 0..1000 {
+        let seq = BUILD_SEQ.fetch_add(1, Ordering::Relaxed);
+        let dir = parent.join(format!("lolcc-{}-{seq}", std::process::id()));
+        match std::fs::DirBuilder::new().mode(0o700).create(&dir) {
+            Ok(()) => return Ok(dir),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(io(e)),
+        }
+    }
+    Err(DriverError::Io(format!("no free build directory name under {}", parent.display())))
+}
+
+/// The runtime object, compiled once per key under `root` (see the
+/// module docs).
+struct RuntimeCache {
+    root: PathBuf,
+    /// Held while a builder checks for the object and, if it is
+    /// missing, compiles it, so one process compiles it once.
+    lock: Mutex<()>,
+    key: OnceLock<u64>,
+}
+
+impl RuntimeCache {
+    fn new(root: PathBuf) -> Self {
+        RuntimeCache { root, lock: Mutex::new(()), key: OnceLock::new() }
+    }
+
+    /// The object to link, compiled from sources written to the
+    /// private build directory `scratch` if the cache lacks it.
+    fn object(&self, cc: &CcInfo, scratch: &Path) -> Result<PathBuf, DriverError> {
+        // `scratch` was just created by us, so its owner is our uid.
+        let uid = std::fs::metadata(scratch).map_err(io)?.uid();
+        let dir = self.root.join(format!("lolcc-rt-{uid}"));
+        let key = *self.key.get_or_init(|| {
+            let texts = [LOL_RUNTIME_H, LOL_RUNTIME_C, SHMEM_STUB_H, SHMEM_STUB_C];
+            object_key(&cc.path, &cc.version, &CFLAGS, &texts)
+        });
+        let _one_builder = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        if !private_cache_dir(&dir, uid) {
+            let object = scratch.join("lolrt.o");
+            compile_runtime(cc, scratch, &object)?;
+            return Ok(object);
+        }
+        let object = dir.join(format!("{key:016x}.o"));
+        if std::fs::symlink_metadata(&object).is_ok_and(|m| m.is_file()) {
+            return Ok(object);
+        }
+        // Unique: this process compiles one object at a time.
+        let tmp = dir.join(format!("{key:016x}.{}.tmp", std::process::id()));
+        let built = compile_runtime(cc, scratch, &tmp)
+            .and_then(|()| std::fs::rename(&tmp, &object).map_err(io));
+        if built.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        built.map(|()| object)
+    }
+}
+
+/// Create `dir` (mode 0700) if it is missing, and say whether it is a
+/// directory, not a symlink, owned by `uid` and writable by nobody
+/// else.
+fn private_cache_dir(dir: &Path, uid: u32) -> bool {
+    let _ = std::fs::DirBuilder::new().mode(0o700).create(dir);
+    std::fs::symlink_metadata(dir)
+        .is_ok_and(|m| m.is_dir() && m.uid() == uid && m.mode() & 0o022 == 0)
+}
+
+/// Compile the runtime and stub sources into the object `out`.
+fn compile_runtime(cc: &CcInfo, scratch: &Path, out: &Path) -> Result<(), DriverError> {
+    let src = scratch.join("lolrt.c");
+    std::fs::write(&src, [LOL_RUNTIME_H, LOL_RUNTIME_C, SHMEM_STUB_C].concat()).map_err(io)?;
+    let mut cmd = Command::new(&cc.path);
+    run_cc(cmd.args(CFLAGS).arg("-I").arg(scratch).arg("-c").arg(&src).arg("-o").arg(out))
+}
+
+/// The cache key of the runtime object: FNV-1a over the compiler's
+/// identity, the flags and the texts the object is compiled from,
+/// each field ended by a NUL byte.
+fn object_key(cc_path: &str, cc_version: &str, flags: &[&str], texts: &[&str]) -> u64 {
+    let fields =
+        [cc_path, cc_version].into_iter().chain(flags.iter().copied()).chain(texts.iter().copied());
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for byte in fields.flat_map(|f| f.bytes().chain([0])) {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
 }
 
 impl CBinary {
@@ -238,7 +366,6 @@ impl CBinary {
 
     /// Execute the binary once and collect per-PE outputs and stats.
     pub fn run(&self, req: &RunRequest<'_>) -> Result<CRunOutput, DriverError> {
-        let io = |e: std::io::Error| DriverError::Io(e.to_string());
         let run_id = self.runs.fetch_add(1, Ordering::Relaxed);
         let out_dir = self.dir.join(format!("run{run_id}"));
         std::fs::create_dir_all(&out_dir).map_err(io)?;
@@ -482,6 +609,134 @@ mod tests {
         let a = cc().map(|c| c.path.clone());
         let b = cc().map(|c| c.path.clone());
         assert_eq!(a, b);
+    }
+
+    /// The unit [`crate::emit_c`] writes for `body`.
+    fn unit(body: &str) -> String {
+        let src = format!("HAI 1.2\n{body}\nKTHXBYE");
+        let p = lol_parser::parse(&src).expect_program(&src);
+        crate::emit_c(&p, &lol_sema::analyze(&p)).expect("codegen")
+    }
+
+    /// A fresh private directory to root a test's runtime cache in.
+    fn scratch_root() -> PathBuf {
+        private_dir(&std::env::temp_dir()).expect("a temp directory")
+    }
+
+    /// The files in the cache directory under `root`.
+    fn cached(root: &Path) -> Vec<String> {
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(root).unwrap().flatten() {
+            for file in std::fs::read_dir(entry.path()).unwrap().flatten() {
+                names.push(file.file_name().to_string_lossy().into_owned());
+            }
+        }
+        names
+    }
+
+    #[test]
+    fn a_planted_build_directory_is_never_used() {
+        if cc().is_none() {
+            eprintln!("skipping: no C compiler");
+            return;
+        }
+        // Another user could create the next predictable names first.
+        let next = BUILD_SEQ.load(Ordering::Relaxed);
+        let planted: Vec<PathBuf> = (next..next + 8)
+            .map(|seq| std::env::temp_dir().join(format!("lolcc-{}-{seq}", std::process::id())))
+            .filter(|dir| std::fs::create_dir(dir).is_ok())
+            .collect();
+        assert!(!planted.is_empty());
+        let binary = build(&unit("VISIBLE \"HAI\"")).expect("build");
+        let out = binary.run(&RunRequest::default()).expect("run");
+        assert_eq!(out.outputs, ["HAI\n"]);
+        assert!(!planted.contains(&binary.dir), "built in a planted directory");
+        let mode = std::fs::metadata(&binary.dir).unwrap().mode();
+        assert_eq!(mode & 0o777, 0o700, "the build directory is private");
+        for dir in &planted {
+            assert!(std::fs::read_dir(dir).unwrap().next().is_none(), "wrote into {dir:?}");
+            std::fs::remove_dir(dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn eight_builders_share_one_runtime_object() {
+        if cc().is_none() {
+            eprintln!("skipping: no C compiler");
+            return;
+        }
+        let root = scratch_root();
+        let cache = RuntimeCache::new(root.clone());
+        std::thread::scope(|s| {
+            for i in 0..8 {
+                let cache = &cache;
+                s.spawn(move || {
+                    let binary = build_with(cache, &unit(&format!("VISIBLE {i}"))).expect("build");
+                    let out = binary.run(&RunRequest::default()).expect("run");
+                    assert_eq!(out.outputs, [format!("{i}\n")]);
+                });
+            }
+        });
+        let files = cached(&root);
+        assert_eq!(files.len(), 1, "{files:?}");
+        assert!(files[0].ends_with(".o"), "{files:?}");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_deleted_runtime_object_is_rebuilt() {
+        if cc().is_none() {
+            eprintln!("skipping: no C compiler");
+            return;
+        }
+        let root = scratch_root();
+        let cache = RuntimeCache::new(root.clone());
+        let hello = unit("VISIBLE \"HAI\"");
+        build_with(&cache, &hello).expect("first build");
+        let rt = std::fs::read_dir(&root).unwrap().next().unwrap().unwrap().path();
+        let object = std::fs::read_dir(&rt).unwrap().next().unwrap().unwrap().path();
+        std::fs::remove_file(&object).unwrap();
+        let binary = build_with(&cache, &hello).expect("build after the delete");
+        assert_eq!(binary.run(&RunRequest::default()).expect("run").outputs, ["HAI\n"]);
+        assert!(object.is_file(), "the object was not rebuilt");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn an_unsafe_cache_directory_is_not_used() {
+        if cc().is_none() {
+            eprintln!("skipping: no C compiler");
+            return;
+        }
+        let root = scratch_root();
+        let uid = std::fs::metadata(&root).unwrap().uid();
+        let elsewhere = root.join("elsewhere");
+        std::fs::create_dir(&elsewhere).unwrap();
+        std::os::unix::fs::symlink(&elsewhere, root.join(format!("lolcc-rt-{uid}"))).unwrap();
+        let cache = RuntimeCache::new(root.clone());
+        let binary = build_with(&cache, &unit("VISIBLE \"HAI\"")).expect("build");
+        assert_eq!(binary.run(&RunRequest::default()).expect("run").outputs, ["HAI\n"]);
+        assert!(std::fs::read_dir(&elsewhere).unwrap().next().is_none(), "followed the symlink");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn the_object_key_covers_compiler_flags_and_runtime() {
+        let texts = [LOL_RUNTIME_H, LOL_RUNTIME_C, SHMEM_STUB_H, SHMEM_STUB_C];
+        let base = object_key("cc", "cc (GCC) 12.2.0", &CFLAGS, &texts);
+        assert_eq!(base, object_key("cc", "cc (GCC) 12.2.0", &CFLAGS, &texts), "stable");
+        let edited = format!("{LOL_RUNTIME_C}/* edited */");
+        let changed = [
+            object_key("clang", "cc (GCC) 12.2.0", &CFLAGS, &texts),
+            object_key("cc", "cc (GCC) 13.1.0", &CFLAGS, &texts),
+            object_key("cc", "cc (GCC) 12.2.0", &["-std=c99", "-O2"], &texts),
+            object_key("cc", "cc (GCC) 12.2.0", &CFLAGS, &[LOL_RUNTIME_H, &edited]),
+            // Field boundaries count: moving a byte across one changes the key.
+            object_key("c", "ccc (GCC) 12.2.0", &CFLAGS, &texts),
+        ];
+        for (i, key) in changed.iter().enumerate() {
+            assert_ne!(*key, base, "change {i} kept the key");
+        }
     }
 
     #[test]

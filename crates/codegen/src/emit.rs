@@ -23,7 +23,7 @@
 //! and the emitted expression keeps the source's tree, fully
 //! parenthesised, so floating-point results are bit-identical.
 
-use crate::runtime::LOL_RUNTIME;
+use crate::runtime::LOL_RUNTIME_H;
 use lol_ast::diag::Diagnostic;
 use lol_ast::*;
 use lol_sema::types::{bin_ty, counter_ty, shared_ty, un_ty, Ty};
@@ -132,9 +132,9 @@ enum ArrPlace {
     /// A local array `data`: elements `data.e` and length `data.n`,
     /// native when `elem` has a native type, else `lol_value_t`s of a
     /// `lol_arr_t`.
-    Local { data: String, elem: LolType },
+    Local { data: String, elem: LolType, name: Symbol },
     /// A symmetric array, on this PE or on the remote PE `pe`.
-    Shared { data: String, ty: LolType, len: usize, pe: Option<String> },
+    Shared { data: String, ty: LolType, len: usize, pe: Option<String>, name: Symbol },
 }
 
 impl ArrPlace {
@@ -154,17 +154,24 @@ impl ArrPlace {
         }
     }
 
+    /// The array's LOLCODE name, as a C string literal (the index
+    /// fault names it).
+    fn name(&self) -> String {
+        let (ArrPlace::Local { name, .. } | ArrPlace::Shared { name, .. }) = self;
+        format!("\"{name}\"")
+    }
+
     /// The bounds-checked cell at `idx` (a `long long` C expression) of
     /// native storage.
     fn cell(&self, idx: &str) -> String {
-        format!("{}[lol_idx({idx}, {})]", self.elems(), self.len())
+        format!("{}[lol_idx({idx}, {}, {})]", self.elems(), self.len(), self.name())
     }
 
     fn read(&self, idx: &str) -> CExpr {
         match self {
             ArrPlace::Local { data, elem, .. } => match native(Some(*elem)) {
                 Some(_) => CExpr::of(self.cell(idx), *elem),
-                None => CExpr::of(format!("lol_arr_get(&{data}, {idx})"), *elem),
+                None => CExpr::of(format!("lol_arr_get(&{data}, {idx}, {})", self.name()), *elem),
             },
             ArrPlace::Shared { ty, pe, .. } => shared_value(*ty, self.cell(idx), pe.as_deref()),
         }
@@ -173,15 +180,15 @@ impl ArrPlace {
     /// The C statement storing `val` at `idx`. A value of unknown type
     /// converts after the index check, as on the other engines.
     fn write(&self, idx: &str, val: CExpr) -> String {
-        if let ArrPlace::Local { data, elem } = self {
+        if let ArrPlace::Local { data, elem, .. } = self {
             if native(Some(*elem)).is_none() {
-                return format!("lol_arr_set(&{data}, {idx}, {});", val.boxed());
+                return format!("lol_arr_set(&{data}, {idx}, {}, {});", val.boxed(), self.name());
             }
         }
         if native(val.ty).is_some() {
             return self.store(self.cell(idx), val);
         }
-        let checked = format!("long long __k = lol_idx({idx}, {});", self.len());
+        let checked = format!("long long __k = lol_idx({idx}, {}, {});", self.len(), self.name());
         let store = self.store(format!("{}[__k]", self.elems()), CExpr::new("__v", val.ty));
         format!("{{ lol_value_t __v = {}; {checked} {store} }}", val.code)
     }
@@ -228,7 +235,7 @@ impl<'a> CEmitter<'a> {
 
     pub(crate) fn emit_program(mut self, program: &Program) -> CResult<String> {
         self.line("/* generated by lcc — parallel LOLCODE to C + OpenSHMEM */");
-        self.out.push_str(LOL_RUNTIME);
+        self.out.push_str(LOL_RUNTIME_H);
         self.out.push('\n');
 
         // Symmetric data segment (Figure 1): one static object per
@@ -595,7 +602,7 @@ impl<'a> CEmitter<'a> {
         if arr.locality != Locality::Ur {
             match self.lookup(name) {
                 Some(CKind::Array { elem }) => {
-                    return Ok(ArrPlace::Local { data: format!("v_{name}"), elem });
+                    return Ok(ArrPlace::Local { data: format!("v_{name}"), elem, name });
                 }
                 Some(CKind::Scalar { .. }) => {
                     return Err(self.err(
@@ -614,7 +621,7 @@ impl<'a> CEmitter<'a> {
             return Err(self.err("CGC0005", format!("{name} IZ A SCALAR"), arr.span));
         };
         let pe = self.remote_pe(arr)?;
-        Ok(ArrPlace::Shared { data: format!("g_{name}"), ty: sv.ty, len, pe })
+        Ok(ArrPlace::Shared { data: format!("g_{name}"), ty: sv.ty, len, pe, name })
     }
 
     fn is_array_ref(&self, vr: &VarRef) -> CResult<bool> {
@@ -898,14 +905,16 @@ impl<'a> CEmitter<'a> {
         // A local destination adopts the source length (dynamic arrays):
         // the copy fills fresh storage that then replaces its own.
         let fresh = match &dst {
-            ArrPlace::Local { elem, .. } => {
+            ArrPlace::Local { elem, name, .. } => {
                 let data = self.fresh("a");
                 self.local_array_decl(&data, *elem, &n);
-                Some(ArrPlace::Local { data, elem: *elem })
+                Some(ArrPlace::Local { data, elem: *elem, name: *name })
             }
             ArrPlace::Shared { len, .. } => {
                 self.line(&format!(
-                    "if ({n} != {len}) lol_die(\"RUN0013\", \"ARRAY COPY SIZE MISMATCH\");"
+                    "if ({n} != {len}) lol_die(\"RUN0013\", \"ARRAY COPY SIZE MISMATCH: %s HAS \
+                     %d THINGZ, SOURCE HAS %lld\", {}, {len}, (long long){n});",
+                    dst.name()
                 ));
                 None
             }

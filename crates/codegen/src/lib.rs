@@ -3,8 +3,8 @@
 //! The paper's compiler is "a source-to-source compiler, written in C,
 //! \[that\] translates LOLCODE with parallel extensions to C with
 //! OpenSHMEM routines" (§II). This crate reproduces that output path in
-//! Rust: [`emit_c`] turns an analyzed program into a single portable
-//! C99 translation unit that
+//! Rust: [`emit_c`] turns an analyzed program into a portable C99
+//! translation unit that
 //!
 //! * declares every `WE HAS A` variable as a static symmetric object
 //!   (plus a `long` lock cell for `AN IM SHARIN IT`),
@@ -12,17 +12,23 @@
 //!   `shmem_*_p`, `HUGZ` to `shmem_barrier_all()`, and the implicit
 //!   locks to OpenSHMEM atomics,
 //! * calls `shmem_init()` transparently at the top of `main` (§VI.A),
-//! * carries the dynamic value semantics in an embedded C runtime.
+//! * carries the dynamic value semantics in a C runtime: the unit
+//!   starts with the runtime header [`LOL_RUNTIME_H`] and links
+//!   against [`LOL_RUNTIME_C`], as the paper's `lcc` output links
+//!   against a SHMEM library.
 //!
 //! Because no OpenSHMEM library exists in this environment, the crate
-//! also ships [`SHMEM_STUB_H`], a multi-PE pthread stub good enough to
-//! compile and *run* the generated C with any C99 compiler — and the
-//! [`driver`] module that probes the system compiler, builds the
-//! generated C against that stub, executes the binary across PE
-//! counts, and parses the per-PE outputs and operation counters back
-//! out. That driver is what makes the C path a first-class engine
-//! (`Backend::C` in the `lolcode` crate) rather than emit-only; the
-//! tests compile-and-run against the interpreter differentially.
+//! also ships [`SHMEM_STUB_H`] and [`SHMEM_STUB_C`], a multi-PE pthread
+//! stub good enough to compile and *run* the generated C with any C99
+//! compiler — and the [`driver`] module that probes the system
+//! compiler, builds the runtime and the stub once into a cached
+//! object, links each generated unit against it, executes the binary
+//! across PE counts, and parses the per-PE outputs and operation
+//! counters back out. That driver is what makes the C path a
+//! first-class engine (`Backend::C` in the `lolcode` crate) rather
+//! than emit-only; the tests compile-and-run against the interpreter
+//! differentially. `lcc` writes the one-file form instead
+//! ([`standalone`], [`standalone_stub`]).
 
 #![forbid(unsafe_code)]
 
@@ -30,15 +36,31 @@ pub mod driver;
 mod emit;
 pub mod runtime;
 
-pub use runtime::{LOL_RUNTIME, SHMEM_STUB_H};
+pub use runtime::{LOL_RUNTIME_C, LOL_RUNTIME_H, SHMEM_STUB_C, SHMEM_STUB_H};
 
 use lol_ast::diag::Diagnostic;
 use lol_ast::Program;
 use lol_sema::Analysis;
 
-/// Emit a complete C translation unit for an analyzed program.
+/// Emit the C translation unit of an analyzed program: the runtime
+/// header [`LOL_RUNTIME_H`], then the program. It links against the
+/// runtime object [`driver::build`] keeps, or becomes one
+/// self-contained file through [`standalone`].
 pub fn emit_c(program: &Program, analysis: &Analysis) -> Result<String, Diagnostic> {
     emit::CEmitter::new(analysis).emit_program(program)
+}
+
+/// An [`emit_c`] unit as one self-contained file, with the runtime
+/// source after the runtime header: what `lcc` writes. It builds with
+/// `cc -std=c99 -I<dir of shmem.h> out.c -lm -pthread`.
+pub fn standalone(unit: &str) -> String {
+    unit.replacen(LOL_RUNTIME_H, &format!("{LOL_RUNTIME_H}{LOL_RUNTIME_C}"), 1)
+}
+
+/// The stub's header and source as the one `shmem.h` that
+/// `lcc --stub` writes beside a [`standalone`] file.
+pub fn standalone_stub() -> String {
+    format!("{SHMEM_STUB_H}{SHMEM_STUB_C}")
 }
 
 #[cfg(test)]
@@ -188,6 +210,100 @@ mod tests {
         for dynamic in ["lol_sum(", "lol_produkt(", "lol_cast("] {
             assert!(!loops.contains(dynamic), "{dynamic} in a loop:\n{loops}");
         }
+    }
+
+    /// The runtime functions `c` (the program part of a unit) calls
+    /// inside a loop, its header included.
+    fn calls_in_loops(c: &str) -> Vec<String> {
+        let mut names = Vec::new();
+        for (at, _) in c.match_indices("for (").chain(c.match_indices("while (")) {
+            let open = at + c[at..].find('{').expect("a loop body");
+            let mut depth = 0;
+            let close = open
+                + c[open..]
+                    .find(|ch| {
+                        depth += match ch {
+                            '{' => 1,
+                            '}' => -1,
+                            _ => 0,
+                        };
+                        depth == 0
+                    })
+                    .expect("a closed loop body");
+            let body = &c[at..close];
+            for (i, _) in body.match_indices('(') {
+                let head = &body[..i];
+                let start = head
+                    .rfind(|ch: char| !ch.is_ascii_alphanumeric() && ch != '_')
+                    .map_or(0, |j| j + 1);
+                let name = &head[start..];
+                let runtime = name.starts_with("lol_") || name.starts_with("shmem_");
+                if runtime && !names.iter().any(|n| n == name) {
+                    names.push(name.to_string());
+                }
+            }
+        }
+        names
+    }
+
+    /// The functions `header` declares `static inline`, directly or
+    /// through a generator macro (`LOL_WRAP`, `LOL_ARITH`).
+    fn inline_functions(header: &str) -> Vec<String> {
+        let name_before_paren = |s: &str| {
+            let head = &s[..s.find('(').unwrap_or(0)];
+            head.rsplit([' ', '*']).next().unwrap_or("").to_string()
+        };
+        let mut names = Vec::new();
+        let mut macros = Vec::new();
+        let lines: Vec<&str> = header.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            if let Some(rest) = line.strip_prefix("#define ") {
+                if lines.get(i + 1).is_some_and(|next| next.contains("static inline")) {
+                    macros.push(rest[..rest.find('(').unwrap()].to_string());
+                }
+            } else if line.starts_with("static inline ") {
+                names.push(name_before_paren(line));
+            } else if let Some(m) = macros.iter().find(|m| line.starts_with(&format!("{m}("))) {
+                names.push(line[m.len() + 1..line.find(',').unwrap()].to_string());
+            }
+        }
+        names
+    }
+
+    /// Every runtime function the emitted kernels call inside a loop
+    /// body is `static inline` in a header, so linking the runtime as
+    /// an object never moves a hot call out of the C compiler's sight.
+    #[test]
+    fn loop_helpers_stay_inline() {
+        let inline = inline_functions(&format!("{LOL_RUNTIME_H}{SHMEM_STUB_H}"));
+        for name in ["lol_add_i", "lol_sum", "lol_idx", "shmem_double_g", "shmem_my_pe"] {
+            assert!(inline.iter().any(|n| n == name), "{name} not seen as inline: {inline:?}");
+        }
+        for (kernel, src) in [
+            ("nbody_bench", include_str!("../../../corpus/nbody_bench.lol")),
+            ("heat2d_bench", include_str!("../../../corpus/heat2d_bench.lol")),
+            ("yarn_kernel", include_str!("../../../perfbench/programs/yarn_kernel.lol")),
+        ] {
+            let c = gen(src);
+            let program = &c[c.find("/* ---- end runtime ---- */").unwrap()..];
+            let called = calls_in_loops(program);
+            assert!(called.len() >= 8, "{kernel}: only {called:?} found in its loops");
+            for f in &called {
+                assert!(inline.contains(f), "{kernel} calls {f} in a loop, not inline in a header");
+            }
+        }
+    }
+
+    #[test]
+    fn index_checks_name_their_array() {
+        let c = gen(&prog(
+            "I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\nI HAS A y ITZ LOTZ A YARNS AN THAR IZ 2\n\
+             WE HAS A g ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 3\n\
+             VISIBLE a'Z 1\nVISIBLE y'Z 1\nVISIBLE g'Z 2",
+        ));
+        assert!(c.contains("v_a.e[lol_idx(1LL, v_a.n, \"a\")]"), "{c}");
+        assert!(c.contains("lol_arr_get(&v_y, 1LL, \"y\")"), "{c}");
+        assert!(c.contains("g_g[lol_idx(2LL, 3, \"g\")]"), "{c}");
     }
 
     #[test]

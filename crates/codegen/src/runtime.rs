@@ -1,12 +1,31 @@
-//! The C runtime preamble emitted at the top of every generated file,
-//! and the multi-PE OpenSHMEM stub used by the compile-and-run path.
+//! The C runtime and the multi-PE OpenSHMEM stub, each split into a
+//! header and a source.
+//!
+//! * [`LOL_RUNTIME_H`] opens every unit [`emit_c`][crate::emit_c]
+//!   writes. It holds the value types, the backend hooks, `extern`
+//!   declarations, and the `static inline` helpers that the emitted
+//!   code calls inside loops (native arithmetic, boxing, truth, the
+//!   index check), so `cc -O1` inlines them exactly as it did when the
+//!   whole runtime was one translation unit.
+//! * [`LOL_RUNTIME_C`] holds everything else: faults, YARN parsing and
+//!   rendering, casts, input, array allocation and the locks.
+//! * [`SHMEM_STUB_H`] and [`SHMEM_STUB_C`] split the pthread stub the
+//!   same way: the header keeps `shmem_my_pe`/`shmem_n_pes` and the
+//!   local fast paths of `shmem_*_g`/`_p` inline, the source holds
+//!   the remote paths, barriers, latency models, tracing and launch.
+//!
+//! The [`driver`][crate::driver] compiles the two sources into one
+//! object once per compiler and flag set, and each program compiles
+//! only the headers plus its own code. `lcc` writes the same constants
+//! concatenated ([`standalone`][crate::standalone],
+//! [`standalone_stub`][crate::standalone_stub]), so its output
+//! still builds on its own with `cc -std=c99 -I. out.c -lm -pthread`.
 
-/// C99 runtime for dynamic LOLCODE values, emitted verbatim into every
-/// generated translation unit (the paper's `lcc` similarly pairs its
-/// output with a small support layer before handing off to `cc`).
-pub const LOL_RUNTIME: &str = r#"/* ---- parallel LOLCODE runtime (generated, do not edit) ---- */
+/// The runtime header: the first thing in every generated unit.
+pub const LOL_RUNTIME_H: &str = r#"/* ---- parallel LOLCODE runtime (generated, do not edit) ---- */
 #include <ctype.h>
 #include <errno.h>
+#include <stdarg.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
@@ -56,6 +75,17 @@ pub const LOL_RUNTIME: &str = r#"/* ---- parallel LOLCODE runtime (generated, do
 #define LOL_LOCK_ENTER(pe) ((void)0)
 #define LOL_LOCK_EXIT() ((void)0)
 #endif
+#ifndef LOL_FAULT
+/* fault hook: print the fault line and end the job. The stub instead
+   ends only the failing PE's thread, and reports the lowest failing
+   PE's line once every PE has stopped, as the Rust engines do. */
+#define LOL_FAULT(line) (fprintf(stderr, "%s\n", (line)), exit(1))
+#endif
+#ifdef __GNUC__
+#define LOL_NORETURN __attribute__((noreturn))
+#else
+#define LOL_NORETURN
+#endif
 
 typedef enum { LOL_NOOB, LOL_TROOF, LOL_NUMBR, LOL_NUMBAR, LOL_YARN } lol_type_t;
 /* YARNs are heap-allocated, so strings have no length cap. Values are
@@ -72,10 +102,36 @@ typedef struct {
 /* scratch big enough for any numeric rendering (%.2f of 1e308) */
 #define LOL_NUM_BUF 400
 
-static void lol_die(const char *code, const char *msg) {
-    fprintf(stderr, "O NOES! [%s] %s\n", code, msg);
-    exit(1);
-}
+/* the native local arrays: elements e[0..n) */
+typedef struct { long long *e; long long n; } lol_arr_numbr;
+typedef struct { double *e; long long n; } lol_arr_numbar;
+typedef struct { int *e; long long n; } lol_arr_troof;
+
+/* local arrays of YARNs and NOOBs: dynamic values, cast to the element
+   type on every store, starting out as "" or NOOB */
+typedef struct {
+    lol_value_t *e;
+    long long n;
+    lol_type_t ty;
+} lol_arr_t;
+
+/* -- out of line, in the runtime source -- */
+
+/* fault with the line "O NOES! [code] <fmt...>" (see LOL_FAULT) */
+LOL_NORETURN void lol_die(const char *code, const char *fmt, ...);
+LOL_NORETURN void lol_die_idx(long long i, long long len, const char *name);
+char *lol_strdup(const char *s);
+int lol_numeric_slow(lol_value_t v, long long *out_i, double *out_f);
+const char *lol_to_cstr(lol_value_t v, char *buf, size_t n);
+lol_value_t lol_cast(lol_value_t v, lol_type_t ty);
+lol_value_t lol_gimmeh(void);
+void *lol_arr_alloc(long long n, size_t size);
+lol_arr_t lol_arr_new(long long n, lol_type_t ty);
+void lol_lock_acquire(long *cell, int target);
+int lol_lock_try(long *cell, int target);
+void lol_lock_release(long *cell, int target);
+
+/* -- inline: what the emitted code calls in its loops -- */
 
 /* Native NUMBR operations with the Rust engines' semantics: + - * wrap
    (in unsigned arithmetic, where overflow is defined), QUOSHUNT and MOD
@@ -107,19 +163,11 @@ static inline long long lol_dbl_to_int(double f) {
     return (long long)f;
 }
 
-static char *lol_strdup(const char *s) {
-    size_t n = strlen(s) + 1;
-    char *p = (char *)malloc(n);
-    if (!p) lol_die("RUN0150", "OUT OF MEMOREZ FOR A YARN");
-    memcpy(p, s, n);
-    return p;
-}
-
 static inline lol_value_t lol_noob(void) { lol_value_t v; memset(&v, 0, sizeof v); v.t = LOL_NOOB; return v; }
 static inline lol_value_t lol_from_int(long long i) { lol_value_t v = lol_noob(); v.t = LOL_NUMBR; v.i = i; return v; }
 static inline lol_value_t lol_from_dbl(double f) { lol_value_t v = lol_noob(); v.t = LOL_NUMBAR; v.f = f; return v; }
 static inline lol_value_t lol_from_bool(int b) { lol_value_t v = lol_noob(); v.t = LOL_TROOF; v.i = b ? 1 : 0; return v; }
-static lol_value_t lol_from_str(const char *s) {
+static inline lol_value_t lol_from_str(const char *s) {
     lol_value_t v = lol_noob();
     v.t = LOL_YARN;
     v.s = lol_strdup(s);
@@ -137,53 +185,171 @@ static inline int lol_to_bool(lol_value_t v) {
     return 0;
 }
 
-/* numeric coercion: 0 = int (out_i), 1 = float (out_f) */
-static int lol_numeric(lol_value_t v, long long *out_i, double *out_f) {
+/* numeric coercion: 0 = int (out_i), 1 = float (out_f); NOOBs fault
+   and YARNs parse out of line */
+static inline int lol_numeric(lol_value_t v, long long *out_i, double *out_f) {
     switch (v.t) {
-    case LOL_NOOB: lol_die("RUN0002", "CANT DO MATHS WIF NOOB");
     case LOL_TROOF: *out_i = v.i; return 0;
     case LOL_NUMBR: *out_i = v.i; return 0;
     case LOL_NUMBAR: *out_f = v.f; return 1;
-    case LOL_YARN: {
-        /* as strictly as the Rust engines parse: surrounding whitespace
-           is ignored, a decimal point or exponent makes a NUMBAR, and
-           anything else left over is an error */
-        const char *b = v.s, *e = v.s + strlen(v.s), *mark;
-        char *end;
-        while (isspace((unsigned char)*b)) b++;
-        while (e > b && isspace((unsigned char)e[-1])) e--;
-        mark = strpbrk(b, ".eE");
-        errno = 0;
-        if (mark && mark < e) {
-            *out_f = strtod(b, &end);
-            if (b == e || end != e || strpbrk(b, "xX(") != NULL)
-                lol_die("RUN0004", "DAT YARN IZ NOT A NUMBAR");
-            return 1;
-        }
-        *out_i = strtoll(b, &end, 10);
-        if (b == e || end != e || errno == ERANGE) lol_die("RUN0004", "DAT YARN IZ NOT A NUMBR");
-        return 0;
+    default: return lol_numeric_slow(v, out_i, out_f);
     }
-    }
-    return 0;
 }
 
-static long long lol_to_int(lol_value_t v) {
+static inline long long lol_to_int(lol_value_t v) {
     long long i = 0; double f = 0.0;
     if (lol_numeric(v, &i, &f)) return lol_dbl_to_int(f);
     return i;
 }
 
-static double lol_to_dbl(lol_value_t v) {
+static inline double lol_to_dbl(lol_value_t v) {
     long long i = 0; double f = 0.0;
     if (lol_numeric(v, &i, &f)) return f;
     return (double)i;
 }
 
+/* dynamic arithmetic: NUMBR op NUMBR stays a NUMBR (IOP is the native
+   NUMBR operation above), anything involving a NUMBAR is a NUMBAR; fmax
+   and fmin return the non-NaN operand, like Rust's f64::max and min */
+#define LOL_ARITH(NAME, IOP, FOP)                                              \
+    static inline lol_value_t NAME(lol_value_t a, lol_value_t b) {             \
+        long long ia = 0, ib = 0; double fa = 0.0, fb = 0.0;                   \
+        int af = lol_numeric(a, &ia, &fa), bf = lol_numeric(b, &ib, &fb);      \
+        if (!af && !bf) return lol_from_int(IOP(ia, ib));                      \
+        fa = af ? fa : (double)ia;                                             \
+        fb = bf ? fb : (double)ib;                                             \
+        return lol_from_dbl(FOP);                                              \
+    }
+
+LOL_ARITH(lol_sum, lol_add_i, fa + fb)
+LOL_ARITH(lol_diff, lol_sub_i, fa - fb)
+LOL_ARITH(lol_produkt, lol_mul_i, fa * fb)
+LOL_ARITH(lol_quoshunt, lol_quo_i, fa / fb)
+LOL_ARITH(lol_mod, lol_mod_i, fmod(fa, fb))
+LOL_ARITH(lol_biggr, lol_max_i, fmax(fa, fb))
+LOL_ARITH(lol_smallr, lol_min_i, fmin(fa, fb))
+
+static inline int lol_saem(lol_value_t a, lol_value_t b) {
+    if (a.t == LOL_NOOB && b.t == LOL_NOOB) return 1;
+    if (a.t == LOL_TROOF && b.t == LOL_TROOF) return a.i == b.i;
+    if (a.t == LOL_NUMBR && b.t == LOL_NUMBR) return a.i == b.i;
+    if (a.t == LOL_YARN && b.t == LOL_YARN) return strcmp(a.s, b.s) == 0;
+    if ((a.t == LOL_NUMBR || a.t == LOL_NUMBAR) && (b.t == LOL_NUMBR || b.t == LOL_NUMBAR))
+        return lol_to_dbl(a) == lol_to_dbl(b);
+    return 0;
+}
+
+static inline lol_value_t lol_squar(lol_value_t v) { return lol_produkt(v, v); }
+
+static inline lol_value_t lol_smoosh(lol_value_t a, lol_value_t b) {
+    char ba[LOL_NUM_BUF], bb[LOL_NUM_BUF];
+    const char *sa = lol_to_cstr(a, ba, sizeof ba);
+    const char *sb = lol_to_cstr(b, bb, sizeof bb);
+    size_t na = strlen(sa), nb = strlen(sb);
+    lol_value_t v = lol_noob();
+    v.t = LOL_YARN;
+    v.s = (char *)malloc(na + nb + 1);
+    if (!v.s) lol_die("RUN0150", "OUT OF MEMOREZ FOR A YARN");
+    memcpy(v.s, sa, na);
+    memcpy(v.s + na, sb, nb + 1);
+    return v;
+}
+
+static inline void lol_print(lol_value_t v) {
+    char b[LOL_NUM_BUF];
+    LOL_PUTS(lol_to_cstr(v, b, sizeof b));
+}
+
+/* the bounds check of every indexed access; `name` is the array's
+   LOLCODE name, for the fault message */
+static inline long long lol_idx(long long i, long long len, const char *name) {
+    if (i < 0 || i >= len) lol_die_idx(i, len, name);
+    return i;
+}
+
+/* the target PE of TXT MAH BFF */
+static inline int lol_pe(long long k) {
+    if (k < 0 || k >= shmem_n_pes())
+        lol_die("RUN0017", "PE %lld IZ NOT MAH FREN (THERE R ONLY %d OF US)", k, shmem_n_pes());
+    return (int)k;
+}
+
+static inline lol_value_t lol_arr_get(lol_arr_t *a, long long i, const char *name) {
+    return a->e[lol_idx(i, a->n, name)];
+}
+static inline void lol_arr_set(lol_arr_t *a, long long i, lol_value_t v, const char *name) {
+    a->e[lol_idx(i, a->n, name)] = lol_cast(v, a->ty);
+}
+
+static inline long long lol_whatevr(void) { return LOL_RAND(); }
+static inline double lol_whatevar(void) { return (double)LOL_RAND() / ((double)RAND_MAX + 1.0); }
+/* ---- end runtime ---- */
+"#;
+
+/// The runtime source: the out-of-line half of [`LOL_RUNTIME_H`],
+/// which must precede it in the same translation unit.
+pub const LOL_RUNTIME_C: &str = r#"/* ---- parallel LOLCODE runtime source (generated, do not edit) ---- */
+void lol_die(const char *code, const char *fmt, ...) {
+    va_list ap;
+    char *line;
+    int n;
+    va_start(ap, fmt);
+    n = vsnprintf(NULL, 0, fmt, ap);
+    va_end(ap);
+    line = (char *)malloc(strlen(code) + (size_t)(n > 0 ? n : 0) + 16);
+    if (!line) {
+        fprintf(stderr, "O NOES! [%s]\n", code);
+        exit(1);
+    }
+    n = sprintf(line, "O NOES! [%s] ", code);
+    va_start(ap, fmt);
+    vsprintf(line + n, fmt, ap);
+    va_end(ap);
+    LOL_FAULT(line);
+    exit(1); /* LOL_FAULT does not return */
+}
+
+void lol_die_idx(long long i, long long len, const char *name) {
+    lol_die("RUN0123", "INDEX %lld IZ OUTSIDE %s (IT HAS %lld THINGZ)", i, name, len);
+}
+
+char *lol_strdup(const char *s) {
+    size_t n = strlen(s) + 1;
+    char *p = (char *)malloc(n);
+    if (!p) lol_die("RUN0150", "OUT OF MEMOREZ FOR A YARN");
+    memcpy(p, s, n);
+    return p;
+}
+
+/* lol_numeric's NOOB and YARN cases. YARNs parse as strictly as on the
+   Rust engines: surrounding whitespace is ignored, a decimal point or
+   exponent makes a NUMBAR, and anything else left over is an error. */
+int lol_numeric_slow(lol_value_t v, long long *out_i, double *out_f) {
+    const char *b, *e, *mark;
+    char *end;
+    if (v.t == LOL_NOOB)
+        lol_die("RUN0002", "CANT DO MATHS WIF NOOB (DECLARE AN INITIALIZE UR VARIABLE)");
+    b = v.s;
+    e = v.s + strlen(v.s);
+    while (isspace((unsigned char)*b)) b++;
+    while (e > b && isspace((unsigned char)e[-1])) e--;
+    mark = strpbrk(b, ".eE");
+    errno = 0;
+    if (mark && mark < e) {
+        *out_f = strtod(b, &end);
+        if (b == e || end != e || strpbrk(b, "xX(") != NULL)
+            lol_die("RUN0004", "\"%s\" IZ NOT A NUMBAR", v.s);
+        return 1;
+    }
+    *out_i = strtoll(b, &end, 10);
+    if (b == e || end != e || errno == ERANGE) lol_die("RUN0004", "\"%s\" IZ NOT A NUMBR", v.s);
+    return 0;
+}
+
 /* Render `v` as a C string: YARNs return their heap storage directly
    (no length cap), everything else renders into the caller's scratch
    buffer (LOL_NUM_BUF bytes is always enough for numerics). */
-static const char *lol_to_cstr(lol_value_t v, char *buf, size_t n) {
+const char *lol_to_cstr(lol_value_t v, char *buf, size_t n) {
     switch (v.t) {
     case LOL_NOOB: lol_die("RUN0003", "CANT MAKE A YARN OUT OF NOOB");
     case LOL_TROOF: snprintf(buf, n, "%s", v.i ? "WIN" : "FAIL"); return buf;
@@ -201,54 +367,7 @@ static const char *lol_to_cstr(lol_value_t v, char *buf, size_t n) {
     return "";
 }
 
-/* dynamic arithmetic: NUMBR op NUMBR stays a NUMBR (IOP is the native
-   NUMBR operation above), anything involving a NUMBAR is a NUMBAR; fmax
-   and fmin return the non-NaN operand, like Rust's f64::max and min */
-#define LOL_ARITH(NAME, IOP, FOP)                                              \
-    static lol_value_t NAME(lol_value_t a, lol_value_t b) {                    \
-        long long ia = 0, ib = 0; double fa = 0.0, fb = 0.0;                   \
-        int af = lol_numeric(a, &ia, &fa), bf = lol_numeric(b, &ib, &fb);      \
-        if (!af && !bf) return lol_from_int(IOP(ia, ib));                      \
-        fa = af ? fa : (double)ia;                                             \
-        fb = bf ? fb : (double)ib;                                             \
-        return lol_from_dbl(FOP);                                              \
-    }
-
-LOL_ARITH(lol_sum, lol_add_i, fa + fb)
-LOL_ARITH(lol_diff, lol_sub_i, fa - fb)
-LOL_ARITH(lol_produkt, lol_mul_i, fa * fb)
-LOL_ARITH(lol_quoshunt, lol_quo_i, fa / fb)
-LOL_ARITH(lol_mod, lol_mod_i, fmod(fa, fb))
-LOL_ARITH(lol_biggr, lol_max_i, fmax(fa, fb))
-LOL_ARITH(lol_smallr, lol_min_i, fmin(fa, fb))
-
-static int lol_saem(lol_value_t a, lol_value_t b) {
-    if (a.t == LOL_NOOB && b.t == LOL_NOOB) return 1;
-    if (a.t == LOL_TROOF && b.t == LOL_TROOF) return a.i == b.i;
-    if (a.t == LOL_NUMBR && b.t == LOL_NUMBR) return a.i == b.i;
-    if (a.t == LOL_YARN && b.t == LOL_YARN) return strcmp(a.s, b.s) == 0;
-    if ((a.t == LOL_NUMBR || a.t == LOL_NUMBAR) && (b.t == LOL_NUMBR || b.t == LOL_NUMBAR))
-        return lol_to_dbl(a) == lol_to_dbl(b);
-    return 0;
-}
-
-static lol_value_t lol_squar(lol_value_t v) { return lol_produkt(v, v); }
-
-static lol_value_t lol_smoosh(lol_value_t a, lol_value_t b) {
-    char ba[LOL_NUM_BUF], bb[LOL_NUM_BUF];
-    const char *sa = lol_to_cstr(a, ba, sizeof ba);
-    const char *sb = lol_to_cstr(b, bb, sizeof bb);
-    size_t na = strlen(sa), nb = strlen(sb);
-    lol_value_t v = lol_noob();
-    v.t = LOL_YARN;
-    v.s = (char *)malloc(na + nb + 1);
-    if (!v.s) lol_die("RUN0150", "OUT OF MEMOREZ FOR A YARN");
-    memcpy(v.s, sa, na);
-    memcpy(v.s + na, sb, nb + 1);
-    return v;
-}
-
-static lol_value_t lol_cast(lol_value_t v, lol_type_t ty) {
+lol_value_t lol_cast(lol_value_t v, lol_type_t ty) {
     switch (ty) {
     case LOL_NOOB: return lol_noob();
     case LOL_TROOF: return lol_from_bool(lol_to_bool(v));
@@ -262,14 +381,9 @@ static lol_value_t lol_cast(lol_value_t v, lol_type_t ty) {
     return lol_noob();
 }
 
-static void lol_print(lol_value_t v) {
-    char b[LOL_NUM_BUF];
-    LOL_PUTS(lol_to_cstr(v, b, sizeof b));
-}
-
 /* Read one whole input line of any length (heap-grown; the 256-byte
    line cap is gone along with the YARN cap). */
-static lol_value_t lol_gimmeh(void) {
+lol_value_t lol_gimmeh(void) {
     size_t cap = 64, len = 0, n;
     char chunk[256];
     int got = 0;
@@ -299,51 +413,23 @@ static lol_value_t lol_gimmeh(void) {
     return v;
 }
 
-static inline long long lol_idx(long long i, long long len) {
-    if (i < 0 || i >= len) lol_die("RUN0123", "INDEX IZ OUTSIDE DA ARRAY");
-    return i;
-}
-
-/* the target PE of TXT MAH BFF */
-static int lol_pe(long long k) {
-    if (k < 0 || k >= shmem_n_pes()) lol_die("RUN0017", "DAT PE IZ NOT MAH FREN");
-    return (int)k;
-}
-
 /* Element storage of a local array: zeroed, which is 0, 0.0 and FAIL
    for the NUMBR, NUMBAR and TROOF arrays that store native elements. */
-static void *lol_arr_alloc(long long n, size_t size) {
+void *lol_arr_alloc(long long n, size_t size) {
     void *p;
-    if (n <= 0) lol_die("RUN0014", "ARRAY SIZE MUST BE POSITIVE");
+    if (n <= 0) lol_die("RUN0014", "ARRAY SIZE MUST BE POSITIVE, NOT %lld", n);
     p = calloc((size_t)n, size);
     if (!p) lol_die("RUN0150", "OUT OF MEMOREZ FOR AN ARRAY");
     return p;
 }
 
-/* the native local arrays: elements e[0..n) */
-typedef struct { long long *e; long long n; } lol_arr_numbr;
-typedef struct { double *e; long long n; } lol_arr_numbar;
-typedef struct { int *e; long long n; } lol_arr_troof;
-
-/* local arrays of YARNs and NOOBs: dynamic values, cast to the element
-   type on every store, starting out as "" or NOOB */
-typedef struct {
-    lol_value_t *e;
-    long long n;
-    lol_type_t ty;
-} lol_arr_t;
-
-static lol_arr_t lol_arr_new(long long n, lol_type_t ty) {
+lol_arr_t lol_arr_new(long long n, lol_type_t ty) {
     lol_arr_t a;
     a.e = (lol_value_t *)lol_arr_alloc(n, sizeof(lol_value_t));
     a.n = n;
     a.ty = ty;
     for (long long i = 0; i < n; i++) a.e[i] = ty == LOL_YARN ? lol_from_str("") : lol_noob();
     return a;
-}
-static lol_value_t lol_arr_get(lol_arr_t *a, long long i) { return a->e[lol_idx(i, a->n)]; }
-static void lol_arr_set(lol_arr_t *a, long long i, lol_value_t v) {
-    a->e[lol_idx(i, a->n)] = lol_cast(v, a->ty);
 }
 
 /* per-instance global locks over OpenSHMEM atomics (Table II locks).
@@ -352,7 +438,7 @@ static void lol_arr_set(lol_arr_t *a, long long i, lol_value_t v) {
    uses only cell[0]; the ticket algorithm queues on cell[1]/cell[2].
    LOL_LOCK_KIND selects the algorithm (the stub wires it to the
    LOL_STUB_LOCK env var; real-OpenSHMEM builds can -DLOL_LOCK_KIND=1). */
-static void lol_lock_acquire(long *cell, int target) {
+void lol_lock_acquire(long *cell, int target) {
     long me1 = (long)shmem_my_pe() + 1;
     LOL_LOCK_ENTER(target);
     if (LOL_LOCK_KIND == 1) {
@@ -365,7 +451,7 @@ static void lol_lock_acquire(long *cell, int target) {
     LOL_LOCK_EXIT();
     LOL_LOCK_TRACE('L', cell, target, 0);
 }
-static int lol_lock_try(long *cell, int target) {
+int lol_lock_try(long *cell, int target) {
     long me1 = (long)shmem_my_pe() + 1;
     int got;
     LOL_LOCK_ENTER(target);
@@ -382,23 +468,21 @@ static int lol_lock_try(long *cell, int target) {
     LOL_LOCK_TRACE('T', cell, target, (unsigned)got);
     return got;
 }
-static void lol_lock_release(long *cell, int target) {
+void lol_lock_release(long *cell, int target) {
     LOL_LOCK_ENTER(target);
     shmem_long_atomic_swap(&cell[0], 0, target);
     if (LOL_LOCK_KIND == 1) shmem_long_atomic_fetch_inc(&cell[2], target);
     LOL_LOCK_EXIT();
     LOL_LOCK_TRACE('U', cell, target, 0);
 }
-
-static long long lol_whatevr(void) { return LOL_RAND(); }
-static double lol_whatevar(void) { return (double)LOL_RAND() / ((double)RAND_MAX + 1.0); }
-/* ---- end runtime ---- */
+/* ---- end runtime source ---- */
 "#;
 
-/// A multi-PE OpenSHMEM stub over POSIX threads, good enough to compile
-/// and *run* the generated C with any C99 compiler when no real
-/// OpenSHMEM library is installed (`lcc --stub`; also the substrate the
-/// [`driver`][crate::driver] uses to run the C backend as an engine).
+/// The header of a multi-PE OpenSHMEM stub over POSIX threads, good
+/// enough to compile and *run* the generated C with any C99 compiler
+/// when no real OpenSHMEM library is installed (`lcc --stub` writes it
+/// as `shmem.h`, followed by [`SHMEM_STUB_C`]; the
+/// [`driver`][crate::driver] runs the C backend on it as an engine).
 /// This is the "simulate what you don't have" substitution from
 /// DESIGN.md §2, upgraded from the original single-PE stub:
 ///
@@ -436,22 +520,21 @@ static double lol_whatevar(void) { return (double)LOL_RAND() / ((double)RAND_MAX
 ///   cumulative over the registration order, matching the Rust
 ///   substrate's symmetric layout, so traces diff across backends.
 ///
-/// Compile with `cc -std=c99 -I<dir-with-shmem.h> prog.c -lm -pthread`.
+/// The header keeps inline what the emitted code calls per element:
+/// `shmem_my_pe`, `shmem_n_pes`, and the local (same-PE) halves of
+/// `shmem_*_g`/`_p`. Everything else is declared here and defined in
+/// [`SHMEM_STUB_C`].
 pub const SHMEM_STUB_H: &str = r#"/* multi-PE OpenSHMEM stub over pthreads, for toolchains without SHMEM */
 #ifndef LOL_SHMEM_STUB_H
 #define LOL_SHMEM_STUB_H
-#include <pthread.h>
-#include <stdio.h>
-#include <stdlib.h>
-#include <string.h>
-#include <time.h>
+#include <stddef.h>
 
 #define LOL_STUB_MAX_PES 256
 #define LOL_STUB_MAX_SYMS 256
 /* ceil(log2(LOL_STUB_MAX_PES)): dissemination-barrier rounds */
 #define LOL_STUB_MAX_ROUNDS 8
 
-/* hooks consumed by the generated runtime (see LOL_RUNTIME) */
+/* hooks consumed by the generated runtime (see LOL_RUNTIME_H) */
 #define LOL_SYMMETRIC __thread
 #define LOL_SYM_REG(p, n) lol_stub_sym_reg((void *)(p), (n))
 #define LOL_SYM_REG_DONE() lol_stub_sym_done()
@@ -465,7 +548,81 @@ pub const SHMEM_STUB_H: &str = r#"/* multi-PE OpenSHMEM stub over pthreads, for 
 #define LOL_LOCK_TRACE(k, cell, pe, b) lol_stub_trace_ev((k), (pe), (const void *)(cell), (b))
 #define LOL_LOCK_ENTER(pe) lol_stub_lock_enter(pe)
 #define LOL_LOCK_EXIT() lol_stub_lock_exit()
-static int lol_stub_lock_kind = 0; /* 0 = cas, 1 = ticket (LOL_STUB_LOCK) */
+#define LOL_FAULT(line) lol_stub_fault(line)
+
+typedef struct {
+    unsigned long long local_gets, remote_gets, local_puts, remote_puts, amos, barriers;
+} lol_stub_stats_t;
+typedef int (*lol_stub_main_fn)(void);
+
+extern int lol_stub_lock_kind; /* 0 = cas, 1 = ticket (LOL_STUB_LOCK) */
+extern int lol_stub_npes;
+extern __thread int lol_stub_me;
+extern lol_stub_stats_t lol_stub_stats[LOL_STUB_MAX_PES];
+
+void lol_stub_sym_reg(void *p, size_t n);
+void lol_stub_sym_done(void);
+int lol_stub_launch(lol_stub_main_fn fn);
+void lol_stub_puts(const char *s);
+char *lol_stub_gets(char *buf, int n);
+void lol_stub_srand(unsigned long long seed);
+int lol_stub_rand(void);
+void lol_stub_relax(void);
+void lol_stub_trace_ev(char kind, int peer, const void *addr, unsigned bytes);
+void lol_stub_lock_enter(int pe);
+void lol_stub_lock_exit(void);
+void lol_stub_fault(char *line);
+void lol_stub_barrier_all(void);
+/* the remote halves of shmem_*_g/_p */
+long long lol_stub_longlong_g(const long long *src, int pe);
+void lol_stub_longlong_p(long long *dst, long long v, int pe);
+double lol_stub_double_g(const double *src, int pe);
+void lol_stub_double_p(double *dst, double v, int pe);
+
+/* -- the OpenSHMEM surface the generated code uses -- */
+
+static inline void shmem_init(void) {}
+static inline void shmem_finalize(void) {}
+static inline int shmem_my_pe(void) { return lol_stub_me; }
+static inline int shmem_n_pes(void) { return lol_stub_npes; }
+static inline void shmem_barrier_all(void) { lol_stub_barrier_all(); }
+
+static inline long long shmem_longlong_g(const long long *src, int pe) {
+    if (pe == lol_stub_me) { lol_stub_stats[pe].local_gets++; return *src; }
+    return lol_stub_longlong_g(src, pe);
+}
+static inline void shmem_longlong_p(long long *dst, long long v, int pe) {
+    if (pe == lol_stub_me) { lol_stub_stats[pe].local_puts++; *dst = v; return; }
+    lol_stub_longlong_p(dst, v, pe);
+}
+static inline double shmem_double_g(const double *src, int pe) {
+    if (pe == lol_stub_me) { lol_stub_stats[pe].local_gets++; return *src; }
+    return lol_stub_double_g(src, pe);
+}
+static inline void shmem_double_p(double *dst, double v, int pe) {
+    if (pe == lol_stub_me) { lol_stub_stats[pe].local_puts++; *dst = v; return; }
+    lol_stub_double_p(dst, v, pe);
+}
+
+long shmem_long_atomic_compare_swap(long *target, long cond, long value, int pe);
+long shmem_long_atomic_swap(long *target, long value, int pe);
+long shmem_long_atomic_fetch(const long *target, int pe);
+long shmem_long_atomic_fetch_inc(long *target, int pe);
+#endif
+"#;
+
+/// The stub's source: the out-of-line half of [`SHMEM_STUB_H`], which
+/// must precede it in the same translation unit.
+pub const SHMEM_STUB_C: &str = r#"/* multi-PE OpenSHMEM stub source */
+#ifndef LOL_SHMEM_STUB_C
+#define LOL_SHMEM_STUB_C
+#include <pthread.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+#include <time.h>
+
+int lol_stub_lock_kind = 0;
 /* >0 while inside a lol_lock_* op: virtual-clock charging is then done
    once at LOL_LOCK_ENTER (mirroring the Rust substrate's one charge
    per lock op) and suppressed for the AMOs the op spins on — retries
@@ -473,18 +630,14 @@ static int lol_stub_lock_kind = 0; /* 0 = cas, 1 = ticket (LOL_STUB_LOCK) */
 static __thread int lol_stub_lock_depth = 0;
 
 typedef struct { char *addr; size_t size; } lol_stub_sym_t;
-typedef struct {
-    unsigned long long local_gets, remote_gets, local_puts, remote_puts, amos, barriers;
-} lol_stub_stats_t;
 
-static int lol_stub_npes = 1;
+int lol_stub_npes = 1;
 static int lol_stub_passthrough = 1; /* old single-PE behavior: no env, no capture */
-static __thread int lol_stub_me = 0;
+__thread int lol_stub_me = 0;
 static lol_stub_sym_t lol_stub_syms[LOL_STUB_MAX_PES][LOL_STUB_MAX_SYMS];
 static int lol_stub_nsyms[LOL_STUB_MAX_PES];
-static lol_stub_stats_t lol_stub_stats[LOL_STUB_MAX_PES];
+lol_stub_stats_t lol_stub_stats[LOL_STUB_MAX_PES];
 static FILE *lol_stub_cap[LOL_STUB_MAX_PES]; /* per-PE capture files, or NULL */
-
 /* -- clocks: wall trace epoch + the virtual-time logical clock -- */
 
 static int lol_stub_clock_virtual = 0; /* LOL_STUB_CLOCK=virtual */
@@ -563,7 +716,7 @@ static unsigned lol_stub_word_addr(const void *p) {
     return 0;
 }
 
-static void lol_stub_trace_ev(char kind, int peer, const void *addr, unsigned bytes) {
+void lol_stub_trace_ev(char kind, int peer, const void *addr, unsigned bytes) {
     int me = lol_stub_me;
     unsigned n;
     if (lol_stub_trace_cap == 0) return;
@@ -586,12 +739,30 @@ static void lol_stub_fatal(const char *msg) {
     exit(2);
 }
 
+/* -- faults: like the Rust substrate's run_spmd, a failing PE ends its
+   own thread, PEs waiting on it give up, and the launcher reports the
+   lowest failing PE's line once every PE has stopped -- */
+
+static int lol_stub_aborted = 0;
+static char *lol_stub_faults[LOL_STUB_MAX_PES];
+static void lol_stub_give_up(void);
+
+void lol_stub_fault(char *line) {
+    if (lol_stub_passthrough) {
+        fprintf(stderr, "%s\n", line);
+        exit(1);
+    }
+    lol_stub_faults[lol_stub_me] = line;
+    lol_stub_give_up();
+}
+
 /* Briefly back off in a spin loop: oversubscribed PE threads (more PEs
    than cores) must let the thread they wait on run. Guarded on
    CLOCK_MONOTONIC because nanosleep comes from the same POSIX level;
    without it (strict-C99 build) the loop degrades to a pure spin. */
 static __thread unsigned lol_stub_spin_count = 0;
-static void lol_stub_relax(void) {
+void lol_stub_relax(void) {
+    if (__atomic_load_n(&lol_stub_aborted, __ATOMIC_ACQUIRE)) lol_stub_give_up();
 #ifdef CLOCK_MONOTONIC
     if ((++lol_stub_spin_count & 0xFF) == 0) {
         struct timespec ts;
@@ -614,6 +785,16 @@ static pthread_cond_t lol_stub_bar_cv = PTHREAD_COND_INITIALIZER;
 static int lol_stub_bar_waiting = 0;
 static unsigned long long lol_stub_bar_gen = 0;
 static int lol_stub_bar_kind = 0; /* 0 = central, 1 = dissem */
+
+/* End this PE's thread because the job failed, waking every barrier
+   waiter so that it gives up too. */
+static void lol_stub_give_up(void) {
+    __atomic_store_n(&lol_stub_aborted, 1, __ATOMIC_RELEASE);
+    pthread_mutex_lock(&lol_stub_bar_mu);
+    pthread_cond_broadcast(&lol_stub_bar_cv);
+    pthread_mutex_unlock(&lol_stub_bar_mu);
+    pthread_exit(NULL);
+}
 
 /* dissemination barrier: log2(npes) rounds of pairwise signalling on
    per-(round, PE) generation counters, like DisseminationBarrier */
@@ -651,8 +832,13 @@ static void lol_stub_barrier_wait(int explicit_) {
                     lol_stub_bar_gen++;
                     pthread_cond_broadcast(&lol_stub_bar_cv);
                 } else {
-                    while (gen == lol_stub_bar_gen)
+                    while (gen == lol_stub_bar_gen) {
+                        if (__atomic_load_n(&lol_stub_aborted, __ATOMIC_ACQUIRE)) {
+                            pthread_mutex_unlock(&lol_stub_bar_mu);
+                            lol_stub_give_up();
+                        }
                         pthread_cond_wait(&lol_stub_bar_cv, &lol_stub_bar_mu);
+                    }
                 }
             }
             pthread_mutex_unlock(&lol_stub_bar_mu);
@@ -762,16 +948,16 @@ static void lol_stub_charge(int pe) {
    the op then charge nothing (see lol_stub_charge). Wall mode is
    untouched: it busy-waits per AMO, which is what a real spinning
    lock over a slow interconnect feels like. */
-static void lol_stub_lock_enter(int pe) {
+void lol_stub_lock_enter(int pe) {
     if (lol_stub_clock_virtual && pe != lol_stub_me)
         lol_stub_vclock += lol_stub_delay_ns(lol_stub_me, pe) + 1;
     lol_stub_lock_depth++;
 }
-static void lol_stub_lock_exit(void) { lol_stub_lock_depth--; }
+void lol_stub_lock_exit(void) { lol_stub_lock_depth--; }
 
 /* -- symmetric segment: per-thread registry + address translation -- */
 
-static void lol_stub_sym_reg(void *p, size_t n) {
+void lol_stub_sym_reg(void *p, size_t n) {
     int me = lol_stub_me;
     if (lol_stub_nsyms[me] >= LOL_STUB_MAX_SYMS) lol_stub_fatal("too many symmetric objects");
     lol_stub_syms[me][lol_stub_nsyms[me]].addr = (char *)p;
@@ -782,7 +968,7 @@ static void lol_stub_sym_reg(void *p, size_t n) {
 /* all PEs must finish registering before anyone translates (internal
    fence: untraced, free in virtual time — like the Rust substrate's
    collective-allocation barrier) */
-static void lol_stub_sym_done(void) { lol_stub_barrier_wait(0); }
+void lol_stub_sym_done(void) { lol_stub_barrier_wait(0); }
 
 /* The single remote-access choke point: every remote get/put/atomic
    translates through here, so charging the interconnect model here
@@ -803,73 +989,66 @@ static void *lol_stub_xlate(const void *p, int pe) {
     return NULL;
 }
 
-/* -- the OpenSHMEM surface the generated code uses -- */
+/* -- the out-of-line OpenSHMEM surface: barriers, remote gets and
+   puts (the header inlines the local halves) and the atomics -- */
 
-static void shmem_init(void) {}
-static void shmem_finalize(void) {}
-static int shmem_my_pe(void) { return lol_stub_me; }
-static int shmem_n_pes(void) { return lol_stub_npes; }
-static void shmem_barrier_all(void) {
+void lol_stub_barrier_all(void) {
     lol_stub_stats[lol_stub_me].barriers++;
     lol_stub_trace_ev('B', lol_stub_me, NULL, 0);
     lol_stub_barrier_wait(1);
     lol_stub_trace_ev('b', lol_stub_me, NULL, 0);
 }
 
-static long long shmem_longlong_g(const long long *src, int pe) {
+long long lol_stub_longlong_g(const long long *src, int pe) {
     long long v;
-    if (pe == lol_stub_me) { lol_stub_stats[lol_stub_me].local_gets++; return *src; }
     lol_stub_stats[lol_stub_me].remote_gets++;
     __atomic_load((long long *)lol_stub_xlate(src, pe), &v, __ATOMIC_SEQ_CST);
     lol_stub_trace_ev('G', pe, src, 8);
     return v;
 }
-static void shmem_longlong_p(long long *dst, long long v, int pe) {
-    if (pe == lol_stub_me) { lol_stub_stats[lol_stub_me].local_puts++; *dst = v; return; }
+void lol_stub_longlong_p(long long *dst, long long v, int pe) {
     lol_stub_stats[lol_stub_me].remote_puts++;
     __atomic_store((long long *)lol_stub_xlate(dst, pe), &v, __ATOMIC_SEQ_CST);
     lol_stub_trace_ev('P', pe, dst, 8);
 }
-static double shmem_double_g(const double *src, int pe) {
+double lol_stub_double_g(const double *src, int pe) {
     double v;
-    if (pe == lol_stub_me) { lol_stub_stats[lol_stub_me].local_gets++; return *src; }
     lol_stub_stats[lol_stub_me].remote_gets++;
     __atomic_load((double *)lol_stub_xlate(src, pe), &v, __ATOMIC_SEQ_CST);
     lol_stub_trace_ev('G', pe, src, 8);
     return v;
 }
-static void shmem_double_p(double *dst, double v, int pe) {
-    if (pe == lol_stub_me) { lol_stub_stats[lol_stub_me].local_puts++; *dst = v; return; }
+void lol_stub_double_p(double *dst, double v, int pe) {
     lol_stub_stats[lol_stub_me].remote_puts++;
     __atomic_store((double *)lol_stub_xlate(dst, pe), &v, __ATOMIC_SEQ_CST);
     lol_stub_trace_ev('P', pe, dst, 8);
 }
-static long shmem_long_atomic_compare_swap(long *target, long cond, long value, int pe) {
+long shmem_long_atomic_compare_swap(long *target, long cond, long value, int pe) {
     long *t = (long *)lol_stub_xlate(target, pe);
     long expected = cond;
     lol_stub_stats[lol_stub_me].amos++;
     __atomic_compare_exchange_n(t, &expected, value, 0, __ATOMIC_SEQ_CST, __ATOMIC_SEQ_CST);
     return expected;
 }
-static long shmem_long_atomic_swap(long *target, long value, int pe) {
+long shmem_long_atomic_swap(long *target, long value, int pe) {
     long *t = (long *)lol_stub_xlate(target, pe);
     lol_stub_stats[lol_stub_me].amos++;
     return __atomic_exchange_n(t, value, __ATOMIC_SEQ_CST);
 }
-static long shmem_long_atomic_fetch(const long *target, int pe) {
+long shmem_long_atomic_fetch(const long *target, int pe) {
     long v;
     lol_stub_stats[lol_stub_me].amos++;
     __atomic_load((long *)lol_stub_xlate(target, pe), &v, __ATOMIC_SEQ_CST);
     return v;
 }
-static long shmem_long_atomic_fetch_inc(long *target, int pe) {
+long shmem_long_atomic_fetch_inc(long *target, int pe) {
     lol_stub_stats[lol_stub_me].amos++;
     return __atomic_fetch_add((long *)lol_stub_xlate(target, pe), 1, __ATOMIC_SEQ_CST);
 }
 
 /* -- per-PE output capture (VISIBLE) -- */
 
-static void lol_stub_puts(const char *s) {
+void lol_stub_puts(const char *s) {
     FILE *f = lol_stub_cap[lol_stub_me];
     fputs(s, f ? f : stdout);
 }
@@ -901,7 +1080,7 @@ static void lol_stub_slurp(void) {
     pthread_mutex_unlock(&lol_stub_in_mu);
 }
 
-static char *lol_stub_gets(char *buf, int n) {
+char *lol_stub_gets(char *buf, int n) {
     int i = 0;
     if (lol_stub_passthrough) return fgets(buf, n, stdin);
     lol_stub_slurp();
@@ -920,14 +1099,14 @@ static char *lol_stub_gets(char *buf, int n) {
 static unsigned long long lol_stub_seed0 = 0;
 static __thread unsigned long long lol_stub_rng_state = 0x853c49e6748fea9bULL;
 
-static void lol_stub_srand(unsigned long long seed) {
+void lol_stub_srand(unsigned long long seed) {
     lol_stub_rng_state = (seed ^ lol_stub_seed0) * 0x9E3779B97F4A7C15ULL + 0x853c49e6748fea9bULL
         + (unsigned long long)lol_stub_me;
     /* xorshift's zero state is absorbing; the mix above is invertible,
        so some seed lands exactly on it */
     if (lol_stub_rng_state == 0) lol_stub_rng_state = 0x853c49e6748fea9bULL;
 }
-static int lol_stub_rand(void) {
+int lol_stub_rand(void) {
     unsigned long long x = lol_stub_rng_state;
     x ^= x >> 12;
     x ^= x << 25;
@@ -938,7 +1117,6 @@ static int lol_stub_rand(void) {
 
 /* -- SPMD launch: LOL_STUB_NPES threads, each running lol_main -- */
 
-typedef int (*lol_stub_main_fn)(void);
 static lol_stub_main_fn lol_stub_fn;
 
 static void *lol_stub_thread(void *arg) {
@@ -950,7 +1128,7 @@ static void *lol_stub_thread(void *arg) {
     return (void *)(size_t)(unsigned)rc;
 }
 
-static int lol_stub_launch(lol_stub_main_fn fn) {
+int lol_stub_launch(lol_stub_main_fn fn) {
     pthread_t tid[LOL_STUB_MAX_PES];
     const char *np = getenv("LOL_STUB_NPES");
     const char *seed = getenv("LOL_STUB_SEED");
@@ -1004,6 +1182,12 @@ static int lol_stub_launch(lol_stub_main_fn fn) {
         pthread_join(tid[pe], &ret);
         if ((int)(size_t)ret != 0) rc = (int)(size_t)ret;
     }
+    for (pe = 0; pe < lol_stub_npes; pe++) {
+        if (lol_stub_faults[pe]) {
+            fprintf(stderr, "%s\n", lol_stub_faults[pe]);
+            exit(1);
+        }
+    }
     if (out) {
         char path[4096];
         FILE *f;
@@ -1047,6 +1231,7 @@ mod tests {
 
     #[test]
     fn runtime_has_the_key_pieces() {
+        let runtime = format!("{LOL_RUNTIME_H}{LOL_RUNTIME_C}");
         for needle in [
             "lol_value_t",
             "lol_sum",
@@ -1058,7 +1243,8 @@ mod tests {
             "isnan(v.f)", // non-finite NUMBARs render nan/inf/-inf everywhere
             "lol_arr_new",
             // the TXT MAH BFF target check
-            "k >= shmem_n_pes()) lol_die(\"RUN0017\"",
+            "k >= shmem_n_pes())",
+            "lol_die(\"RUN0017\"",
             // the hook macros a stub shmem.h may override
             "#ifndef LOL_SYMMETRIC",
             "#ifndef LOL_SYM_REG",
@@ -1073,15 +1259,16 @@ mod tests {
             "char *s;",
             "lol_strdup",
         ] {
-            assert!(LOL_RUNTIME.contains(needle), "runtime lacks {needle}");
+            assert!(runtime.contains(needle), "runtime lacks {needle}");
         }
-        assert!(!LOL_RUNTIME.contains("char s[256]"), "the YARN cap is supposed to be gone");
+        assert!(!runtime.contains("char s[256]"), "the YARN cap is supposed to be gone");
     }
 
     #[test]
     fn stub_covers_the_runtime_calls() {
         // Every shmem_* symbol the runtime/emitter uses must exist in
         // the stub.
+        let stub = format!("{SHMEM_STUB_H}{SHMEM_STUB_C}");
         for needle in [
             "shmem_init",
             "shmem_finalize",
@@ -1130,13 +1317,18 @@ mod tests {
             // both barrier algorithms exist
             "lol_stub_dissem_wait",
         ] {
-            assert!(SHMEM_STUB_H.contains(needle), "stub lacks {needle}");
+            assert!(stub.contains(needle), "stub lacks {needle}");
         }
     }
 
     #[test]
     fn braces_balance() {
-        for (name, text) in [("runtime", LOL_RUNTIME), ("stub", SHMEM_STUB_H)] {
+        for (name, text) in [
+            ("runtime header", LOL_RUNTIME_H),
+            ("runtime source", LOL_RUNTIME_C),
+            ("stub header", SHMEM_STUB_H),
+            ("stub source", SHMEM_STUB_C),
+        ] {
             let open = text.matches('{').count();
             let close = text.matches('}').count();
             assert_eq!(open, close, "{name} braces unbalanced");

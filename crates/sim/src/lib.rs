@@ -243,6 +243,7 @@ mod tests {
                 n_slots: 1,
                 n_arrays: 0,
                 regs: Vec::new(),
+                arr_names: Vec::new(),
             },
             funcs: vec![],
             shared_words: 1,
@@ -277,6 +278,7 @@ mod tests {
                 n_slots: 1,
                 n_arrays: 0,
                 regs: Vec::new(),
+                arr_names: Vec::new(),
             },
             funcs: vec![],
             shared_words: 4,
@@ -406,6 +408,7 @@ mod tests {
                 n_slots: 1,
                 n_arrays: 0,
                 regs: Vec::new(),
+                arr_names: Vec::new(),
             },
             funcs: vec![],
             shared_words: 0,
@@ -491,6 +494,7 @@ mod tests {
                 n_slots: 1,
                 n_arrays: 0,
                 regs: Vec::new(),
+                arr_names: Vec::new(),
             },
             funcs: vec![],
             shared_words: 3,

@@ -36,6 +36,7 @@ fn module() -> Module {
             n_slots: 1,
             n_arrays: 0,
             regs: Vec::new(),
+            arr_names: Vec::new(),
         },
         funcs: vec![],
         shared_words: 3,

@@ -43,7 +43,7 @@
 //! stays a stack op, so every fault keeps its order. On `nbody_bench`
 //! an interaction takes 21 dispatches instead of 32 (see docs/PERF.md).
 
-use crate::ops::{is_raw, ArrLoc, Chunk, Cmp, Module, Op};
+use crate::ops::{is_raw, ArrId, ArrLoc, Chunk, Cmp, Module, Op};
 use lol_ast::diag::Diagnostic;
 use lol_ast::*;
 use lol_interp::Value;
@@ -187,6 +187,8 @@ struct FnCompiler<'a> {
     scopes: Vec<Vec<Symbol>>,
     n_slots: u16,
     n_arrays: u16,
+    /// See [`Chunk::arr_names`].
+    arr_names: Vec<(ArrId, Symbol)>,
     /// The register bank's starting contents (see [`Chunk::regs`]).
     regs: Vec<u64>,
     /// Constant register per literal word.
@@ -215,6 +217,12 @@ impl<'a> FnCompiler<'a> {
             scopes: vec![],
             n_slots: 1, // slot 0 = IT
             n_arrays: 0,
+            arr_names: analysis
+                .shared
+                .iter()
+                .filter(|sv| matches!(sv.kind, SharedKind::Array { .. }))
+                .map(|sv| (ArrId::Shared(sv.addr), sv.name))
+                .collect(),
             regs: Vec::new(),
             kregs: HashMap::new(),
             live_temps: Vec::new(),
@@ -230,6 +238,7 @@ impl<'a> FnCompiler<'a> {
             n_slots: self.n_slots,
             n_arrays: self.n_arrays,
             regs: self.regs,
+            arr_names: self.arr_names,
         }
     }
 
@@ -257,6 +266,7 @@ impl<'a> FnCompiler<'a> {
             }
             SlotKind::Reg { .. } => self.new_reg(),
             SlotKind::Array { .. } => {
+                self.arr_names.push((ArrId::Local(self.n_arrays), name));
                 self.n_arrays += 1;
                 self.n_arrays - 1
             }

@@ -770,9 +770,42 @@ mod tests {
                 }
                 (Err(e), Err(i), Err(code)) => {
                     assert_eq!((e.code, i.code), (code, code), "on:\n{body}");
+                    assert_eq!(e.message, i.message, "interp words it differently:\n{body}");
                 }
                 other => panic!("unexpected outcome {other:?} on:\n{body}"),
             }
+        }
+    }
+
+    #[test]
+    fn array_faults_name_the_array_like_the_interpreter() {
+        for (body, code, name) in [
+            // A local array on the stack path, the fused slot-index
+            // store, and a function's own array.
+            ("I HAS A a ITZ LOTZ A YARNS AN THAR IZ 2\nVISIBLE a'Z 2", "RUN0123", "a"),
+            ("I HAS A b ITZ LOTZ A YARNS AN THAR IZ 2\nI HAS A i ITZ 7\nb'Z i R 1", "RUN0123", "b"),
+            (
+                "HOW IZ I f\nI HAS A inner ITZ LOTZ A NUMBRS AN THAR IZ 1\nFOUND YR inner'Z -1\n\
+                 IF U SAY SO\nVISIBLE I IZ f MKAY",
+                "RUN0123",
+                "inner",
+            ),
+            // A symmetric array, read and written.
+            ("WE HAS A s ITZ LOTZ A NUMBRS AN THAR IZ 2\nVISIBLE s'Z 9", "RUN0123", "s"),
+            ("WE HAS A t ITZ LOTZ A NUMBARS AN THAR IZ 2\nt'Z 2 R 1.5", "RUN0123", "t"),
+            // A whole-array copy into a symmetric array of another size.
+            (
+                "WE HAS A d ITZ LOTZ A NUMBRS AN THAR IZ 2\nI HAS A n ITZ 3\n\
+                 I HAS A src ITZ LOTZ A NUMBRS AN THAR IZ n\nMAH d R MAH src",
+                "RUN0013",
+                "d",
+            ),
+        ] {
+            let (_, vm, interp) = outcomes(&prog(body));
+            let (vm, interp) = (vm.unwrap_err(), interp.unwrap_err());
+            assert_eq!((vm.code, interp.code), (code, code), "on:\n{body}");
+            assert_eq!(vm.message, interp.message, "on:\n{body}");
+            assert!(vm.message.contains(&format!(" {name} ")), "{}", vm.message);
         }
     }
 
@@ -795,7 +828,7 @@ mod tests {
     #[test]
     fn malformed_register_ops_are_vm_bugs() {
         let with_main = |code: Vec<Op>, regs: Vec<u64>| Module {
-            main: Chunk { code, n_slots: 1, n_arrays: 1, regs },
+            main: Chunk { code, n_slots: 1, n_arrays: 1, regs, ..Default::default() },
             ..Default::default()
         };
         for (what, m) in [

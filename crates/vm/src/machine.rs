@@ -52,7 +52,7 @@
 //! recursive loop; the differential tests in `lib.rs` pin VM output to
 //! the interpreter's byte-for-byte.
 
-use crate::ops::{is_raw, ArrLoc, Chunk, Cmp, Module, Op};
+use crate::ops::{is_raw, ArrId, ArrLoc, Chunk, Cmp, Module, Op};
 use crate::profile::VmProfile;
 use lol_ast::LolType;
 use lol_interp::value::{arith, cast, compare, default_for, RResult, RunError, Value};
@@ -345,13 +345,23 @@ impl<'a> Machine<'a> {
                     }
                     Op::SharedLoadIdx { off, len, ty, remote } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(index(&pop(stack)?)?, *len as usize)?;
+                        let i = bounds(
+                            index(&pop(stack)?)?,
+                            *len as usize,
+                            chunk,
+                            ArrId::Shared(*off),
+                        )?;
                         let v = shared_read(base, sub, *off, i, *ty, t);
                         stack.push(v);
                     }
                     Op::SharedStoreIdx { off, len, ty, remote } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(index(&pop(stack)?)?, *len as usize)?;
+                        let i = bounds(
+                            index(&pop(stack)?)?,
+                            *len as usize,
+                            chunk,
+                            ArrId::Shared(*off),
+                        )?;
                         let v = pop(stack)?;
                         shared_write(base, sub, *off, i, *ty, t, &v)?;
                     }
@@ -372,16 +382,18 @@ impl<'a> Machine<'a> {
                     Op::LocalArrLoad { arr: a } => {
                         let i = index(&pop(stack)?)?;
                         let la = arr(frame, *a)?;
-                        let v = la.get(bounds(i, la.len())?);
+                        let v = la.get(bounds(i, la.len(), chunk, ArrId::Local(*a))?);
                         stack.push(v);
                     }
                     Op::LocalArrStore { arr: a, cast: c } => {
                         let i = index(&pop(stack)?)?;
                         let v = pop(stack)?;
                         let la = arr_mut(frame, *a)?;
-                        la.set(bounds(i, la.len())?, v, *c)?;
+                        la.set(bounds(i, la.len(), chunk, ArrId::Local(*a))?, v, *c)?;
                     }
-                    Op::ArrayCopy { dst, src } => array_copy(frame, sub, base, bff, dst, src)?,
+                    Op::ArrayCopy { dst, src } => {
+                        array_copy(frame, sub, base, bff, chunk, dst, src)?
+                    }
                     Op::Bin(op) => {
                         let b = pop(stack)?;
                         let a = pop(stack)?;
@@ -437,24 +449,34 @@ impl<'a> Machine<'a> {
                     Op::LocalArrLoadL { arr: a, idx } => {
                         let i = index(slot(frame, *idx)?)?;
                         let la = arr(frame, *a)?;
-                        let v = la.get(bounds(i, la.len())?);
+                        let v = la.get(bounds(i, la.len(), chunk, ArrId::Local(*a))?);
                         stack.push(v);
                     }
                     Op::LocalArrStoreL { arr: a, idx, cast: c } => {
                         let i = index(slot(frame, *idx)?)?;
                         let v = pop(stack)?;
                         let la = arr_mut(frame, *a)?;
-                        la.set(bounds(i, la.len())?, v, *c)?;
+                        la.set(bounds(i, la.len(), chunk, ArrId::Local(*a))?, v, *c)?;
                     }
                     Op::SharedLoadIdxL { off, len, ty, remote, idx } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(index(slot(frame, *idx)?)?, *len as usize)?;
+                        let i = bounds(
+                            index(slot(frame, *idx)?)?,
+                            *len as usize,
+                            chunk,
+                            ArrId::Shared(*off),
+                        )?;
                         let v = shared_read(base, sub, *off, i, *ty, t);
                         stack.push(v);
                     }
                     Op::SharedStoreIdxL { off, len, ty, remote, idx } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(index(slot(frame, *idx)?)?, *len as usize)?;
+                        let i = bounds(
+                            index(slot(frame, *idx)?)?,
+                            *len as usize,
+                            chunk,
+                            ArrId::Shared(*off),
+                        )?;
                         let v = pop(stack)?;
                         shared_write(base, sub, *off, i, *ty, t, &v)?;
                     }
@@ -663,18 +685,19 @@ impl<'a> Machine<'a> {
                     Op::ArrLoadR { d, arr: a, idx } => {
                         let i = int(frame, *idx)?;
                         let elems = raw_arr(frame, *a)?;
-                        let w = elems[bounds(i, elems.len())?];
+                        let w = elems[bounds(i, elems.len(), chunk, ArrId::Local(*a))?];
                         set_reg(frame, *d, w)?;
                     }
                     Op::ArrStoreR { s, arr: a, idx } => {
                         let (i, w) = (int(frame, *idx)?, reg(frame, *s)?);
                         let elems = raw_arr_mut(frame, *a)?;
-                        let i = bounds(i, elems.len())?;
+                        let i = bounds(i, elems.len(), chunk, ArrId::Local(*a))?;
                         elems[i] = w;
                     }
                     Op::SharedLoadIdxR { d, off, len, ty, remote, idx } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(int(frame, *idx)?, *len as usize)?;
+                        let i =
+                            bounds(int(frame, *idx)?, *len as usize, chunk, ArrId::Shared(*off))?;
                         let w = sub.get_u64(base.offset(*off as usize + i), t);
                         // A TROOF cell reads as WIN when nonzero.
                         let w = if *ty == LolType::Troof { (w != 0) as u64 } else { w };
@@ -682,7 +705,8 @@ impl<'a> Machine<'a> {
                     }
                     Op::SharedStoreIdxR { s, off, len, remote, idx, .. } => {
                         let t = target(bff, sub, *remote)?;
-                        let i = bounds(int(frame, *idx)?, *len as usize)?;
+                        let i =
+                            bounds(int(frame, *idx)?, *len as usize, chunk, ArrId::Shared(*off))?;
                         sub.put_u64(base.offset(*off as usize + i), t, reg(frame, *s)?);
                     }
                     Op::Halt => {
@@ -871,15 +895,21 @@ fn index(v: &Value) -> RResult<i64> {
     }
 }
 
-fn bounds(idx: i64, len: usize) -> RResult<usize> {
+/// The bounds check of every indexed access; only the fault reads
+/// the array's name out of `chunk`.
+#[inline(always)]
+fn bounds(idx: i64, len: usize, chunk: &Chunk, arr: ArrId) -> RResult<usize> {
     if idx < 0 || idx as u64 >= len as u64 {
-        Err(RunError::new(
-            "RUN0123",
-            format!("INDEX {idx} IZ OUTSIDE DA ARRAY (IT HAS {len} THINGZ)"),
-        ))
+        Err(out_of_bounds(idx, len, chunk, arr))
     } else {
         Ok(idx as usize)
     }
+}
+
+#[cold]
+fn out_of_bounds(idx: i64, len: usize, chunk: &Chunk, arr: ArrId) -> RunError {
+    let name = chunk.arr_name(arr);
+    RunError::new("RUN0123", format!("INDEX {idx} IZ OUTSIDE {name} (IT HAS {len} THINGZ)"))
 }
 
 fn array_copy<S: Substrate + ?Sized>(
@@ -887,6 +917,7 @@ fn array_copy<S: Substrate + ?Sized>(
     sub: &S,
     base: SymAddr,
     bff: &[usize],
+    chunk: &Chunk,
     dst: &ArrLoc,
     src: &ArrLoc,
 ) -> RResult<()> {
@@ -901,9 +932,13 @@ fn array_copy<S: Substrate + ?Sized>(
         ArrLoc::Local { arr: a } => arr_mut(frame, *a)?.assign(&values),
         ArrLoc::Shared { off, len, ty, remote } => {
             if values.len() != *len as usize {
+                let name = chunk.arr_name(ArrId::Shared(*off));
                 return Err(RunError::new(
                     "RUN0013",
-                    format!("ARRAY COPY SIZE MISMATCH: {} THINGZ INTO {len}", values.len()),
+                    format!(
+                        "ARRAY COPY SIZE MISMATCH: {name} HAS {len} THINGZ, SOURCE HAS {}",
+                        values.len()
+                    ),
                 ));
             }
             let t = target(bff, sub, *remote)?;

@@ -16,7 +16,7 @@
 //! and length — everything the semantic analysis could pin down ahead
 //! of time.
 
-use lol_ast::{BinOp, LolType, UnOp};
+use lol_ast::{BinOp, LolType, Symbol, UnOp};
 use lol_interp::Value;
 
 /// Does a `ty` value live in a raw register word (NUMBR, NUMBAR and
@@ -615,6 +615,14 @@ impl Op {
     }
 }
 
+/// An array an indexing op reads or writes: a frame-local array slot
+/// or a symmetric array's word offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ArrId {
+    Local(u16),
+    Shared(u32),
+}
+
 /// A compiled chunk: code plus frame size.
 #[derive(Debug, Clone, Default)]
 pub struct Chunk {
@@ -629,6 +637,19 @@ pub struct Chunk {
     /// literals' bits (every other register starts at 0). Empty for a
     /// chunk without typed values, which then allocates no bank.
     pub regs: Vec<u64>,
+    /// The LOLCODE name of every array the chunk can index, read only
+    /// by the out-of-bounds fault, so no op carries a name.
+    pub arr_names: Vec<(ArrId, Symbol)>,
+}
+
+impl Chunk {
+    /// The name of array `id` in a fault message.
+    pub fn arr_name(&self, id: ArrId) -> String {
+        match self.arr_names.iter().find(|(a, _)| *a == id) {
+            Some((_, name)) => name.to_string(),
+            None => "DA ARRAY".to_string(),
+        }
+    }
 }
 
 /// A compiled module: main chunk, function chunks, constant pool.

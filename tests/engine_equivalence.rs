@@ -473,6 +473,18 @@ fn register_dispatches(r: &RunReport) -> u64 {
     p.ops.iter().filter(|(n, _, _)| names.contains(&n.as_str())).map(|(_, c, _)| c).sum()
 }
 
+/// The fault line an engine reports for a failed run,
+/// `O NOES! [CODE] message`, which must read the same on every engine.
+/// The PE number is left out: the threaded engines name the first PE
+/// to fail, which depends on thread timing, and the C stub reports
+/// faults process-wide.
+fn fault_line(e: &LolError) -> String {
+    match e {
+        LolError::Runtime(spmd) => spmd.message.trim().to_string(),
+        other => other.to_string(),
+    }
+}
+
 /// Drive 200 programs from `gen` through interp, vm and sim at 1 and
 /// 3 PEs; returns the register ops the vm runs dispatched.
 fn battery(mut gen: ProgramGen) -> u64 {
@@ -503,7 +515,19 @@ fn battery(mut gen: ProgramGen) -> u64 {
                         "case {case}: sim divergence at {n_pes} PEs on:\n{src}"
                     );
                 }
-                (Err(_), Err(_), Err(_)) => faulted += 1, // all faulted: fine
+                (Err(x), Err(y), Err(z)) => {
+                    faulted += 1;
+                    assert_eq!(
+                        fault_line(&x),
+                        fault_line(&y),
+                        "case {case}: vm faults differently at {n_pes} PEs on:\n{src}"
+                    );
+                    assert_eq!(
+                        fault_line(&x),
+                        fault_line(&z),
+                        "case {case}: sim faults differently at {n_pes} PEs on:\n{src}"
+                    );
+                }
                 (a, b, s) => panic!(
                     "case {case}: backends disagree about faulting at {n_pes} PEs: \
                      {:?} vs {:?} vs {:?}\n{src}",
@@ -574,7 +598,15 @@ fn yarn_and_overflow_buckets_agree_with_full_observability() {
                         );
                     }
                 }
-                (Err(_), Err(_), Err(_)) => {} // all faulted identically: fine
+                (Err(x), Err(y), Err(z)) => {
+                    for (other, which) in [(&y, "vm"), (&z, "sim")] {
+                        assert_eq!(
+                            fault_line(&x),
+                            fault_line(other),
+                            "{label} case {case}: {which} faults differently on:\n{src}"
+                        );
+                    }
+                }
                 (a, b, s) => panic!(
                     "{label} case {case}: backends disagree about faulting: \
                      {:?} vs {:?} vs {:?}\n{src}",
@@ -769,6 +801,48 @@ KTHXBYE
     agree_on_every_backend(src, &pe0);
 }
 
+/// Every runtime fault the C runtime raises reads the same on every
+/// engine, at 1 PE and at 3 (where every PE fails the same way).
+#[test]
+fn runtime_faults_read_the_same_on_every_engine() {
+    for (body, code) in [
+        ("I HAS A a ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\nI HAS A i ITZ 4294967297\nVISIBLE a'Z i", "RUN0123"),
+        ("I HAS A y ITZ LOTZ A YARNS AN THAR IZ 2\ny'Z -1 R 3", "RUN0123"),
+        ("WE HAS A s ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 2\nVISIBLE s'Z 2", "RUN0123"),
+        (
+            "WE HAS A d ITZ LOTZ A NUMBRS AN THAR IZ 2\nI HAS A n ITZ 3\n\
+             I HAS A src ITZ LOTZ A NUMBRS AN THAR IZ n\nMAH d R MAH src",
+            "RUN0013",
+        ),
+        ("I HAS A n ITZ 0\nI HAS A a ITZ LOTZ A NUMBRS AN THAR IZ n", "RUN0014"),
+        ("I HAS A x ITZ \"O HAI\"\nVISIBLE SUM OF x AN 1", "RUN0004"),
+        ("I HAS A x ITZ \" 1.5x\"\nVISIBLE SUM OF x AN 1", "RUN0004"),
+        ("I HAS A x\nVISIBLE SUM OF x AN 1", "RUN0002"),
+        ("I HAS A x\nVISIBLE SMOOSH x AN \"!\" MKAY", "RUN0003"),
+        ("I HAS A z ITZ 0\nVISIBLE QUOSHUNT OF 1 AN z", "RUN0001"),
+        ("I HAS A z ITZ 0\nVISIBLE MOD OF 1 AN z", "RUN0001"),
+        ("WE HAS A s0 ITZ SRSLY A NUMBR\nI HAS A k ITZ 7\nTXT MAH BFF k, VISIBLE UR s0", "RUN0017"),
+        ("I HAS A line\nGIMMEH line", "RUN0140"),
+    ] {
+        let src = format!("HAI 1.2\nVISIBLE \"GO\"\n{body}\nKTHXBYE\n");
+        let artifact = compile(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+        for n_pes in [1usize, 3] {
+            let cfg = RunConfig::new(n_pes).timeout(Duration::from_secs(30));
+            let reference = InterpEngine.run(&artifact, &cfg).expect_err("interp must fault");
+            let line = fault_line(&reference);
+            assert!(line.starts_with(&format!("O NOES! [{code}] ")), "{line}\n{src}");
+            for backend in Backend::ALL {
+                let engine = engine_for(backend);
+                if !engine.available() {
+                    continue;
+                }
+                let e = engine.run(&artifact, &cfg.clone().backend(backend)).unwrap_err();
+                assert_eq!(fault_line(&e), line, "{backend:?} at {n_pes} PEs on:\n{src}");
+            }
+        }
+    }
+}
+
 /// Run `src` at 2 PEs on every available backend: PE 0 prints `pe0`,
 /// and every backend prints what the interpreter does.
 fn agree_on_every_backend(src: &str, pe0: &[&str]) {
@@ -900,7 +974,11 @@ fn c_engine_agrees_on_pinned_and_overflow_buckets() {
                         );
                         ran += 1;
                     }
-                    (Err(_), Err(_)) => {}
+                    (Err(x), Err(y)) => assert_eq!(
+                        fault_line(&x),
+                        fault_line(&y),
+                        "{label} case {case}: c faults differently at {n} PEs:\n{src}"
+                    ),
                     (a, b) => panic!(
                         "{label} case {case}: engines disagree about faulting at {n} PEs: \
                          {:?} vs {:?}\n{src}",
@@ -964,7 +1042,11 @@ fn calls_bucket_programs_agree_on_every_engine() {
                         x.outputs, y.outputs,
                         "case {case}: {engine} diverges at {n} PEs on:\n{src}"
                     ),
-                    (Err(_), Err(_)) => {}
+                    (Err(x), Err(y)) => assert_eq!(
+                        fault_line(x),
+                        fault_line(y),
+                        "case {case}: {engine} faults differently at {n} PEs on:\n{src}"
+                    ),
                     (a, b) => panic!(
                         "case {case}: interp and {engine} disagree about faulting at {n} PEs: \
                          {:?} vs {:?}\n{src}",
