@@ -15,9 +15,9 @@
 //! talks to the stub over a small env protocol (`LOL_STUB_NPES` /
 //! `LOL_STUB_SEED` / `LOL_STUB_OUT` / `LOL_STUB_LATENCY` /
 //! `LOL_STUB_BARRIER` / `LOL_STUB_LOCK`) and reads the
-//! per-PE outputs and operation counters back from capture files, so a
-//! C-backend run reports the same per-PE shape as the in-process
-//! engines.
+//! per-PE outputs and operation counters back from capture files (and,
+//! on a fault, the failing PE's number), so a C-backend run reports
+//! the same per-PE shape as the in-process engines.
 //!
 //! # The runtime object cache
 //!
@@ -111,6 +111,9 @@ pub enum DriverError {
         status: Option<i32>,
         /// Captured stderr (the `O NOES! [RUNxxxx]` message).
         stderr: String,
+        /// The lowest failing PE, as the stub recorded it next to the
+        /// captures; `None` when it recorded none (a stub setup error).
+        pe: Option<usize>,
     },
     /// The binary exited zero but the capture files are missing or
     /// malformed — a stub/driver protocol bug, not a user error.
@@ -126,7 +129,7 @@ impl std::fmt::Display for DriverError {
             DriverError::Build(msg) => write!(f, "DA C COMPILER SEZ NO WAI:\n{msg}"),
             DriverError::Io(msg) => write!(f, "I/O HAZ A SAD: {msg}"),
             DriverError::Timeout(d) => write!(f, "DA BINARY RAN 2 LONG (> {d:?}) AN GOT KILLED"),
-            DriverError::Program { status, stderr } => {
+            DriverError::Program { status, stderr, .. } => {
                 write!(f, "DA BINARY EXITED {:?}: {}", status, stderr.trim())
             }
             DriverError::Protocol(msg) => write!(f, "STUB PROTOCOL HAZ A SAD: {msg}"),
@@ -423,8 +426,11 @@ impl CBinary {
             let _ = pipe.read_to_string(&mut stderr);
         }
         if !status.success() {
+            let pe = std::fs::read_to_string(out_dir.join("out.fault"))
+                .ok()
+                .and_then(|text| text.trim().parse().ok());
             let _ = std::fs::remove_dir_all(&out_dir);
-            return Err(DriverError::Program { status: status.code(), stderr });
+            return Err(DriverError::Program { status: status.code(), stderr, pe });
         }
 
         let mut outputs = Vec::with_capacity(req.n_pes);

@@ -1184,6 +1184,17 @@ int lol_stub_launch(lol_stub_main_fn fn) {
     }
     for (pe = 0; pe < lol_stub_npes; pe++) {
         if (lol_stub_faults[pe]) {
+            if (out) {
+                /* the driver reads the failing PE from here */
+                char path[4096];
+                FILE *f;
+                snprintf(path, sizeof path, "%s.fault", out);
+                f = fopen(path, "w");
+                if (f) {
+                    fprintf(f, "%d\n", pe);
+                    fclose(f);
+                }
+            }
             fprintf(stderr, "%s\n", lol_stub_faults[pe]);
             exit(1);
         }

@@ -390,8 +390,9 @@ fn driver_surfaces_runtime_faults_with_stderr() {
     let req =
         RunRequest { n_pes: 2, seed: 1, timeout: Duration::from_secs(10), ..Default::default() };
     match binary.run(&req) {
-        Err(driver::DriverError::Program { stderr, .. }) => {
+        Err(driver::DriverError::Program { stderr, pe, .. }) => {
             assert!(stderr.contains("RUN0001"), "{stderr}");
+            assert_eq!(pe, Some(0), "both PEs fault; the lowest is named");
         }
         other => panic!("expected program fault, got {other:?}"),
     }

@@ -622,9 +622,8 @@ impl Engine for CEngine {
                 profile: None,
                 config: cfg.clone(),
             }),
-            Err(DriverError::Program { stderr, .. }) => Err(LolError::Runtime(SpmdError {
-                // The stub reports faults process-wide, not per PE.
-                pe: 0,
+            Err(DriverError::Program { stderr, pe, .. }) => Err(LolError::Runtime(SpmdError {
+                pe: pe.unwrap_or(0),
                 message: if stderr.trim().is_empty() {
                     "DA C BINARY DIED WIF NO MESSAGE".to_string()
                 } else {
@@ -634,7 +633,7 @@ impl Engine for CEngine {
             Err(DriverError::Timeout(_)) => Err(LolError::Runtime(SpmdError {
                 pe: 0,
                 message: format!(
-                    "RUN0015 WATCHDOG: DA C BINARY HAZ BEEN RUNNIN {:?} — PROBABLY DEADLOCK",
+                    "O NOES! [RUN0191] DA C BINARY HAZ BEEN RUNNIN {:?} — PROBABLY DEADLOCK",
                     t0.elapsed()
                 ),
             })),

@@ -54,6 +54,7 @@ fn row05_can_has_library() {
     )
     .unwrap();
     assert_eq!(p.includes.len(), 4);
+    expect("HAI 1.2\nCAN HAS STDIO?\nVISIBLE 3\nKTHXBYE", "3\n");
 }
 
 #[test]
@@ -124,12 +125,12 @@ fn row14_is_now_a_casts_variable() {
 #[test]
 fn row15_srs_interprets_string_as_identifier() {
     // Interpreter-only by design (DESIGN.md §3.11).
-    let outs = run_source(
+    for src in [
         "HAI 1.2\nI HAS A cat ITZ 9\nI HAS A name ITZ \"cat\"\nVISIBLE SRS name\nKTHXBYE",
-        cfg(),
-    )
-    .unwrap();
-    assert_eq!(outs[0], "9\n");
+        "HAI 1.2\nI HAS A cat ITZ 9\nVISIBLE SRS \"cat\"\nKTHXBYE",
+    ] {
+        assert_eq!(run_source(src, cfg()).unwrap()[0], "9\n", "{src}");
+    }
 }
 
 #[test]
@@ -183,8 +184,8 @@ fn bonus_functions_how_iz_i() {
 
 #[test]
 fn conformance_matrix_summary() {
-    // The rows above cover all 20 Table I entries; this test is the
-    // machine-checkable tally the harness prints for EXPERIMENTS.md.
+    // The rows above cover all 20 Table I entries; this test is their
+    // machine-checkable tally.
     const ROWS: usize = 20;
     println!("T1 conformance: {ROWS}/20 rows of Table I exercised");
     assert_eq!(ROWS, 20);

@@ -35,9 +35,8 @@
 //! assert_eq!(outs[0], "OH HAI PE 0\n");
 //! ```
 //!
-//! See `README.md` for the architecture tour, `DESIGN.md` for the
-//! paper-to-module mapping and `EXPERIMENTS.md` for the reproduced
-//! tables/figures.
+//! See `README.md` for the architecture tour and `docs/PERF.md` for
+//! what reproduces each of the paper's tables and figures.
 
 pub use lol_ast as ast;
 pub use lol_c_codegen as codegen;

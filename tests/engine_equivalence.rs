@@ -843,6 +843,49 @@ fn runtime_faults_read_the_same_on_every_engine() {
     }
 }
 
+/// A fault on one PE names that PE on every engine, the C engine
+/// included (its stub records the failing PE next to the captures).
+#[test]
+fn a_fault_on_one_pe_names_that_pe_on_every_engine() {
+    let src =
+        "HAI 1.2\nBOTH SAEM ME AN 2, O RLY?\nYA RLY\nVISIBLE QUOSHUNT OF 1 AN 0\nOIC\nKTHXBYE\n";
+    let artifact = compile(src).unwrap();
+    let cfg = RunConfig::new(3).timeout(Duration::from_secs(30));
+    for backend in Backend::ALL {
+        let engine = engine_for(backend);
+        if !engine.available() {
+            continue;
+        }
+        match engine.run(&artifact, &cfg.clone().backend(backend)) {
+            Err(LolError::Runtime(e)) => {
+                assert_eq!(e.pe, 2, "{backend:?}: {e}");
+                assert!(e.message.starts_with("O NOES! [RUN0001] "), "{backend:?}: {e}");
+            }
+            other => panic!("{backend:?}: expected a runtime fault, got {other:?}"),
+        }
+    }
+}
+
+/// A C binary killed at its deadline reads as the deadlock watchdog's
+/// fault, in the same `O NOES! [CODE]` form as every other fault.
+#[test]
+fn a_timed_out_c_run_is_a_watchdog_fault() {
+    let engine = engine_for(Backend::C);
+    if !engine.available() {
+        eprintln!("skipping: no C compiler — C engine unsupported here");
+        return;
+    }
+    let src = "HAI 1.2\nI HAS A n ITZ 0\nIM IN YR l\nn R SUM OF n AN 1\nIM OUTTA YR l\nKTHXBYE\n";
+    let artifact = compile(src).unwrap();
+    let cfg = RunConfig::new(1).timeout(Duration::from_secs(1)).backend(Backend::C);
+    match engine.run(&artifact, &cfg) {
+        Err(LolError::Runtime(e)) => {
+            assert!(e.message.starts_with("O NOES! [RUN0191] "), "{e}");
+        }
+        other => panic!("expected a watchdog fault, got {other:?}"),
+    }
+}
+
 /// Run `src` at 2 PEs on every available backend: PE 0 prints `pe0`,
 /// and every backend prints what the interpreter does.
 fn agree_on_every_backend(src: &str, pe0: &[&str]) {
