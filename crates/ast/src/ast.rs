@@ -80,7 +80,8 @@ impl Ident {
 /// under `TXT MAH BFF` predication (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Locality {
-    /// No qualifier: the local instance (see DESIGN.md §3.1).
+    /// No qualifier: the local instance (docs/LANGUAGE.md, "Symmetric
+    /// (shared) data").
     #[default]
     Unqualified,
     /// `MAH x` — explicitly the local instance.

@@ -578,7 +578,7 @@ fn print_profile(report: &RunReport) {
         eprintln!("  ... {} more opcodes", p.ops.len() - 15);
     }
     if !p.time_bp.is_empty() {
-        eprintln!("share of exec time (1 dispatch in 1024 sampled):");
+        eprintln!("share of exec time (1 dispatch in 1021 sampled):");
         for (name, bp) in p.time_bp.iter().take(15) {
             eprintln!("  {:>6.2}%  {name}", *bp as f64 / 100.0);
         }

@@ -483,8 +483,9 @@ void lol_lock_release(long *cell, int target) {
 /// when no real OpenSHMEM library is installed (`lcc --stub` writes it
 /// as `shmem.h`, followed by [`SHMEM_STUB_C`]; the
 /// [`driver`][crate::driver] runs the C backend on it as an engine).
-/// This is the "simulate what you don't have" substitution from
-/// DESIGN.md §2, upgraded from the original single-PE stub:
+/// This is the "simulate what you don't have" substitution (see
+/// docs/ARCHITECTURE.md, "The C backend"), upgraded from the original
+/// single-PE stub:
 ///
 /// * every `WE HAS A` object is thread-local (`LOL_SYMMETRIC`), so each
 ///   PE thread owns its copy of the symmetric segment;

@@ -6,7 +6,7 @@
 //!
 //! This is the `lcc code.lol -o executable.x && coprsh -np N ...`
 //! pipeline of Section VI.E, minus the real OpenSHMEM library
-//! (substituted per DESIGN.md §2).
+//! (the bundled stub stands in for it; see docs/ARCHITECTURE.md).
 
 use lol_c_codegen::driver::{self, RunRequest};
 use lol_c_codegen::emit_c;

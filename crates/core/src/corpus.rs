@@ -2,7 +2,8 @@
 //!
 //! Sources are transcribed from the paper (Sections V and VI) with the
 //! `...` continuations resolved; where the paper's prose and listings
-//! disagree, DESIGN.md §3 records which reading is encoded here.
+//! disagree, each program's doc comment says which reading is encoded
+//! here.
 
 /// A minimal parallel hello world (not in the paper, but the obvious
 /// first program: Section VI.D opens with exactly this `VISIBLE`).
@@ -35,7 +36,7 @@ KTHXBYE
 ";
 
 /// Section VI.B — locks on shared data (the faithful remote-increment
-/// reading; see DESIGN.md §3.1).
+/// reading: every PE increments PE 0's `x` under its lock).
 pub const LOCKS_EXAMPLE: &str = "\
 HAI 1.2
 BTW Section VI.B: protect shared data wif da implicit lock
@@ -70,7 +71,7 @@ KTHXBYE
 ";
 
 /// Section V — the trylock-then-lock pattern (with the Table II
-/// reading of SRSLY vs non-SRSLY; DESIGN.md §3).
+/// reading of SRSLY vs non-SRSLY).
 pub const TRYLOCK_EXAMPLE: &str = "\
 HAI 1.2
 WE HAS A x ITZ A NUMBR AN IM SHARIN IT
@@ -139,7 +140,7 @@ IM IN YR loop UPPIN YR i TIL BOTH SAEM i AN {n}
     AN WHATEVAR AN 1000
 IM OUTTA YR loop
 
-BTW DEVIATION FROM DA PAPER (DESIGN.md section 3): da original listing
+BTW DEVIATION FROM DA PAPER: da original listing
 BTW has no barrier here, so a fast PE can read a slow PE's pos_x/pos_y
 BTW before dey iz initialized — a real data race in da published code.
 HUGZ

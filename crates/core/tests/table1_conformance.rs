@@ -124,7 +124,8 @@ fn row14_is_now_a_casts_variable() {
 
 #[test]
 fn row15_srs_interprets_string_as_identifier() {
-    // Interpreter-only by design (DESIGN.md §3.11).
+    // Interpreter-only by design: the VM and C backends reject `SRS`
+    // (docs/LANGUAGE.md).
     for src in [
         "HAI 1.2\nI HAS A cat ITZ 9\nI HAS A name ITZ \"cat\"\nVISIBLE SRS name\nKTHXBYE",
         "HAI 1.2\nI HAS A cat ITZ 9\nVISIBLE SRS \"cat\"\nKTHXBYE",

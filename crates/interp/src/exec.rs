@@ -404,8 +404,7 @@ impl<'a, 'w> Interp<'a, 'w> {
                         YarnPart::Text(t) => s.push_str(t),
                         YarnPart::Var(id) => {
                             let vr = VarRef::named(*id);
-                            let v = self.read_var(&vr)?;
-                            s.push_str(&v.to_yarn()?);
+                            self.read_var(&vr)?.push_yarn(&mut s)?;
                         }
                     }
                 }
@@ -457,10 +456,13 @@ impl<'a, 'w> Interp<'a, 'w> {
                 Ok(Value::Troof(acc))
             }
             NaryOp::Smoosh => {
+                // Every operand runs before any renders, as on the
+                // other engines: a NOOB operand faults only after the
+                // calls among the later ones.
+                let vals = args.iter().map(|a| self.eval(a)).collect::<RResult<Vec<_>>>()?;
                 let mut s = String::new();
-                for a in args {
-                    let v = self.eval(a)?;
-                    s.push_str(&v.to_yarn()?);
+                for v in &vals {
+                    v.push_yarn(&mut s)?;
                 }
                 Ok(Value::yarn(s))
             }
@@ -543,9 +545,7 @@ impl<'a, 'w> Interp<'a, 'w> {
             }
             StmtKind::Visible { args, newline } => {
                 for a in args {
-                    let v = self.eval(a)?;
-                    let s = v.to_yarn()?;
-                    self.out.push_str(&s);
+                    self.eval(a)?.push_yarn(&mut self.out)?;
                 }
                 if *newline {
                     self.out.push('\n');

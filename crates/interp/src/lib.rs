@@ -507,8 +507,8 @@ mod tests {
 
     #[test]
     fn locks_example_b_remote_increment() {
-        // Section VI.B with the faithful remote-increment variant
-        // (DESIGN.md §3.1): every PE increments PE 0's x under its lock.
+        // Section VI.B with the faithful remote-increment variant:
+        // every PE increments PE 0's x under its lock.
         let src = prog(
             "WE HAS A x ITZ A NUMBR AN IM SHARIN IT\n\
              HUGZ\n\

@@ -11,17 +11,22 @@
 //!   an uninitialized value is a runtime error,
 //! * YARNs coerce numerically by parsing (`"3"` → 3, `"3.5"` → 3.5).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
-/// A runtime LOLCODE value.
+/// A runtime LOLCODE value: 16 bytes, a tag and one word.
+///
+/// A YARN is a shared, growable buffer: clones share it, and
+/// [`Value::yarn_mut`] appends in place when the buffer has one owner
+/// (copying it first otherwise), so `s R SMOOSH s AN … MKAY` on the VM
+/// costs no new string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     Noob,
     Troof(bool),
     Numbr(i64),
     Numbar(f64),
-    Yarn(Arc<str>),
+    Yarn(Arc<String>),
 }
 
 /// A runtime error with a stable code (rendered LOLCODE-style by the
@@ -68,7 +73,7 @@ impl Num {
 impl Value {
     /// Make a YARN value.
     pub fn yarn(s: impl Into<String>) -> Value {
-        Value::Yarn(Arc::from(s.into().into_boxed_str()))
+        Value::Yarn(Arc::new(s.into()))
     }
 
     /// The type name for diagnostics.
@@ -122,13 +127,38 @@ impl Value {
 
     /// Coerce to YARN (printing rules; NUMBAR keeps 2 decimals like lci).
     pub fn to_yarn(&self) -> RResult<String> {
+        let mut s = String::new();
+        self.push_yarn(&mut s)?;
+        Ok(s)
+    }
+
+    /// Append this value's YARN rendering (the [`Value::to_yarn`]
+    /// text) to `out`, formatting numbers straight into it.
+    pub fn push_yarn(&self, out: &mut String) -> RResult<()> {
         match self {
-            Value::Noob => Err(RunError::new("RUN0003", "CANT MAKE A YARN OUT OF NOOB")),
-            Value::Troof(true) => Ok("WIN".to_string()),
-            Value::Troof(false) => Ok("FAIL".to_string()),
-            Value::Numbr(n) => Ok(n.to_string()),
-            Value::Numbar(f) => Ok(numbar_to_yarn(*f)),
-            Value::Yarn(s) => Ok(s.to_string()),
+            Value::Noob => return Err(RunError::new("RUN0003", "CANT MAKE A YARN OUT OF NOOB")),
+            Value::Troof(b) => out.push_str(if *b { "WIN" } else { "FAIL" }),
+            Value::Numbr(n) => {
+                // Writing to a `String` cannot fail.
+                let _ = write!(out, "{n}");
+            }
+            Value::Numbar(f) => push_numbar(out, *f),
+            Value::Yarn(s) => out.push_str(s),
+        }
+        Ok(())
+    }
+
+    /// Make this value a YARN (faulting exactly as [`Value::to_yarn`]
+    /// does) and return its buffer for appending: the buffer itself
+    /// when this value is its only owner, else a fresh copy, so no
+    /// other holder of the YARN sees the change.
+    pub fn yarn_mut(&mut self) -> RResult<&mut String> {
+        if !matches!(self, Value::Yarn(_)) {
+            *self = Value::yarn(self.to_yarn()?);
+        }
+        match self {
+            Value::Yarn(s) => Ok(Arc::make_mut(s)),
+            _ => unreachable!("made a YARN above"),
         }
     }
 
@@ -148,23 +178,24 @@ impl Value {
     }
 }
 
-/// Render a NUMBAR as a YARN: two decimals for finite values (the
-/// `%.2f` of the reference implementation), and the C-library-style
-/// lowercase spellings for the non-finite ones.
+/// Append a NUMBAR's YARN rendering to `out`: two decimals for finite
+/// values (the `%.2f` of the reference implementation), and the
+/// C-library-style lowercase spellings for the non-finite ones.
 ///
 /// All four backends share this rendering. The sign of a NaN is
 /// deliberately dropped: IEEE leaves it unspecified (x86 SSE produces
 /// `-nan` for `0.0/0.0` where Rust's formatter says `NaN`), so pinning
 /// a plain `nan` on every backend is the only portable choice.
-pub fn numbar_to_yarn(f: f64) -> String {
+fn push_numbar(out: &mut String, f: f64) {
     if f.is_finite() {
-        format!("{f:.2}")
+        // Writing to a `String` cannot fail.
+        let _ = write!(out, "{f:.2}");
     } else if f.is_nan() {
-        "nan".to_string()
+        out.push_str("nan");
     } else if f > 0.0 {
-        "inf".to_string()
+        out.push_str("inf");
     } else {
-        "-inf".to_string()
+        out.push_str("-inf");
     }
 }
 
@@ -286,6 +317,8 @@ pub fn cast(v: &Value, ty: lol_ast::LolType) -> RResult<Value> {
         LolType::Troof => Value::Troof(v.to_troof()),
         LolType::Numbr => Value::Numbr(v.to_numbr()?),
         LolType::Numbar => Value::Numbar(v.to_numbar()?),
+        // A YARN is immutable once shared, so casting one shares it.
+        LolType::Yarn if matches!(v, Value::Yarn(_)) => v.clone(),
         LolType::Yarn => Value::yarn(v.to_yarn()?),
     })
 }
@@ -413,6 +446,57 @@ mod tests {
         assert_eq!(Value::Numbar(f64::NEG_INFINITY).to_yarn().unwrap(), "-inf");
         assert_eq!(Value::Numbar(f64::NAN).to_yarn().unwrap(), "nan");
         assert_eq!(Value::Numbar(-f64::NAN).to_yarn().unwrap(), "nan");
+    }
+
+    #[test]
+    fn a_value_is_two_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
+
+    #[test]
+    fn push_yarn_appends_the_to_yarn_text() {
+        for v in [
+            Value::Troof(false),
+            Value::Numbr(-42),
+            Value::Numbar(2.5),
+            Value::Numbar(f64::NAN),
+            Value::Numbar(f64::NEG_INFINITY),
+            Value::yarn("cat"),
+        ] {
+            let mut out = "x".to_string();
+            v.push_yarn(&mut out).unwrap();
+            assert_eq!(out, format!("x{}", v.to_yarn().unwrap()), "{v:?}");
+        }
+        assert_eq!(Value::Noob.push_yarn(&mut String::new()).unwrap_err().code, "RUN0003");
+    }
+
+    #[test]
+    fn yarn_mut_copies_a_shared_buffer_and_reuses_a_sole_one() {
+        let mut s = Value::yarn("ab");
+        let alias = s.clone();
+        s.yarn_mut().unwrap().push('c');
+        assert_eq!(alias, Value::yarn("ab"), "the alias keeps its text");
+        assert_eq!(s, Value::yarn("abc"));
+        let Value::Yarn(before) = &s else { unreachable!() };
+        let before = Arc::as_ptr(before);
+        s.yarn_mut().unwrap().push('d');
+        let Value::Yarn(after) = &s else { unreachable!() };
+        assert_eq!(Arc::as_ptr(after), before, "a sole owner appends in place");
+
+        let mut n = Value::Numbr(7);
+        n.yarn_mut().unwrap().push('!');
+        assert_eq!(n, Value::yarn("7!"));
+        assert_eq!(Value::Noob.yarn_mut().unwrap_err().code, "RUN0003");
+    }
+
+    #[test]
+    fn casting_a_yarn_to_yarn_shares_it() {
+        use lol_ast::LolType;
+        let v = Value::yarn("meow");
+        let (Value::Yarn(a), Value::Yarn(b)) = (&v, &cast(&v, LolType::Yarn).unwrap()) else {
+            unreachable!()
+        };
+        assert!(Arc::ptr_eq(a, b));
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! behaviour of the original `lci` interpreter.
 //!
 //! The full surface parsed here is Tables I, II and III of the paper;
-//! see `lol-ast` for the tree it produces and DESIGN.md §3 for the
-//! handful of places where the paper's prose and listings disagree and
-//! which reading we implement.
+//! see `lol-ast` for the tree it produces and docs/LANGUAGE.md for the
+//! dialect as implemented.
 
 mod expr;
 

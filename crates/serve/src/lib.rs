@@ -147,6 +147,9 @@ struct Shared {
     budget: usize,
     weight: Mutex<usize>,
     weight_cv: Condvar,
+    /// Runs once in a worker between its shutdown check and its wait.
+    #[cfg(test)]
+    before_wait: Mutex<Option<tests::Hook>>,
 }
 
 /// Releases its thread-budget weight on drop.
@@ -218,6 +221,8 @@ impl Server {
             weight: Mutex::new(0),
             weight_cv: Condvar::new(),
             config,
+            #[cfg(test)]
+            before_wait: Mutex::new(None),
         });
         let mut threads = Vec::new();
         for worker in 0..shared.config.workers.max(1) {
@@ -268,8 +273,15 @@ impl Server {
 
 /// Flip the shutdown flag, wake the workers, and poke the accept loop
 /// (which is blocked in `accept`) with a throwaway connection.
+///
+/// The flag is stored under the queue lock: a worker checks it and
+/// then waits under that lock, so the store lands either before the
+/// check or after the wait has begun, and the wake-up is never lost.
 fn trigger_shutdown(shared: &Shared) {
-    shared.shutdown.store(true, Ordering::SeqCst);
+    {
+        let _queue = shared.queue.lock().unwrap();
+        shared.shutdown.store(true, Ordering::SeqCst);
+    }
     shared.queue_cv.notify_all();
     let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_secs(1));
 }
@@ -345,6 +357,8 @@ fn worker_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
+                #[cfg(test)]
+                tests::before_wait(shared);
                 queue = shared.queue_cv.wait(queue).unwrap();
             }
         };
@@ -637,6 +651,54 @@ fn metrics_body(shared: &Shared) -> String {
 mod tests {
     use super::*;
     use lolcode::corpus;
+    use std::sync::mpsc;
+
+    /// See [`Shared::before_wait`].
+    pub(super) type Hook = Box<dyn FnOnce(&Shared) + Send>;
+
+    /// Run (and clear) the server's hook, if one is set.
+    pub(super) fn before_wait(shared: &Shared) {
+        let hook = shared.before_wait.lock().unwrap().take();
+        if let Some(hook) = hook {
+            hook(shared);
+        }
+    }
+
+    /// A worker that has checked the shutdown flag but not yet begun
+    /// to wait still wakes for the shutdown. The hook holds that
+    /// window open until the flag is set (or 500 ms pass, which is
+    /// what happens when setting it has to wait for the worker), so a
+    /// flag stored and a wake-up sent without the queue lock land
+    /// inside the window and the worker then sleeps forever.
+    #[test]
+    fn shutdown_wakes_a_worker_caught_between_its_check_and_its_wait() {
+        let server = Server::start(ServeConfig { workers: 1, ..ServeConfig::default() }).unwrap();
+        let (in_window_tx, in_window) = mpsc::channel();
+        {
+            // Under the queue lock the worker is either waiting, and the
+            // notify sends it round its loop again, or not yet in it:
+            // either way its next pass runs the hook.
+            let _queue = server.shared.queue.lock().unwrap();
+            *server.shared.before_wait.lock().unwrap() = Some(Box::new(move |shared: &Shared| {
+                in_window_tx.send(()).unwrap();
+                let t0 = Instant::now();
+                while !shared.shutdown.load(Ordering::SeqCst)
+                    && t0.elapsed() < Duration::from_millis(500)
+                {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }));
+            server.shared.queue_cv.notify_all();
+        }
+        in_window.recv_timeout(Duration::from_secs(10)).expect("the worker reaches its wait");
+        let (done_tx, done) = mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            done_tx.send(()).unwrap();
+        });
+        done.recv_timeout(Duration::from_secs(10))
+            .expect("shutdown hangs: the worker missed its wake-up");
+    }
 
     #[test]
     fn accepted_connections_disable_nagle() {

@@ -1,7 +1,8 @@
 //! Barrier algorithms for `HUGZ`.
 //!
 //! Two classic algorithms are provided so the benches can ablate the
-//! choice (DESIGN.md, ablation A1):
+//! choice (ablation A1, `--barrier central|dissem`; docs/PERF.md maps it
+//! to its metrics):
 //!
 //! * **Centralized sense-reversing** — one shared counter + sense flag.
 //!   O(P) contention on one cache line, trivial to understand: the

@@ -3,9 +3,9 @@
 //! The paper runs parallel LOLCODE on OpenSHMEM over two machines: a
 //! 16-core Adapteva Epiphany-III (Parallella board) and a Cray XC40.
 //! Neither is available here, so this crate is the substitution
-//! (DESIGN.md §2): processing elements (PEs) are OS threads, and the
-//! partitioned global address space is a per-PE **symmetric heap** of
-//! `AtomicU64` words.
+//! (docs/ARCHITECTURE.md, "The substrate"): processing elements (PEs)
+//! are OS threads, and the partitioned global address space is a per-PE
+//! **symmetric heap** of `AtomicU64` words.
 //!
 //! The API mirrors the minimal OpenSHMEM subset the paper says it uses:
 //!

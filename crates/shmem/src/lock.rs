@@ -7,7 +7,8 @@
 //! may acquire; here the lock state lives in [`LOCK_WORDS`] consecutive
 //! words of the owning PE's heap partition.
 //!
-//! Two algorithms (ablation A2 in DESIGN.md):
+//! Two algorithms (ablation A2, `--lock cas|ticket`; docs/PERF.md maps it
+//! to its metrics):
 //!
 //! * **SpinCas** — compare-and-swap on a single word with exponential
 //!   backoff. Simple, unfair under contention.

@@ -6,7 +6,7 @@
 //! `Cast` instructions, and control flow becomes jumps. The dynamic
 //! constructs that cannot be resolved statically (`SRS`) are rejected
 //! with a compile error — the documented compiled-subset restriction
-//! (DESIGN.md §3.11).
+//! (docs/LANGUAGE.md).
 //!
 //! # Typed lowering
 //!
@@ -1261,6 +1261,9 @@ impl<'a> FnCompiler<'a> {
             if let Some(LocalSlot { slot, kind: SlotKind::Reg { ty } }) = self.local(dst) {
                 return self.store_reg(value, slot, ty);
             }
+            if self.append_in_place(dst, value)? {
+                return Ok(());
+            }
         }
         if let LValue::Index { arr, idx, .. } = target {
             if self.store_index_reg(arr, idx, value)? {
@@ -1269,6 +1272,35 @@ impl<'a> FnCompiler<'a> {
         }
         let src = self.expr(value)?;
         self.store_lvalue(target, src)
+    }
+
+    /// `x R SMOOSH x AN … MKAY`, with `x` an unpinned or YARN-pinned
+    /// local value slot, as the other operands and one `SmooshInto`
+    /// that appends them to `x`'s buffer. The operands cannot store to
+    /// `x`, and `x` still renders first, after they have run, as the
+    /// stack form's `Smoosh` renders it. Returns whether it did.
+    fn append_in_place(&mut self, dst: &VarRef, value: &Expr) -> CResult<bool> {
+        let ExprKind::Nary { op: NaryOp::Smoosh, args } = &value.kind else { return Ok(false) };
+        let Some(LocalSlot { slot, kind: SlotKind::Scalar { ty: None | Some(LolType::Yarn), .. } }) =
+            self.local(dst)
+        else {
+            return Ok(false);
+        };
+        let first_is_dst = match args.first().map(|a| &a.kind) {
+            Some(ExprKind::Var(vr)) => matches!(
+                self.local(vr),
+                Some(LocalSlot { slot: s, kind: SlotKind::Scalar { .. } }) if s == slot
+            ),
+            _ => false,
+        };
+        if !first_is_dst {
+            return Ok(false);
+        }
+        for a in &args[1..] {
+            self.expr(a)?;
+        }
+        self.code.push(Op::SmooshInto { slot, n: (args.len() - 1) as u8 });
+        Ok(true)
     }
 
     /// `O RLY?` on `IT`. `head` is the typed compare-and-branch a

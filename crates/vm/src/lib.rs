@@ -9,12 +9,12 @@
 //! [`compile`] lowers an analyzed program to a [`Module`] (slots
 //! resolved, shared offsets baked in, control flow as jumps); the VM
 //! executes modules SPMD over [`lol_shmem`], byte-for-byte matching the
-//! interpreter's output (see the differential tests below and the
-//! `interp_vs_vm` bench, which reproduces the paper's
-//! compiled-vs-interpreted claim).
+//! interpreter's output (see the differential tests below; perfbench's
+//! `kernels` workload reproduces the paper's compiled-vs-interpreted
+//! claim as `vm_ms` against `interp_ms`).
 //!
 //! Restriction: `SRS` (dynamic identifiers) is interpreter-only; the
-//! compiler rejects it with `VMC0001` (DESIGN.md §3.11).
+//! compiler rejects it with `VMC0001` (docs/LANGUAGE.md).
 
 #![forbid(unsafe_code)]
 
@@ -660,6 +660,70 @@ mod tests {
                 }
             }
             assert_eq!(checked, compute_loops, "{name}: innermost compute loops");
+        }
+    }
+
+    #[test]
+    fn yarn_kernel_appends_to_its_yarn_in_place() {
+        let (p, a) = build(include_str!("../../../perfbench/programs/yarn_kernel.lol"));
+        let m = compile(&p, &a).unwrap();
+        let code = &m.main.code;
+        let [(start, end)] = loop_ranges(code)[..] else { panic!("one loop in {code:?}") };
+        let body = &code[start..=end];
+        let appends: Vec<u16> = body
+            .iter()
+            .filter_map(|op| match op {
+                Op::SmooshInto { slot, n: 1 } => Some(*slot),
+                _ => None,
+            })
+            .collect();
+        let [s] = appends[..] else { panic!("one append in the loop: {body:?}") };
+        // Only the fold every 12 digits reads `s` (`MAEK s A NUMBR` and
+        // `SMOOSH "#" AN s`): the append neither loads it nor builds a
+        // new YARN to store back.
+        assert_eq!(body.iter().filter(|op| **op == Op::LoadLocal(s)).count(), 2, "{body:?}");
+        assert!(
+            !body.windows(2).any(|w| matches!(w, [Op::Smoosh(_), Op::StoreLocal(d)] if *d == s)),
+            "{body:?}"
+        );
+    }
+
+    #[test]
+    fn appends_lower_only_onto_an_unpinned_or_yarn_local_slot() {
+        // (body, lowered to `SmooshInto`, output)
+        let cases = [
+            ("I HAS A s ITZ \"a\"\ns R SMOOSH s AN 1 MKAY\nVISIBLE s", true, "a1"),
+            ("I HAS A s ITZ SRSLY A YARN\ns R SMOOSH s AN 1.5 MKAY\nVISIBLE s", true, "1.50"),
+            ("I HAS A s ITZ 3\ns R SMOOSH s MKAY\nVISIBLE SMOOSH s AN s MKAY", true, "33"),
+            ("\"a\"\nIT R SMOOSH IT AN WIN MKAY\nVISIBLE IT", true, "aWIN"),
+            (
+                "HOW IZ I f YR s\n  s R SMOOSH s AN \"!\" MKAY\n  FOUND YR s\nIF U SAY SO\n\
+                 VISIBLE I IZ f YR \"hi\" MKAY",
+                true,
+                "hi!",
+            ),
+            (
+                "I HAS A s ITZ SRSLY A NUMBR AN ITZ 1\ns R SMOOSH s AN 2 MKAY\nVISIBLE s",
+                false,
+                "12",
+            ),
+            ("WE HAS A s ITZ SRSLY A NUMBR\ns R 4\ns R SMOOSH s AN 2 MKAY\nVISIBLE s", false, "42"),
+            (
+                "I HAS A s ITZ \"a\"\nI HAS A t ITZ \"b\"\ns R SMOOSH t AN s MKAY\nVISIBLE s",
+                false,
+                "ba",
+            ),
+            (
+                "I HAS A s ITZ \"a\"\nI HAS A t ITZ \"b\"\nt R SMOOSH s AN t MKAY\nVISIBLE t",
+                false,
+                "ab",
+            ),
+        ];
+        for (body, lowered, want) in cases {
+            let (m, out) = typed_differential(&prog(body), &[]);
+            assert_eq!(out, format!("{want}\n"), "on:\n{body}");
+            let appends = all_code(&m).filter(|op| matches!(op, Op::SmooshInto { .. })).count();
+            assert_eq!(appends, lowered as usize, "on:\n{body}");
         }
     }
 

@@ -32,7 +32,7 @@
 //! for untyped locals, local arrays, and a bank of raw 64-bit registers
 //! (`Vec<u64>`) for the values the compiler typed NUMBR (`i64`), NUMBAR
 //! (an `f64`'s bits) or TROOF (0 or 1). A register op reads and writes
-//! 8-byte words in place: no operand stack, no tag to check, no 24-byte
+//! 8-byte words in place: no operand stack, no tag to check, no 16-byte
 //! [`Value`] to move. NUMBR, NUMBAR and TROOF local arrays hold the same
 //! raw words, and the symmetric heap already stores them. A frame's
 //! bank starts as a copy of its chunk's (constants included), so a
@@ -484,10 +484,18 @@ impl<'a> Machine<'a> {
                         let at = stack_base(stack, *n)?;
                         let mut s = String::new();
                         for v in &stack[at..] {
-                            s.push_str(&v.to_yarn()?);
+                            v.push_yarn(&mut s)?;
                         }
                         stack.truncate(at);
                         stack.push(Value::yarn(s));
+                    }
+                    Op::SmooshInto { slot: s, n } => {
+                        let at = stack_base(stack, *n)?;
+                        let buf = slot_mut(frame, *s)?.yarn_mut()?;
+                        for v in &stack[at..] {
+                            v.push_yarn(buf)?;
+                        }
+                        stack.truncate(at);
                     }
                     Op::AllOf(n) => {
                         let at = stack_base(stack, *n)?;
@@ -540,8 +548,7 @@ impl<'a> Machine<'a> {
                     Op::Visible { argc, newline } => {
                         let at = stack_base(stack, *argc)?;
                         for v in &stack[at..] {
-                            let s = v.to_yarn()?;
-                            out.push_str(&s);
+                            v.push_yarn(out)?;
                         }
                         stack.truncate(at);
                         if *newline {

@@ -209,6 +209,13 @@ pub enum Op {
     },
     /// N-ary string concat.
     Smoosh(u8),
+    /// `slot R SMOOSH slot AN … MKAY`: pop the `n` other operands and
+    /// append them to the YARN in value slot `slot`, in place when the
+    /// slot is its buffer's only owner (see [`Value::yarn_mut`]).
+    SmooshInto {
+        slot: u16,
+        n: u8,
+    },
     /// N-ary AND / OR.
     AllOf(u8),
     AnyOf(u8),
@@ -457,6 +464,7 @@ const PROFILE_NAMES: [&str; Op::COUNT] = [
     "SharedLoadIdxL",
     "SharedStoreIdxL",
     "Smoosh",
+    "SmooshInto",
     "AllOf",
     "AnyOf",
     "Jump",
@@ -504,17 +512,17 @@ const PROFILE_NAMES: [&str; Op::COUNT] = [
 /// Profile indices `15..28` are the superinstructions.
 const SUPER_FIRST: usize = 15;
 const SUPER_LAST: usize = 27;
-/// Profile indices `47..70` are the register ops; `Box` and `Unbox`
+/// Profile indices `48..71` are the register ops; `Box` and `Unbox`
 /// among them cross to the stack.
-const REG_FIRST: usize = 47;
-const REG_LAST: usize = 69;
-const BOX: usize = 48;
-const UNBOX: usize = 49;
+const REG_FIRST: usize = 48;
+const REG_LAST: usize = 70;
+const BOX: usize = 49;
+const UNBOX: usize = 50;
 
 impl Op {
     /// Number of distinct opcodes (the length of a per-opcode profile
     /// counter array).
-    pub const COUNT: usize = 71;
+    pub const COUNT: usize = 72;
 
     /// This op's dense profile index (`0..Op::COUNT`), operand-blind:
     /// every `Bin` counts in the same cell regardless of operator.
@@ -551,48 +559,49 @@ impl Op {
             Op::SharedLoadIdxL { .. } => 26,
             Op::SharedStoreIdxL { .. } => 27,
             Op::Smoosh(_) => 28,
-            Op::AllOf(_) => 29,
-            Op::AnyOf(_) => 30,
-            Op::Jump(_) => 31,
-            Op::JumpIfFalse(_) => 32,
-            Op::Call { .. } => 33,
-            Op::Ret => 34,
-            Op::Visible { .. } => 35,
-            Op::ReadLine => 36,
-            Op::Barrier => 37,
-            Op::LockAcquire { .. } => 38,
-            Op::LockTry { .. } => 39,
-            Op::LockRelease { .. } => 40,
-            Op::PushBff => 41,
-            Op::PopBff => 42,
-            Op::Me => 43,
-            Op::MahFrenz => 44,
-            Op::RandI => 45,
-            Op::RandF => 46,
-            Op::Mov { .. } => 47,
-            Op::Box { .. } => 48,
-            Op::Unbox { .. } => 49,
-            Op::AddI { .. } => 50,
-            Op::SubI { .. } => 51,
-            Op::MulI { .. } => 52,
-            Op::ArithI { .. } => 53,
-            Op::AddD { .. } => 54,
-            Op::SubD { .. } => 55,
-            Op::MulD { .. } => 56,
-            Op::DivD { .. } => 57,
-            Op::ArithD { .. } => 58,
-            Op::SqrtD { .. } => 59,
-            Op::RecipD { .. } => 60,
-            Op::I2D { .. } => 61,
-            Op::CmpI { .. } => 62,
-            Op::CmpD { .. } => 63,
-            Op::JumpCmpI { .. } => 64,
-            Op::JumpCmpD { .. } => 65,
-            Op::ArrLoadR { .. } => 66,
-            Op::ArrStoreR { .. } => 67,
-            Op::SharedLoadIdxR { .. } => 68,
-            Op::SharedStoreIdxR { .. } => 69,
-            Op::Halt => 70,
+            Op::SmooshInto { .. } => 29,
+            Op::AllOf(_) => 30,
+            Op::AnyOf(_) => 31,
+            Op::Jump(_) => 32,
+            Op::JumpIfFalse(_) => 33,
+            Op::Call { .. } => 34,
+            Op::Ret => 35,
+            Op::Visible { .. } => 36,
+            Op::ReadLine => 37,
+            Op::Barrier => 38,
+            Op::LockAcquire { .. } => 39,
+            Op::LockTry { .. } => 40,
+            Op::LockRelease { .. } => 41,
+            Op::PushBff => 42,
+            Op::PopBff => 43,
+            Op::Me => 44,
+            Op::MahFrenz => 45,
+            Op::RandI => 46,
+            Op::RandF => 47,
+            Op::Mov { .. } => 48,
+            Op::Box { .. } => 49,
+            Op::Unbox { .. } => 50,
+            Op::AddI { .. } => 51,
+            Op::SubI { .. } => 52,
+            Op::MulI { .. } => 53,
+            Op::ArithI { .. } => 54,
+            Op::AddD { .. } => 55,
+            Op::SubD { .. } => 56,
+            Op::MulD { .. } => 57,
+            Op::DivD { .. } => 58,
+            Op::ArithD { .. } => 59,
+            Op::SqrtD { .. } => 60,
+            Op::RecipD { .. } => 61,
+            Op::I2D { .. } => 62,
+            Op::CmpI { .. } => 63,
+            Op::CmpD { .. } => 64,
+            Op::JumpCmpI { .. } => 65,
+            Op::JumpCmpD { .. } => 66,
+            Op::ArrLoadR { .. } => 67,
+            Op::ArrStoreR { .. } => 68,
+            Op::SharedLoadIdxR { .. } => 69,
+            Op::SharedStoreIdxR { .. } => 70,
+            Op::Halt => 71,
         }
     }
 

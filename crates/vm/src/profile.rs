@@ -17,7 +17,7 @@
 //! [`SAMPLE_EVERY`]th dispatch is time-stamped, and the time until the
 //! next dispatch, less the calibrated cost of an empty sample, is
 //! charged to the sampled opcode ([`VmProfile::op_time_bp`]). Sampling
-//! one dispatch in 1024 keeps the clock reads out of the measured
+//! one dispatch in 1021 keeps the clock reads out of the measured
 //! shares.
 //!
 //! Profiles from different PEs of the same module share a shape and
@@ -27,8 +27,11 @@
 use crate::ops::{Module, Op};
 use std::time::{Duration, Instant};
 
-/// One dispatch in this many is time-sampled (a power of two).
-pub const SAMPLE_EVERY: u64 = 1024;
+/// One dispatch in this many is time-sampled. A prime: a loop whose
+/// dispatch count per period shares a factor with the stride is
+/// sampled only at some of its ops (with 1024, a loop of an even
+/// period never samples half of them).
+pub const SAMPLE_EVERY: u64 = 1021;
 
 /// Execution counters for one run of a [`Module`] (see module docs).
 #[derive(Clone, Debug)]
@@ -295,5 +298,24 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         p.hit(0, 0, Op::Pop.profile_index());
         assert_eq!(p.op_time_bp(), vec![("Halt", 10_000)]);
+    }
+
+    #[test]
+    fn a_loop_of_even_period_is_sampled_at_every_op() {
+        let module = Module {
+            main: crate::ops::Chunk { code: vec![Op::Halt; 2], ..Default::default() },
+            ..Default::default()
+        };
+        let mut p = VmProfile::for_module(&module);
+        for _ in 0..2 * SAMPLE_EVERY {
+            for op in [Op::Pop, Op::Halt] {
+                p.hit(0, 0, op.profile_index());
+                if p.open.is_some() {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+        let names: Vec<_> = p.op_time_bp().into_iter().map(|(name, _)| name).collect();
+        assert_eq!(names.len(), 2, "both ops of a 2-op loop get time samples: {names:?}");
     }
 }

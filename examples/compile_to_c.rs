@@ -20,7 +20,7 @@ fn main() {
     println!("{}", tail.trim_start());
 
     // The paper's key lowering decisions, verified:
-    assert!(c.contains("static long long g_a;"), "symmetric scalar");
+    assert!(c.contains("static LOL_SYMMETRIC long long g_a;"), "symmetric scalar");
     assert!(c.contains("shmem_longlong_p(&g_b,"), "UR b R MAH a -> remote put");
     assert!(c.contains("shmem_barrier_all();"), "HUGZ -> barrier");
     assert!(c.contains("shmem_init();"), "transparent initialization (VI.A)");
@@ -30,6 +30,6 @@ fn main() {
     println!("  total lines: {}", nbody_c.lines().count());
     println!("  remote gets: {}", nbody_c.matches("shmem_double_g(").count());
     println!("  barriers:    {}", nbody_c.matches("shmem_barrier_all();").count());
-    println!("  symmetric arrays: {}", nbody_c.matches("static double g_").count());
+    println!("  symmetric arrays: {}", nbody_c.matches("static LOL_SYMMETRIC double g_").count());
     println!("\nwrite it out wif: cargo run -p lol-cli --bin lcc -- code.lol -o code.c --stub");
 }

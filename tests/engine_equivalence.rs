@@ -843,6 +843,119 @@ fn runtime_faults_read_the_same_on_every_engine() {
     }
 }
 
+/// Run `src` at 1 and 3 PEs on every available engine: each ends as
+/// the interpreter does, with the same per-PE outputs or the same
+/// fault line. Returns the interpreter's outcome at 3 PEs.
+fn same_outcome_on_every_engine(src: &str) -> Result<Vec<String>, String> {
+    let artifact = compile(src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    let mut reference = Err(String::new());
+    for n_pes in [1usize, 3] {
+        let cfg = RunConfig::new(n_pes).timeout(Duration::from_secs(60));
+        let outcome = |backend: Backend| {
+            engine_for(backend)
+                .run(&artifact, &cfg.clone().backend(backend))
+                .map(|r| r.outputs)
+                .map_err(|e| fault_line(&e))
+        };
+        reference = outcome(Backend::Interp);
+        for backend in Backend::ALL {
+            if !engine_for(backend).available() {
+                eprintln!("skipping {backend:?}: unavailable here");
+                continue;
+            }
+            assert_eq!(outcome(backend), reference, "{backend:?} at {n_pes} PEs on:\n{src}");
+        }
+    }
+    reference
+}
+
+/// `x R SMOOSH x AN … MKAY` appends to `x`'s buffer in place on the
+/// VM (and so the sim) when `x` is an unpinned or YARN-pinned local.
+/// Whether or not a case takes that path, every engine prints and
+/// faults alike.
+#[test]
+fn yarn_appends_agree_on_every_engine() {
+    let say = "HOW IZ I say YR x\n  VISIBLE x\n  FOUND YR x\nIF U SAY SO\n";
+    /// PE 0's output lines, or the fault code.
+    type Want = Result<&'static [&'static str], &'static str>;
+    let cases: [(&str, String, Want); 9] = [
+        (
+            "an alias taken before an append keeps its text",
+            "I HAS A s ITZ \"ab\"\nI HAS A t ITZ s\ns R SMOOSH s AN \"x\" MKAY\nVISIBLE s \" \" t\n\
+             IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3\n  I HAS A u ITZ s\n\
+             s R SMOOSH s AN i MKAY\n  VISIBLE s \" \" u\nIM OUTTA YR l"
+                .to_string(),
+            Ok(&["abx ab", "abx0 abx", "abx01 abx0", "abx012 abx01"]),
+        ),
+        (
+            "a YARN-pinned local",
+            "I HAS A s ITZ SRSLY A YARN AN ITZ \"p\"\n\
+             IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 3\n  s R SMOOSH s AN i AN \"-\" MKAY\n\
+             IM OUTTA YR l\nVISIBLE s"
+                .to_string(),
+            Ok(&["p0-1-2-"]),
+        ),
+        (
+            "a NUMBR-pinned local casts the YARN back",
+            "I HAS A s ITZ SRSLY A NUMBR AN ITZ 4\ns R SMOOSH s AN 2 MKAY\nVISIBLE SUM OF s AN 1"
+                .to_string(),
+            Ok(&["43"]),
+        ),
+        (
+            "a NOOB local faults after the calls among the operands",
+            format!("{say}I HAS A s\ns R SMOOSH s AN I IZ say YR 1 MKAY MKAY"),
+            Err("RUN0003"),
+        ),
+        (
+            "an operand that faults runs before a NOOB local renders",
+            "I HAS A s\ns R SMOOSH s AN QUOSHUNT OF 1 AN 0 MKAY".to_string(),
+            Err("RUN0001"),
+        ),
+        (
+            "NUMBR, NUMBAR, non-finite and TROOF operands and targets",
+            "I HAS A s ITZ 7\ns R SMOOSH s AN 1.5 AN WIN AN FAIL MKAY\nI HAS A z ITZ 0.0\n\
+             s R SMOOSH s AN QUOSHUNT OF 1.0 AN z AN QUOSHUNT OF -1.0 AN z AN \
+             QUOSHUNT OF z AN z MKAY\nVISIBLE s\n\
+             I HAS A b ITZ WIN\nb R SMOOSH b AN 2.25 AN -3 MKAY\nVISIBLE b\n\
+             I HAS A f ITZ 0.125\nf R SMOOSH f MKAY\nVISIBLE f"
+                .to_string(),
+            Ok(&["71.50WINFAILinf-infnan", "WIN2.25-3", "0.12"]),
+        ),
+        (
+            "a parameter named s, and IT",
+            "HOW IZ I grow YR s AN YR k\n  IM IN YR l UPPIN YR i TIL BOTH SAEM i AN k\n\
+             s R SMOOSH s AN i MKAY\n  IM OUTTA YR l\n  FOUND YR s\nIF U SAY SO\n\
+             I HAS A s ITZ \"m\"\nVISIBLE I IZ grow YR s AN YR 3 MKAY\nVISIBLE s\n\
+             \"it\"\nIT R SMOOSH IT AN s AN IT MKAY\nVISIBLE IT"
+                .to_string(),
+            Ok(&["m012", "m", "itmit"]),
+        ),
+        (
+            "an append onto itself",
+            "I HAS A s ITZ \"ab\"\ns R SMOOSH s AN s AN s MKAY\nVISIBLE s".to_string(),
+            Ok(&["ababab"]),
+        ),
+        (
+            "a symmetric NUMBR is not a local",
+            "WE HAS A s ITZ SRSLY A NUMBR\ns R SUM OF ME AN 4\ns R SMOOSH s AN 2 MKAY\nVISIBLE s"
+                .to_string(),
+            Ok(&["42"]),
+        ),
+    ];
+    for (what, body, want) in cases {
+        let src = format!("HAI 1.2\n{body}\nKTHXBYE\n");
+        match (same_outcome_on_every_engine(&src), want) {
+            (Ok(outputs), Ok(pe0)) => {
+                assert_eq!(outputs[0].lines().collect::<Vec<_>>(), pe0, "{what}:\n{src}")
+            }
+            (Err(line), Err(code)) => {
+                assert!(line.starts_with(&format!("O NOES! [{code}] ")), "{what}: {line}\n{src}")
+            }
+            (got, _) => panic!("{what}: got {got:?}\n{src}"),
+        }
+    }
+}
+
 /// A fault on one PE names that PE on every engine, the C engine
 /// included (its stub records the failing PE next to the captures).
 #[test]
