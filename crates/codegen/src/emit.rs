@@ -22,6 +22,19 @@
 //! engines' semantics (the runtime's `lol_add_i` … `lol_dbl_to_int`),
 //! and the emitted expression keeps the source's tree, fully
 //! parenthesised, so floating-point results are bit-identical.
+//!
+//! # YARN ownership
+//!
+//! The runtime's rule is "slots own, values borrow" (see `lol_value_t`
+//! in [`LOL_RUNTIME_H`]). Each dynamic local `v_x` is declared with its
+//! buffer `k_x`, freed with the local arrays when control leaves the C
+//! block (at its end, or at the `break` or `return` that leaves it). A
+//! store that may be a YARN goes through `lol_store`, and
+//! `x R SMOOSH x AN … MKAY` through `lol_append`. A statement, loop
+//! guard or condition whose C calls something that can take scratch
+//! arena memory (see [`allocates`]) is followed by a release to the
+//! function's entry mark `__m`; typed numeric code calls nothing of
+//! the kind and gets none.
 
 use crate::runtime::LOL_RUNTIME_H;
 use lol_ast::diag::Diagnostic;
@@ -202,20 +215,32 @@ impl ArrPlace {
     }
 }
 
+/// A C block: the names it declares and the C statements that free
+/// what they own.
+#[derive(Default)]
+struct Scope {
+    names: HashMap<Symbol, CKind>,
+    frees: Vec<String>,
+}
+
 pub(crate) struct CEmitter<'a> {
     analysis: &'a Analysis,
     out: String,
     indent: usize,
     /// C variable names holding the active `TXT MAH BFF` targets.
     bff: Vec<String>,
-    /// Open loop/switch count (GTFO → `break`).
-    breakable: usize,
+    /// The scope depth at each open loop or switch (GTFO → `break`,
+    /// which leaves the scopes above it).
+    breakable: Vec<usize>,
     in_function: bool,
-    scopes: Vec<HashMap<Symbol, CKind>>,
+    scopes: Vec<Scope>,
     tmp: usize,
     /// The temporaries of the C function being emitted, with their C
     /// types, declared at its top.
     temps: Vec<(String, &'static str)>,
+    /// Whether the C function being emitted releases the arena to its
+    /// entry mark `__m`, taken at its top.
+    marked: bool,
 }
 
 impl<'a> CEmitter<'a> {
@@ -225,11 +250,12 @@ impl<'a> CEmitter<'a> {
             out: String::new(),
             indent: 0,
             bff: Vec::new(),
-            breakable: 0,
+            breakable: Vec::new(),
             in_function: false,
-            scopes: vec![HashMap::new()],
+            scopes: vec![Scope::default()],
             tmp: 0,
             temps: Vec::new(),
+            marked: false,
         }
     }
 
@@ -296,10 +322,13 @@ impl<'a> CEmitter<'a> {
         }
         self.line("LOL_SYM_REG_DONE();");
         self.line("LOL_SRAND(1337u + (unsigned)shmem_my_pe());");
+        self.line("lol_pe_begin();");
+        self.scopes.push(Scope::default());
         self.line("lol_value_t v_IT = lol_noob(); (void)v_IT;");
-        self.scopes.push(HashMap::new());
+        self.slot_buffer(Symbol::it());
         self.body(&program.body)?;
-        self.scopes.pop();
+        self.close_scope();
+        self.line("lol_pe_end();");
         self.line("shmem_finalize();");
         self.line("return 0;");
         self.indent -= 1;
@@ -323,14 +352,24 @@ impl<'a> CEmitter<'a> {
         self.indent += 1;
         self.line("lol_value_t v_IT = lol_noob(); (void)v_IT;");
         self.in_function = true;
-        self.scopes.push(HashMap::new());
+        self.scopes.push(Scope::default());
+        // IT and the parameters borrow until a store gives them a
+        // buffer: only the slots the body may store a YARN to get one.
+        let mut stored = Vec::new();
+        stored_slots(&f.body, &mut stored);
+        if stored.contains(&Symbol::it()) {
+            self.slot_buffer(Symbol::it());
+        }
         for p in &f.params {
             self.declare(p.sym, CKind::Scalar { ty: None });
+            if stored.contains(&p.sym) {
+                self.slot_buffer(p.sym);
+            }
         }
         self.body(&f.body)?;
+        self.ret(CExpr::new("v_IT", None));
         self.scopes.pop();
         self.in_function = false;
-        self.line("return v_IT;");
         self.indent -= 1;
         self.line("}");
         self.out.push('\n');
@@ -338,14 +377,18 @@ impl<'a> CEmitter<'a> {
     }
 
     /// The statements of a C function body, preceded by the declaration
-    /// of the temporaries they use.
+    /// of the temporaries they use and, if they release the arena, by
+    /// its entry mark.
     fn body(&mut self, stmts: &Block) -> CResult<()> {
         let at = self.out.len();
         for s in stmts {
             self.stmt(s)?;
         }
-        // One declaration per C type, in order of first use.
         let mut decl = String::new();
+        if std::mem::take(&mut self.marked) {
+            decl += &format!("{}lol_mark_t __m = lol_mark();\n", "    ".repeat(self.indent));
+        }
+        // One declaration per C type, in order of first use.
         let temps = std::mem::take(&mut self.temps);
         let mut types: Vec<&str> = temps.iter().map(|(_, t)| *t).collect();
         types.dedup();
@@ -381,11 +424,79 @@ impl<'a> CEmitter<'a> {
     }
 
     fn declare(&mut self, name: Symbol, kind: CKind) {
-        self.scopes.last_mut().expect("scope").insert(name, kind);
+        self.scopes.last_mut().expect("scope").names.insert(name, kind);
+    }
+
+    /// Free `what` (a C statement) when control leaves the current
+    /// scope.
+    fn free_on_exit(&mut self, what: String) {
+        self.scopes.last_mut().expect("scope").frees.push(what);
+    }
+
+    /// Declare the buffer `k_<name>` of the dynamic slot `name`, owned
+    /// by the current scope.
+    fn slot_buffer(&mut self, name: Symbol) {
+        self.line(&format!("lol_buf_t k_{name} = {{NULL, 0}};"));
+        self.free_on_exit(format!("free(k_{name}.p);"));
+    }
+
+    /// The frees of the scopes from `depth` up, innermost first: what
+    /// leaving them owes.
+    fn frees_from(&self, depth: usize) -> Vec<String> {
+        self.scopes[depth..].iter().rev().flat_map(|s| s.frees.iter().rev().cloned()).collect()
+    }
+
+    /// Close the current scope, freeing what it owns.
+    fn close_scope(&mut self) {
+        let scope = self.scopes.pop().expect("scope");
+        for f in scope.frees.iter().rev() {
+            self.line(f);
+        }
+    }
+
+    /// Return `v` from the C function, freeing its frame (the scopes
+    /// above the unit's) first. A YARN that may borrow from the frame
+    /// moves to the arena before that.
+    fn ret(&mut self, v: CExpr) {
+        let frees = self.frees_from(1);
+        if frees.is_empty() {
+            self.line(&format!("return {};", v.boxed()));
+            return;
+        }
+        let r = if may_yarn(v.ty) { format!("lol_ret({})", v.code) } else { v.boxed() };
+        self.line("{");
+        self.indent += 1;
+        self.line(&format!("lol_value_t __r = {r};"));
+        for f in &frees {
+            self.line(f);
+        }
+        self.line("return __r;");
+        self.indent -= 1;
+        self.line("}");
+    }
+
+    /// Release the arena if the C written since `at` may have used it.
+    fn release_since(&mut self, at: usize) {
+        if allocates(&self.out[at..]) {
+            self.marked = true;
+            self.line("lol_release(__m);");
+        }
+    }
+
+    /// The truth `cond` (a C `int` expression), releasing the arena
+    /// after computing it if computing it may have used the arena.
+    fn released(&mut self, cond: String) -> String {
+        if !allocates(&cond) {
+            return cond;
+        }
+        self.marked = true;
+        let tmp = self.fresh("c");
+        self.temps.push((tmp.clone(), "int"));
+        format!("({tmp} = {cond}, lol_release(__m), {tmp})")
     }
 
     fn lookup(&self, name: Symbol) -> Option<CKind> {
-        let local = self.scopes.iter().rev().find_map(|s| s.get(&name)).copied();
+        let local = self.scopes.iter().rev().find_map(|s| s.names.get(&name)).copied();
         // `IT` is every frame's implicit `lol_value_t v_IT`.
         local.or_else(|| (name == Symbol::it()).then_some(CKind::Scalar { ty: None }))
     }
@@ -567,9 +678,16 @@ impl<'a> CEmitter<'a> {
             if let Some(k) = self.lookup(name) {
                 return match k {
                     CKind::Scalar { ty } => {
-                        let rhs = match ty {
-                            Some(ty) => val.cast(ty).code,
-                            None => val.boxed(),
+                        let val = match ty {
+                            Some(ty) => val.cast(ty),
+                            None => val,
+                        };
+                        let rhs = if native(ty).is_some() {
+                            val.code
+                        } else if may_yarn(val.ty) {
+                            format!("lol_store(&k_{name}, {})", val.code)
+                        } else {
+                            val.boxed()
                         };
                         self.line(&format!("v_{name} = {rhs};"));
                         Ok(())
@@ -657,24 +775,37 @@ impl<'a> CEmitter<'a> {
     fn block(&mut self, b: &Block) -> CResult<()> {
         self.line("{");
         self.indent += 1;
-        self.scopes.push(HashMap::new());
-        for s in b {
-            self.stmt(s)?;
-        }
-        self.scopes.pop();
+        self.scoped(b)?;
         self.indent -= 1;
         self.line("}");
         Ok(())
     }
 
+    /// `b`'s statements in a scope of their own.
+    fn scoped(&mut self, b: &Block) -> CResult<()> {
+        self.scopes.push(Scope::default());
+        for s in b {
+            self.stmt(s)?;
+        }
+        self.close_scope();
+        Ok(())
+    }
+
     fn stmt(&mut self, s: &Stmt) -> CResult<()> {
+        let at = self.out.len();
         match &s.kind {
-            StmtKind::Declare(d) => self.decl(d),
-            StmtKind::Assign { target, value } => self.assign(s, target, value),
+            StmtKind::Declare(d) => self.decl(d)?,
+            StmtKind::Assign { target, value } => self.assign(s, target, value)?,
             StmtKind::ExprStmt(e) => {
-                let v = self.expr(e)?.boxed();
-                self.line(&format!("v_IT = {v};"));
-                Ok(())
+                // A function's IT has a buffer only if some statement
+                // may store a YARN to it (`stored_slots`).
+                let v = self.expr(e)?;
+                let rhs = if may_make_yarn(e) && may_yarn(v.ty) {
+                    format!("lol_store(&k_IT, {})", v.code)
+                } else {
+                    v.boxed()
+                };
+                self.line(&format!("v_IT = {rhs};"));
             }
             StmtKind::Visible { args, newline } => {
                 for a in args {
@@ -684,14 +815,28 @@ impl<'a> CEmitter<'a> {
                 if *newline {
                     self.line("LOL_PUTS(\"\\n\");");
                 }
-                Ok(())
             }
-            StmtKind::Gimmeh(lv) => self.store_lvalue(lv, CExpr::of("lol_gimmeh()", LolType::Yarn)),
+            StmtKind::Gimmeh(lv) => {
+                self.store_lvalue(lv, CExpr::of("lol_gimmeh()", LolType::Yarn))?
+            }
+            StmtKind::IsNowA { target, ty } => self.is_now_a(target, *ty)?,
+            _ => return self.compound(s),
+        }
+        self.release_since(at);
+        Ok(())
+    }
+
+    /// A statement that holds blocks or ends its block: it releases the
+    /// arena after each of its own conditions, and its blocks after
+    /// their statements.
+    fn compound(&mut self, s: &Stmt) -> CResult<()> {
+        match &s.kind {
             StmtKind::If(ifs) => {
                 self.line("if (lol_to_bool(v_IT))");
                 self.block(&ifs.then_block)?;
                 for m in &ifs.mebbes {
                     let c = self.expr(&m.cond)?.truth();
+                    let c = self.released(c);
                     self.line(&format!("else if ({c})"));
                     self.block(&m.body)?;
                 }
@@ -704,43 +849,23 @@ impl<'a> CEmitter<'a> {
             StmtKind::Switch(sw) => self.switch(sw),
             StmtKind::Loop(lp) => self.loop_stmt(lp),
             StmtKind::Gtfo => {
-                if self.breakable > 0 {
+                if let Some(&depth) = self.breakable.last() {
+                    for f in self.frees_from(depth) {
+                        self.line(&f);
+                    }
                     self.line("break;");
                 } else if self.in_function {
-                    self.line("return lol_noob();");
+                    self.ret(CExpr::of("lol_noob()", LolType::Noob));
                 } else {
                     return Err(self.err("CGC0006", "GTFO OF WHERE?".to_string(), s.span));
                 }
                 Ok(())
             }
             StmtKind::FoundYr(e) => {
-                let v = self.expr(e)?.boxed();
-                self.line(&format!("return {v};"));
+                let v = self.expr(e)?;
+                self.ret(v);
                 Ok(())
             }
-            StmtKind::IsNowA { target, ty } => match target {
-                LValue::Var(vr) => {
-                    let name = self.named(vr)?;
-                    // Only untyped scalars can change type: sema rejects
-                    // retyping a pinned local, and a counter that is
-                    // retyped is not typed (`counter_ty`).
-                    match self.lookup(name) {
-                        Some(CKind::Scalar { ty: None }) => {
-                            self.line(&format!(
-                                "v_{name} = lol_cast(v_{name}, {});",
-                                lol_ty_enum(*ty)
-                            ));
-                            Ok(())
-                        }
-                        _ => Err(self.err("CGC0007", format!("{name} CANT CHANGE TYPE"), vr.span)),
-                    }
-                }
-                LValue::Index { span, .. } => Err(self.err(
-                    "CGC0007",
-                    "ARRAY ELEMENTS KEEP DA ARRAY'S TYPE".to_string(),
-                    *span,
-                )),
-            },
             StmtKind::Hugz => {
                 self.line("shmem_barrier_all();");
                 Ok(())
@@ -769,13 +894,32 @@ impl<'a> CEmitter<'a> {
             }
             StmtKind::TxtBlock { pe, body } => {
                 self.txt_open(pe)?;
-                self.scopes.push(HashMap::new());
-                for st in body {
-                    self.stmt(st)?;
-                }
-                self.scopes.pop();
+                self.scoped(body)?;
                 self.txt_close();
                 Ok(())
+            }
+            _ => unreachable!("a simple statement: CEmitter::stmt"),
+        }
+    }
+
+    /// `target IS NOW A ty`.
+    fn is_now_a(&mut self, target: &LValue, ty: LolType) -> CResult<()> {
+        match target {
+            LValue::Var(vr) => {
+                let name = self.named(vr)?;
+                // Only untyped scalars can change type: sema rejects
+                // retyping a pinned local, and a counter that is
+                // retyped is not typed (`counter_ty`).
+                match self.lookup(name) {
+                    Some(CKind::Scalar { ty: None }) => {
+                        let cast = CExpr::new(format!("v_{name}"), None).cast(ty);
+                        self.var_store(vr, cast)
+                    }
+                    _ => Err(self.err("CGC0007", format!("{name} CANT CHANGE TYPE"), vr.span)),
+                }
+            }
+            LValue::Index { span, .. } => {
+                Err(self.err("CGC0007", "ARRAY ELEMENTS KEEP DA ARRAY'S TYPE".to_string(), *span))
             }
         }
     }
@@ -786,7 +930,9 @@ impl<'a> CEmitter<'a> {
         let var = self.fresh("bff");
         self.line("{");
         self.indent += 1;
+        let at = self.out.len();
         self.line(&format!("const int {var} = lol_pe({k});"));
+        self.release_since(at);
         self.bff.push(var);
         Ok(())
     }
@@ -833,7 +979,9 @@ impl<'a> CEmitter<'a> {
                     let n = self.expr(size)?.int();
                     let elem = d.ty.unwrap_or(LolType::Noob);
                     let name = d.name.sym;
-                    self.local_array_decl(&format!("v_{name}"), elem, &n);
+                    let data = format!("v_{name}");
+                    self.local_array_decl(&data, elem, &n);
+                    self.free_on_exit(free_array(&data, elem));
                     self.declare(name, CKind::Array { elem });
                 } else {
                     let init = match (&d.init, d.ty) {
@@ -843,12 +991,23 @@ impl<'a> CEmitter<'a> {
                         (None, None) => None,
                     };
                     let pinned = if d.srsly { d.ty } else { None };
+                    let name = d.name.sym;
                     let (cty, init) = match (native(pinned), init) {
                         (Some(cty), Some(v)) => (cty, v.code),
-                        (_, v) => ("lol_value_t", v.map_or("lol_noob()".to_string(), CExpr::boxed)),
+                        (_, v) => {
+                            self.slot_buffer(name);
+                            let init = match v {
+                                Some(v) if may_yarn(v.ty) => {
+                                    format!("lol_store(&k_{name}, {})", v.code)
+                                }
+                                Some(v) => v.boxed(),
+                                None => "lol_noob()".to_string(),
+                            };
+                            ("lol_value_t", init)
+                        }
                     };
-                    self.line(&format!("{cty} v_{} = {init};", d.name.sym));
-                    self.declare(d.name.sym, CKind::Scalar { ty: pinned });
+                    self.line(&format!("{cty} v_{name} = {init};"));
+                    self.declare(name, CKind::Scalar { ty: pinned });
                 }
                 Ok(())
             }
@@ -878,8 +1037,45 @@ impl<'a> CEmitter<'a> {
                 ));
             }
         }
+        if let Some(name) = self.appends_to_itself(target, value)? {
+            return self.append(name, value);
+        }
         let v = self.expr(value)?;
         self.store_lvalue(target, v)
+    }
+
+    /// The dynamic local `x` of `x R SMOOSH x AN … MKAY`, whose value
+    /// is a YARN after the store: `None` for any other assignment.
+    fn appends_to_itself(&self, target: &LValue, value: &Expr) -> CResult<Option<Symbol>> {
+        let (LValue::Var(dst), ExprKind::Nary { op: NaryOp::Smoosh, args }) = (target, &value.kind)
+        else {
+            return Ok(None);
+        };
+        let Some(ExprKind::Var(src)) = args.first().map(|a| &a.kind) else { return Ok(None) };
+        if dst.locality == Locality::Ur || src.locality == Locality::Ur {
+            return Ok(None);
+        }
+        let name = self.named(dst)?;
+        let slot =
+            matches!(self.lookup(name), Some(CKind::Scalar { ty: None | Some(LolType::Yarn) }));
+        Ok((slot && self.named(src)? == name).then_some(name))
+    }
+
+    /// `x R SMOOSH x AN … MKAY`: the other operands rendered onto the
+    /// end of `x`'s buffer (`lol_append`).
+    fn append(&mut self, name: Symbol, value: &Expr) -> CResult<()> {
+        let ExprKind::Nary { args, .. } = &value.kind else { unreachable!("a SMOOSH") };
+        let (parts, seq) = self.operands(&args.iter().collect::<Vec<_>>())?;
+        let mut parts = parts.into_iter().map(CExpr::boxed);
+        let first = parts.next().expect("the slot itself");
+        let rest: Vec<String> = parts.collect();
+        let rest = match rest.len() {
+            0 => "0, NULL".to_string(),
+            n => format!("{n}, (lol_value_t[]){{{}}}", rest.join(", ")),
+        };
+        let call = CExpr::of(format!("lol_append(&k_{name}, {first}, {rest})"), LolType::Yarn);
+        self.line(&format!("v_{name} = {};", sequenced(seq, call).code));
+        Ok(())
     }
 
     fn store_lvalue(&mut self, lv: &LValue, val: CExpr) -> CResult<()> {
@@ -922,9 +1118,10 @@ impl<'a> CEmitter<'a> {
         let target = fresh.as_ref().unwrap_or(&dst);
         self.line(&format!("for (long long {i} = 0; {i} < {n}; {i}++)"));
         self.line(&format!("    {}", target.write(&i, src.read(&i))));
-        if let (ArrPlace::Local { data, .. }, Some(ArrPlace::Local { data: d, .. })) =
+        if let (ArrPlace::Local { data, elem, .. }, Some(ArrPlace::Local { data: d, .. })) =
             (&dst, &fresh)
         {
+            self.line(&free_array(data, *elem));
             self.line(&format!("{data} = {d};"));
         }
         self.indent -= 1;
@@ -937,38 +1134,34 @@ impl<'a> CEmitter<'a> {
         self.line("do {");
         self.indent += 1;
         self.line(&format!("int {arm} = -1;"));
+        let at = self.out.len();
         for (i, a) in sw.arms.iter().enumerate() {
             let k = self.literal(&a.value)?.boxed();
             let prefix = if i == 0 { "if" } else { "else if" };
             self.line(&format!("{prefix} (lol_saem(v_IT, {k})) {arm} = {i};"));
         }
+        self.release_since(at);
         self.line(&format!("switch ({arm}) {{"));
-        self.breakable += 1;
+        self.breakable.push(self.scopes.len());
+        // Each arm is a C block, so that a declaration may open it.
         for (i, a) in sw.arms.iter().enumerate() {
-            self.line(&format!("case {i}:"));
+            self.line(&format!("case {i}: {{"));
             self.indent += 1;
-            self.scopes.push(HashMap::new());
-            for st in &a.body {
-                self.stmt(st)?;
-            }
-            self.scopes.pop();
-            self.line("/* fallthrough */");
+            self.scoped(&a.body)?;
             self.indent -= 1;
+            self.line("} /* fallthrough */");
         }
         if let Some(d) = &sw.default {
-            self.line("default:");
+            self.line("default: {");
             self.indent += 1;
-            self.scopes.push(HashMap::new());
-            for st in d {
-                self.stmt(st)?;
-            }
-            self.scopes.pop();
+            self.scoped(d)?;
             self.line("break;");
             self.indent -= 1;
+            self.line("}");
         } else {
             self.line("default: break;");
         }
-        self.breakable -= 1;
+        self.breakable.pop();
         self.line("}");
         self.indent -= 1;
         self.line("} while (0);");
@@ -976,12 +1169,22 @@ impl<'a> CEmitter<'a> {
     }
 
     fn loop_stmt(&mut self, lp: &LoopStmt) -> CResult<()> {
-        self.scopes.push(HashMap::new());
+        self.scopes.push(Scope::default());
         // The counter lives in the `for` header, outside the body's
-        // block, so a declaration in the body never shadows it.
+        // block, so a declaration in the body never shadows it. A
+        // counter the body stores to is dynamic, and its buffer lives
+        // in a block around the loop.
+        let wrapped = lp.update.is_some() && counter_ty(lp).is_none();
+        if wrapped {
+            self.line("{");
+            self.indent += 1;
+        }
         let header = match &lp.update {
             Some((dir, var)) => {
                 let ty = counter_ty(lp);
+                if ty.is_none() {
+                    self.slot_buffer(var.sym);
+                }
                 let v = format!("v_{}", var.sym);
                 let op = match dir {
                     LoopDir::Uppin => BinOp::Sum,
@@ -1003,21 +1206,22 @@ impl<'a> CEmitter<'a> {
         self.indent += 1;
         if let Some((kind, guard)) = &lp.guard {
             let g = self.expr(guard)?.truth();
+            let g = self.released(g);
             match kind {
                 GuardKind::Til => self.line(&format!("if ({g}) break;")),
                 GuardKind::Wile => self.line(&format!("if (!{g}) break;")),
             }
         }
-        self.breakable += 1;
-        self.scopes.push(HashMap::new());
-        for st in &lp.body {
-            self.stmt(st)?;
-        }
-        self.scopes.pop();
-        self.breakable -= 1;
+        self.breakable.push(self.scopes.len());
+        self.scoped(&lp.body)?;
+        self.breakable.pop();
         self.indent -= 1;
         self.line("}");
-        self.scopes.pop();
+        self.close_scope();
+        if wrapped {
+            self.indent -= 1;
+            self.line("}");
+        }
         Ok(())
     }
 }
@@ -1120,17 +1324,97 @@ fn unary(op: UnOp, v: CExpr) -> CExpr {
     CExpr::new(code, ty)
 }
 
-/// `SMOOSH` (and YARN interpolation): the concatenated renderings.
+/// `SMOOSH` (and YARN interpolation): the concatenated renderings, as
+/// one YARN in the arena.
 fn smoosh(mut parts: Vec<CExpr>) -> CExpr {
-    if parts.len() == 1 {
-        return parts.pop().expect("one part").cast(LolType::Yarn);
-    }
-    let code = parts
-        .into_iter()
-        .map(CExpr::boxed)
-        .reduce(|acc, p| format!("lol_smoosh({acc}, {p})"))
-        .unwrap_or_else(|| "lol_from_str(\"\")".to_string());
+    let code = match parts.len() {
+        0 => "lol_from_str(\"\")".to_string(),
+        1 => return parts.pop().expect("one part").cast(LolType::Yarn),
+        2 => {
+            let b = parts.pop().expect("two parts").boxed();
+            format!("lol_smoosh({}, {b})", parts.pop().expect("two parts").boxed())
+        }
+        n => {
+            let parts: Vec<String> = parts.into_iter().map(CExpr::boxed).collect();
+            format!("lol_smoosh_n({n}, (lol_value_t[]){{{}}})", parts.join(", "))
+        }
+    };
     CExpr::of(code, LolType::Yarn)
+}
+
+/// Whether a value of static type `ty` may be a YARN, and so needs
+/// `lol_store` to enter a slot.
+fn may_yarn(ty: Ty) -> bool {
+    matches!(ty, None | Some(LolType::Yarn))
+}
+
+/// Whether `e` may evaluate to a YARN, from its form alone: operators
+/// other than SMOOSH never make one.
+fn may_make_yarn(e: &Expr) -> bool {
+    match &e.kind {
+        ExprKind::Lit(l) => matches!(l, Lit::Yarn(_)),
+        ExprKind::Var(_) | ExprKind::Index { .. } | ExprKind::Call { .. } => true,
+        ExprKind::Nary { op, .. } => *op == NaryOp::Smoosh,
+        ExprKind::Cast { ty, .. } => *ty == LolType::Yarn,
+        _ => false,
+    }
+}
+
+/// The local slots, `IT` included, that the statements of `b` may
+/// store a YARN to, pushed onto `out`. A function declares a buffer
+/// for each of its parameters found here, and for `IT`.
+fn stored_slots(b: &[Stmt], out: &mut Vec<Symbol>) {
+    for s in b {
+        match &s.kind {
+            StmtKind::Assign { target: LValue::Var(vr), .. }
+            | StmtKind::Gimmeh(LValue::Var(vr))
+            | StmtKind::IsNowA { target: LValue::Var(vr), .. } => {
+                if let VarName::Named(id) = &vr.name {
+                    out.push(id.sym);
+                }
+            }
+            StmtKind::ExprStmt(e) if may_make_yarn(e) => out.push(Symbol::it()),
+            StmtKind::If(ifs) => {
+                stored_slots(&ifs.then_block, out);
+                for m in &ifs.mebbes {
+                    stored_slots(&m.body, out);
+                }
+                if let Some(e) = &ifs.else_block {
+                    stored_slots(e, out);
+                }
+            }
+            StmtKind::Switch(sw) => {
+                for a in &sw.arms {
+                    stored_slots(&a.body, out);
+                }
+                if let Some(d) = &sw.default {
+                    stored_slots(d, out);
+                }
+            }
+            StmtKind::Loop(lp) => stored_slots(&lp.body, out),
+            StmtKind::TxtStmt { stmt, .. } => stored_slots(std::slice::from_ref(&**stmt), out),
+            StmtKind::TxtBlock { body, .. } => stored_slots(body, out),
+            _ => {}
+        }
+    }
+}
+
+/// Whether the C code `c` calls something that can take memory from
+/// the scratch arena: a SMOOSH, a cast to YARN, GIMMEH or a function
+/// (whose result may be a YARN in the arena).
+fn allocates(c: &str) -> bool {
+    let call = c
+        .match_indices("f_")
+        .any(|(at, _)| !c[..at].ends_with(|ch: char| ch.is_ascii_alphanumeric() || ch == '_'));
+    call || ["lol_smoosh", "lol_cast(", "lol_gimmeh("].iter().any(|f| c.contains(f))
+}
+
+/// The C statement freeing the local array `data` of `elem`s.
+fn free_array(data: &str, elem: LolType) -> String {
+    match native(Some(elem)) {
+        Some(_) => format!("free({data}.e);"),
+        None => format!("lol_arr_free(&{data});"),
+    }
 }
 
 // ---- small helpers -----------------------------------------------------

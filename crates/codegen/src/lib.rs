@@ -294,6 +294,35 @@ mod tests {
         }
     }
 
+    /// Typed numeric code owns no YARN: the kernels' loops neither
+    /// store through a slot buffer nor touch the scratch arena.
+    #[test]
+    fn typed_kernel_loops_make_no_arena_calls() {
+        for src in [
+            include_str!("../../../corpus/nbody_bench.lol"),
+            include_str!("../../../corpus/heat2d_bench.lol"),
+        ] {
+            let c = gen(src);
+            let called = calls_in_loops(&c[c.find("/* ---- end runtime ---- */").unwrap()..]);
+            for f in ["lol_release", "lol_mark", "lol_store", "lol_append", "lol_smoosh"] {
+                assert!(!called.iter().any(|n| n.starts_with(f)), "{f} in {called:?}");
+            }
+        }
+    }
+
+    /// yarn_kernel's `s R SMOOSH s AN … MKAY` appends into `s`'s own
+    /// buffer; only the fold every 12 digits makes an arena YARN, and
+    /// releases it.
+    #[test]
+    fn yarn_kernel_appends_in_place() {
+        let c = gen(include_str!("../../../perfbench/programs/yarn_kernel.lol"));
+        let main = &c[c.find("static int lol_main").unwrap()..];
+        assert!(main.contains("v_s = lol_append(&k_s, v_s, 1, (lol_value_t[]){"), "{main}");
+        assert!(main.contains("v_last = lol_store(&k_last, lol_smoosh(lol_from_str(\"#\"), v_s));"));
+        assert_eq!(main.matches("lol_release(__m);").count(), 3, "two GIMMEHs and the fold");
+        assert!(main.contains("free(k_s.p);") && main.contains("lol_pe_end();"));
+    }
+
     #[test]
     fn index_checks_name_their_array() {
         let c = gen(&prog(

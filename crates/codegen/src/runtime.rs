@@ -81,6 +81,11 @@ pub const LOL_RUNTIME_H: &str = r#"/* ---- parallel LOLCODE runtime (generated, 
    PE's line once every PE has stopped, as the Rust engines do. */
 #define LOL_FAULT(line) (fprintf(stderr, "%s\n", (line)), exit(1))
 #endif
+#ifndef LOL_PER_PE
+/* per-PE runtime state (the scratch arena): a plain static when each
+   PE is a process, as under OpenSHMEM; the stub makes it thread-local */
+#define LOL_PER_PE
+#endif
 #ifdef __GNUC__
 #define LOL_NORETURN __attribute__((noreturn))
 #else
@@ -88,10 +93,21 @@ pub const LOL_RUNTIME_H: &str = r#"/* ---- parallel LOLCODE runtime (generated, 
 #endif
 
 typedef enum { LOL_NOOB, LOL_TROOF, LOL_NUMBR, LOL_NUMBAR, LOL_YARN } lol_type_t;
-/* YARNs are heap-allocated, so strings have no length cap. Values are
-   copied freely and the program is one short-lived process, so yarn
-   storage is deliberately never freed (arena-by-leak, like many
-   short-lived compilers). */
+/* YARNs have no length cap, and their storage follows one rule: slots
+   own, values borrow. A YARN value is `s`, pointing at `i` bytes and a
+   NUL, and copies of it are free. The bytes belong to one of:
+   * a slot's growable buffer (lol_buf_t): every dynamic local, IT, a
+     parameter that is stored to, and each element of a YARN array. A
+     store copies a YARN into the slot's buffer (lol_store); the buffer
+     is freed when the slot's C block is left;
+   * the per-PE scratch arena: SMOOSH, cast and GIMMEH results and
+     returned YARNs. The emitted code releases it to the function's
+     entry mark after each statement, loop guard and condition that
+     may have used it;
+   * static storage: literals (lol_from_str).
+   A value never outlives its storage: stores copy, nothing the callee
+   can reach rebinds the slots its arguments borrow from, and FOUND YR
+   copies a YARN out to the arena (lol_ret) before the frame is freed. */
 typedef struct {
     lol_type_t t;
     long long i;
@@ -99,8 +115,17 @@ typedef struct {
     char *s;
 } lol_value_t;
 
+/* a slot's YARN buffer: cap bytes at p, NULL until the first YARN store */
+typedef struct { char *p; size_t cap; } lol_buf_t;
+
 /* scratch big enough for any numeric rendering (%.2f of 1e308) */
 #define LOL_NUM_BUF 400
+
+/* the scratch arena: a chain of blocks that are never moved, so arena
+   YARNs stay put while it grows; a mark is a position to release to */
+typedef struct lol_blk { struct lol_blk *next; size_t cap, used; char *data; } lol_blk_t;
+typedef struct { lol_blk_t *b; size_t used; } lol_mark_t;
+extern LOL_PER_PE lol_blk_t *lol_arena; /* the block allocations come from */
 
 /* the native local arrays: elements e[0..n) */
 typedef struct { long long *e; long long n; } lol_arr_numbr;
@@ -108,11 +133,13 @@ typedef struct { double *e; long long n; } lol_arr_numbar;
 typedef struct { int *e; long long n; } lol_arr_troof;
 
 /* local arrays of YARNs and NOOBs: dynamic values, cast to the element
-   type on every store, starting out as "" or NOOB */
+   type on every store, starting out as "" or NOOB; a YARN array's
+   element i owns the buffer k[i] */
 typedef struct {
     lol_value_t *e;
     long long n;
     lol_type_t ty;
+    lol_buf_t *k;
 } lol_arr_t;
 
 /* -- out of line, in the runtime source -- */
@@ -120,13 +147,17 @@ typedef struct {
 /* fault with the line "O NOES! [code] <fmt...>" (see LOL_FAULT) */
 LOL_NORETURN void lol_die(const char *code, const char *fmt, ...);
 LOL_NORETURN void lol_die_idx(long long i, long long len, const char *name);
-char *lol_strdup(const char *s);
 int lol_numeric_slow(lol_value_t v, long long *out_i, double *out_f);
-const char *lol_to_cstr(lol_value_t v, char *buf, size_t n);
+size_t lol_fmt_dbl(lol_value_t v, char *dst);
 lol_value_t lol_cast(lol_value_t v, lol_type_t ty);
 lol_value_t lol_gimmeh(void);
+void lol_buf_grow(lol_buf_t *k, size_t need);
+char *lol_arena_more(size_t n);
+void lol_pe_begin(void);
+void lol_pe_end(void);
 void *lol_arr_alloc(long long n, size_t size);
 lol_arr_t lol_arr_new(long long n, lol_type_t ty);
+void lol_arr_free(lol_arr_t *a);
 void lol_lock_acquire(long *cell, int target);
 int lol_lock_try(long *cell, int target);
 void lol_lock_release(long *cell, int target);
@@ -167,12 +198,15 @@ static inline lol_value_t lol_noob(void) { lol_value_t v; memset(&v, 0, sizeof v
 static inline lol_value_t lol_from_int(long long i) { lol_value_t v = lol_noob(); v.t = LOL_NUMBR; v.i = i; return v; }
 static inline lol_value_t lol_from_dbl(double f) { lol_value_t v = lol_noob(); v.t = LOL_NUMBAR; v.f = f; return v; }
 static inline lol_value_t lol_from_bool(int b) { lol_value_t v = lol_noob(); v.t = LOL_TROOF; v.i = b ? 1 : 0; return v; }
-static inline lol_value_t lol_from_str(const char *s) {
+static inline lol_value_t lol_yarn(char *s, size_t n) {
     lol_value_t v = lol_noob();
     v.t = LOL_YARN;
-    v.s = lol_strdup(s);
+    v.i = (long long)n;
+    v.s = s;
     return v;
 }
+/* a literal: the value borrows its static storage */
+static inline lol_value_t lol_from_str(const char *s) { return lol_yarn((char *)s, strlen(s)); }
 
 static inline int lol_to_bool(lol_value_t v) {
     switch (v.t) {
@@ -180,7 +214,7 @@ static inline int lol_to_bool(lol_value_t v) {
     case LOL_TROOF: return v.i != 0;
     case LOL_NUMBR: return v.i != 0;
     case LOL_NUMBAR: return v.f != 0.0;
-    case LOL_YARN: return v.s && v.s[0] != '\0';
+    case LOL_YARN: return v.i != 0;
     }
     return 0;
 }
@@ -233,7 +267,7 @@ static inline int lol_saem(lol_value_t a, lol_value_t b) {
     if (a.t == LOL_NOOB && b.t == LOL_NOOB) return 1;
     if (a.t == LOL_TROOF && b.t == LOL_TROOF) return a.i == b.i;
     if (a.t == LOL_NUMBR && b.t == LOL_NUMBR) return a.i == b.i;
-    if (a.t == LOL_YARN && b.t == LOL_YARN) return strcmp(a.s, b.s) == 0;
+    if (a.t == LOL_YARN && b.t == LOL_YARN) return a.i == b.i && memcmp(a.s, b.s, (size_t)a.i) == 0;
     if ((a.t == LOL_NUMBR || a.t == LOL_NUMBAR) && (b.t == LOL_NUMBR || b.t == LOL_NUMBAR))
         return lol_to_dbl(a) == lol_to_dbl(b);
     return 0;
@@ -241,23 +275,133 @@ static inline int lol_saem(lol_value_t a, lol_value_t b) {
 
 static inline lol_value_t lol_squar(lol_value_t v) { return lol_produkt(v, v); }
 
-static inline lol_value_t lol_smoosh(lol_value_t a, lol_value_t b) {
-    char ba[LOL_NUM_BUF], bb[LOL_NUM_BUF];
-    const char *sa = lol_to_cstr(a, ba, sizeof ba);
-    const char *sb = lol_to_cstr(b, bb, sizeof bb);
-    size_t na = strlen(sa), nb = strlen(sb);
-    lol_value_t v = lol_noob();
-    v.t = LOL_YARN;
-    v.s = (char *)malloc(na + nb + 1);
-    if (!v.s) lol_die("RUN0150", "OUT OF MEMOREZ FOR A YARN");
-    memcpy(v.s, sa, na);
-    memcpy(v.s + na, sb, nb + 1);
+/* -- the scratch arena and the slots' buffers -- */
+
+static inline lol_mark_t lol_mark(void) {
+    lol_mark_t m;
+    m.b = lol_arena;
+    m.used = lol_arena->used;
+    return m;
+}
+/* drop every arena allocation made since the mark m */
+static inline void lol_release(lol_mark_t m) {
+    lol_arena = m.b;
+    m.b->used = m.used;
+}
+static inline char *lol_alloc(size_t n) {
+    lol_blk_t *b = lol_arena;
+    if (b->cap - b->used < n) return lol_arena_more(n);
+    b->used += n;
+    return b->data + b->used - n;
+}
+/* a copy of s[0..n) and a NUL in the arena */
+static inline char *lol_strdup(const char *s, size_t n) {
+    char *d = lol_alloc(n + 1);
+    memcpy(d, s, n);
+    d[n] = '\0';
+    return d;
+}
+
+/* x R v into a dynamic slot with buffer k: a YARN's bytes are copied
+   into k, reusing its capacity; any other value leaves k parked */
+static inline lol_value_t lol_store(lol_buf_t *k, lol_value_t v) {
+    if (v.t != LOL_YARN || v.s == k->p) return v;
+    if ((size_t)v.i >= k->cap) lol_buf_grow(k, (size_t)v.i + 1);
+    memcpy(k->p, v.s, (size_t)v.i + 1);
+    v.s = k->p;
     return v;
 }
 
+/* FOUND YR: a YARN moves to the arena, out of the frame's slots */
+static inline lol_value_t lol_ret(lol_value_t v) {
+    if (v.t == LOL_YARN) v.s = lol_strdup(v.s, (size_t)v.i);
+    return v;
+}
+
+/* -- rendering (VISIBLE, SMOOSH and casts to YARN) -- */
+
+/* NUMBR i in decimal, written backwards so that it ends just before
+   `end`; returns its first byte. LLONG_MIN's magnitude is taken in
+   unsigned arithmetic, where it fits. */
+static inline char *lol_fmt_int(long long i, char *end) {
+    unsigned long long u = i < 0 ? 0ULL - (unsigned long long)i : (unsigned long long)i;
+    do {
+        *--end = (char)('0' + (int)(u % 10));
+        u /= 10;
+    } while (u);
+    if (i < 0) *--end = '-';
+    return end;
+}
+
+/* bytes the rendering of v can take */
+static inline size_t lol_len_bound(lol_value_t v) {
+    return v.t == LOL_YARN ? (size_t)v.i : LOL_NUM_BUF;
+}
+
+/* render v at dst, which has room for lol_len_bound(v) bytes; returns
+   the byte count (no NUL is written) */
+static inline size_t lol_render(char *dst, lol_value_t v) {
+    char b[24], *s;
+    switch (v.t) {
+    case LOL_YARN: memcpy(dst, v.s, (size_t)v.i); return (size_t)v.i;
+    case LOL_NUMBR:
+        s = lol_fmt_int(v.i, b + sizeof b);
+        memcpy(dst, s, (size_t)(b + sizeof b - s));
+        return (size_t)(b + sizeof b - s);
+    case LOL_TROOF:
+        memcpy(dst, v.i ? "WIN" : "FAIL", v.i ? 3 : 4);
+        return v.i ? 3 : 4;
+    case LOL_NUMBAR: return lol_fmt_dbl(v, dst);
+    case LOL_NOOB: break;
+    }
+    lol_die("RUN0003", "CANT MAKE A YARN OUT OF NOOB");
+    return 0;
+}
+
+/* SMOOSH p[0] AN … AN p[n-1]: one arena YARN. Every operand has been
+   evaluated before any renders, as on the other engines. */
+static inline lol_value_t lol_smoosh_n(int n, const lol_value_t *p) {
+    size_t cap = 1, len = 0;
+    char *d;
+    int j;
+    for (j = 0; j < n; j++) cap += lol_len_bound(p[j]);
+    d = lol_alloc(cap);
+    for (j = 0; j < n; j++) len += lol_render(d + len, p[j]);
+    d[len] = '\0';
+    lol_arena->used -= cap - len - 1; /* the unused tail goes back */
+    return lol_yarn(d, len);
+}
+static inline lol_value_t lol_smoosh(lol_value_t a, lol_value_t b) {
+    lol_value_t p[2];
+    p[0] = a;
+    p[1] = b;
+    return lol_smoosh_n(2, p);
+}
+
+/* x R SMOOSH x AN p[0] AN … MKAY for a dynamic slot x (value v, buffer
+   k): the renderings are appended to k in place. An operand that is x
+   itself keeps pointing at x's text if the buffer moves. */
+static inline lol_value_t lol_append(lol_buf_t *k, lol_value_t v, int n, lol_value_t *p) {
+    char *old = k->p;
+    size_t need = lol_len_bound(v) + 1, len;
+    int j;
+    for (j = 0; j < n; j++) need += lol_len_bound(p[j]);
+    if (need > k->cap) {
+        lol_buf_grow(k, need);
+        if (v.t == LOL_YARN && v.s == old) v.s = k->p;
+        for (j = 0; j < n; j++)
+            if (p[j].t == LOL_YARN && p[j].s == old) p[j].s = k->p;
+    }
+    len = v.t == LOL_YARN && v.s == k->p ? (size_t)v.i : lol_render(k->p, v);
+    for (j = 0; j < n; j++) len += lol_render(k->p + len, p[j]);
+    k->p[len] = '\0';
+    return lol_yarn(k->p, len);
+}
+
 static inline void lol_print(lol_value_t v) {
-    char b[LOL_NUM_BUF];
-    LOL_PUTS(lol_to_cstr(v, b, sizeof b));
+    char b[LOL_NUM_BUF + 1];
+    if (v.t != LOL_YARN) b[lol_render(b, v)] = '\0';
+    LOL_PUTS(v.t == LOL_YARN ? v.s : b);
 }
 
 /* the bounds check of every indexed access; `name` is the array's
@@ -278,7 +422,21 @@ static inline lol_value_t lol_arr_get(lol_arr_t *a, long long i, const char *nam
     return a->e[lol_idx(i, a->n, name)];
 }
 static inline void lol_arr_set(lol_arr_t *a, long long i, lol_value_t v, const char *name) {
-    a->e[lol_idx(i, a->n, name)] = lol_cast(v, a->ty);
+    long long j = lol_idx(i, a->n, name);
+    lol_buf_t *k;
+    if (a->ty != LOL_YARN) {
+        a->e[j] = lol_noob();
+        return;
+    }
+    /* rendered straight into the element's buffer */
+    k = &a->k[j];
+    if (v.t == LOL_YARN) {
+        a->e[j] = lol_store(k, v);
+        return;
+    }
+    if (k->cap <= LOL_NUM_BUF) lol_buf_grow(k, LOL_NUM_BUF + 1);
+    a->e[j] = lol_yarn(k->p, lol_render(k->p, v));
+    k->p[a->e[j].i] = '\0';
 }
 
 static inline long long lol_whatevr(void) { return LOL_RAND(); }
@@ -313,12 +471,59 @@ void lol_die_idx(long long i, long long len, const char *name) {
     lol_die("RUN0123", "INDEX %lld IZ OUTSIDE %s (IT HAS %lld THINGZ)", i, name, len);
 }
 
-char *lol_strdup(const char *s) {
-    size_t n = strlen(s) + 1;
-    char *p = (char *)malloc(n);
+/* -- the per-PE scratch arena (see lol_blk_t) -- */
+
+LOL_PER_PE lol_blk_t *lol_arena;
+static LOL_PER_PE lol_blk_t *lol_arena_first;
+static LOL_PER_PE lol_buf_t lol_line; /* GIMMEH's line buffer */
+
+static lol_blk_t *lol_blk_new(size_t cap, lol_blk_t *next) {
+    lol_blk_t *b = (lol_blk_t *)malloc(sizeof *b + cap);
+    if (!b) lol_die("RUN0150", "OUT OF MEMOREZ FOR A YARN");
+    b->next = next;
+    b->cap = cap;
+    b->used = 0;
+    b->data = (char *)(b + 1);
+    return b;
+}
+
+/* lol_alloc's slow path: n bytes from the next block, made (at least
+   twice the current one's size) if the chain has none big enough.
+   Blocks past the current one hold nothing live, and a released
+   arena reuses them, so a loop stops allocating once warm. */
+char *lol_arena_more(size_t n) {
+    lol_blk_t *b = lol_arena;
+    if (!b->next || b->next->cap < n) b->next = lol_blk_new(n > 2 * b->cap ? n : 2 * b->cap, b->next);
+    lol_arena = b->next;
+    lol_arena->used = n;
+    return lol_arena->data;
+}
+
+/* the start and end of a PE's run (lol_main): the arena is made, and
+   it and the GIMMEH buffer are freed */
+void lol_pe_begin(void) { lol_arena = lol_arena_first = lol_blk_new(4096, NULL); }
+void lol_pe_end(void) {
+    while (lol_arena_first) {
+        lol_blk_t *next = lol_arena_first->next;
+        free(lol_arena_first);
+        lol_arena_first = next;
+    }
+    lol_arena = NULL;
+    free(lol_line.p);
+    lol_line.p = NULL;
+    lol_line.cap = 0;
+}
+
+/* grow a slot's buffer to at least `need` bytes (doubling), keeping
+   its contents */
+void lol_buf_grow(lol_buf_t *k, size_t need) {
+    size_t cap = k->cap ? 2 * k->cap : 16;
+    char *p;
+    while (cap < need) cap *= 2;
+    p = (char *)realloc(k->p, cap);
     if (!p) lol_die("RUN0150", "OUT OF MEMOREZ FOR A YARN");
-    memcpy(p, s, n);
-    return p;
+    k->p = p;
+    k->cap = cap;
 }
 
 /* lol_numeric's NOOB and YARN cases. YARNs parse as strictly as on the
@@ -346,25 +551,14 @@ int lol_numeric_slow(lol_value_t v, long long *out_i, double *out_f) {
     return 0;
 }
 
-/* Render `v` as a C string: YARNs return their heap storage directly
-   (no length cap), everything else renders into the caller's scratch
-   buffer (LOL_NUM_BUF bytes is always enough for numerics). */
-const char *lol_to_cstr(lol_value_t v, char *buf, size_t n) {
-    switch (v.t) {
-    case LOL_NOOB: lol_die("RUN0003", "CANT MAKE A YARN OUT OF NOOB");
-    case LOL_TROOF: snprintf(buf, n, "%s", v.i ? "WIN" : "FAIL"); return buf;
-    case LOL_NUMBR: snprintf(buf, n, "%lld", v.i); return buf;
-    case LOL_NUMBAR:
-        /* Non-finite spellings are pinned across backends: lowercase,
-           and NaN renders unsigned (glibc would print "-nan" for a
-           sign-bit NaN; the Rust engines can't see that sign portably). */
-        if (isnan(v.f)) snprintf(buf, n, "nan");
-        else if (isinf(v.f)) snprintf(buf, n, v.f > 0 ? "inf" : "-inf");
-        else snprintf(buf, n, "%.2f", v.f);
-        return buf;
-    case LOL_YARN: return v.s ? v.s : "";
-    }
-    return "";
+/* NUMBAR rendering at dst (LOL_NUM_BUF bytes of room), as %.2f. The
+   non-finite spellings are pinned across backends: lowercase, and NaN
+   renders unsigned (glibc would print "-nan" for a sign-bit NaN; the
+   Rust engines can't see that sign portably). */
+size_t lol_fmt_dbl(lol_value_t v, char *dst) {
+    if (isnan(v.f)) return (size_t)snprintf(dst, LOL_NUM_BUF, "nan");
+    if (isinf(v.f)) return (size_t)snprintf(dst, LOL_NUM_BUF, v.f > 0 ? "inf" : "-inf");
+    return (size_t)snprintf(dst, LOL_NUM_BUF, "%.2f", v.f);
 }
 
 lol_value_t lol_cast(lol_value_t v, lol_type_t ty) {
@@ -373,44 +567,31 @@ lol_value_t lol_cast(lol_value_t v, lol_type_t ty) {
     case LOL_TROOF: return lol_from_bool(lol_to_bool(v));
     case LOL_NUMBR: return lol_from_int(lol_to_int(v));
     case LOL_NUMBAR: return lol_from_dbl(lol_to_dbl(v));
-    case LOL_YARN: {
-        char b[LOL_NUM_BUF];
-        return lol_from_str(lol_to_cstr(v, b, sizeof b));
-    }
+    case LOL_YARN: return v.t == LOL_YARN ? v : lol_smoosh_n(1, &v);
     }
     return lol_noob();
 }
 
-/* Read one whole input line of any length (heap-grown; the 256-byte
-   line cap is gone along with the YARN cap). */
+/* Read one whole input line of any length: it is gathered in a per-PE
+   buffer, kept for the next line, and returned in the arena. */
+
 lol_value_t lol_gimmeh(void) {
-    size_t cap = 64, len = 0, n;
+    size_t len = 0, n;
     char chunk[256];
     int got = 0;
-    char *buf = (char *)malloc(cap);
-    lol_value_t v;
-    if (!buf) lol_die("RUN0150", "OUT OF MEMOREZ FOR A YARN");
-    buf[0] = '\0';
     for (;;) {
         if (!LOL_GETS(chunk, sizeof chunk)) break;
         got = 1;
         n = strlen(chunk);
-        while (len + n + 1 > cap) {
-            cap *= 2;
-            buf = (char *)realloc(buf, cap);
-            if (!buf) lol_die("RUN0150", "OUT OF MEMOREZ FOR A YARN");
-        }
-        memcpy(buf + len, chunk, n + 1);
+        if (len + n + 1 > lol_line.cap) lol_buf_grow(&lol_line, len + n + 1);
+        memcpy(lol_line.p + len, chunk, n + 1);
         len += n;
         if (n > 0 && chunk[n - 1] == '\n') break; /* full line read */
         if (n + 1 < sizeof chunk) break; /* short read, no newline: EOF */
     }
     if (!got) lol_die("RUN0140", "GIMMEH BUT THERES NO MOAR INPUT");
-    buf[strcspn(buf, "\r\n")] = '\0';
-    v = lol_noob();
-    v.t = LOL_YARN;
-    v.s = buf;
-    return v;
+    len = strcspn(lol_line.p, "\r\n");
+    return lol_yarn(lol_strdup(lol_line.p, len), len);
 }
 
 /* Element storage of a local array: zeroed, which is 0, 0.0 and FAIL
@@ -428,8 +609,16 @@ lol_arr_t lol_arr_new(long long n, lol_type_t ty) {
     a.e = (lol_value_t *)lol_arr_alloc(n, sizeof(lol_value_t));
     a.n = n;
     a.ty = ty;
+    a.k = ty == LOL_YARN ? (lol_buf_t *)lol_arr_alloc(n, sizeof(lol_buf_t)) : NULL;
     for (long long i = 0; i < n; i++) a.e[i] = ty == LOL_YARN ? lol_from_str("") : lol_noob();
     return a;
+}
+
+void lol_arr_free(lol_arr_t *a) {
+    if (a->k)
+        for (long long i = 0; i < a->n; i++) free(a->k[i].p);
+    free(a->k);
+    free(a->e);
 }
 
 /* per-instance global locks over OpenSHMEM atomics (Table II locks).
@@ -537,6 +726,7 @@ pub const SHMEM_STUB_H: &str = r#"/* multi-PE OpenSHMEM stub over pthreads, for 
 
 /* hooks consumed by the generated runtime (see LOL_RUNTIME_H) */
 #define LOL_SYMMETRIC __thread
+#define LOL_PER_PE __thread
 #define LOL_SYM_REG(p, n) lol_stub_sym_reg((void *)(p), (n))
 #define LOL_SYM_REG_DONE() lol_stub_sym_done()
 #define LOL_MAIN_DRIVER(fn) lol_stub_launch(fn)
@@ -1304,6 +1494,7 @@ mod tests {
             "#define LOL_RAND",
             "#define LOL_LOCK_KIND",
             "#define LOL_LOCK_RELAX",
+            "#define LOL_PER_PE",
             // the ticket-lock AMOs the runtime's lock functions use
             "shmem_long_atomic_fetch",
             "shmem_long_atomic_fetch_inc",

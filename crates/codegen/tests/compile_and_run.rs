@@ -583,3 +583,98 @@ fn seeded_whatevr_is_deterministic_per_seed_in_c() {
     let outs = run(5);
     assert_ne!(outs[0], outs[1], "PEs draw from distinct streams");
 }
+
+/// YARN locals own their buffers on the C path: slots, the arena,
+/// returns out of a frame with locals, recursion, a `GTFO` out of a
+/// loop whose body declares YARNs, switch arms that declare, YARN
+/// arrays (stores of every type, whole-array copy) and retyping all
+/// agree with the interpreter.
+#[test]
+fn yarn_ownership_matches() {
+    let src = prog(
+        "HOW IZ I grow YR s AN YR k\n\
+         IM IN YR l UPPIN YR i TIL BOTH SAEM i AN k\n\
+         I HAS A t ITZ SMOOSH s AN i MKAY\ns R SMOOSH s AN t MKAY\n\
+         BOTH SAEM i AN 2, O RLY?\nYA RLY\nI HAS A u ITZ \"early\"\nFOUND YR SMOOSH u AN s MKAY\nOIC\n\
+         IM OUTTA YR l\nFOUND YR s\nIF U SAY SO\n\
+         HOW IZ I pick YR n\nI HAS A ys ITZ LOTZ A YARNS AN THAR IZ 3\n\
+         ys'Z 0 R \"zero\"\nys'Z 1 R n\nys'Z 2 R SMOOSH ys'Z 0 AN ys'Z 1 MKAY\nFOUND YR ys'Z 2\n\
+         IF U SAY SO\n\
+         HOW IZ I rec YR n AN YR acc\nBOTH SAEM n AN 0, O RLY?\nYA RLY, FOUND YR acc\nOIC\n\
+         FOUND YR I IZ rec YR DIFF OF n AN 1 AN YR SMOOSH acc AN n MKAY MKAY\nIF U SAY SO\n\
+         VISIBLE I IZ grow YR \"m\" AN YR 5 MKAY\nVISIBLE I IZ grow YR \"q\" AN YR 1 MKAY\n\
+         VISIBLE I IZ pick YR 42 MKAY\nVISIBLE I IZ rec YR 30 AN YR \">\" MKAY\n\
+         I HAS A w ITZ \"x\"\n\
+         IM IN YR o UPPIN YR j TIL BOTH SAEM j AN 4\nI HAS A v ITZ SMOOSH w AN j MKAY\n\
+         w R SMOOSH w AN v MKAY\nBOTH SAEM j AN 2, O RLY?\nYA RLY, GTFO\nOIC\nIM OUTTA YR o\n\
+         VISIBLE w\n\
+         \"abc\", WTF?\nOMG \"abc\"\nI HAS A z ITZ SMOOSH IT AN \"!\" MKAY\nVISIBLE z\n\
+         OMG \"d:{w}\"\nVISIBLE \"no\"\nGTFO\nOMGWTF\nVISIBLE \"dflt\"\nOIC\n\
+         I HAS A ys ITZ LOTZ A YARNS AN THAR IZ 5\nI HAS A zs ITZ LOTZ A YARNS AN THAR IZ 5\n\
+         zs'Z 4 R 3.25\nzs'Z 3 R WIN\nzs'Z 2 R -9\nys R zs\nzs'Z 4 R \"changed\"\n\
+         VISIBLE ys'Z 4 \" \" ys'Z 3 \" \" ys'Z 2 \" \" ys'Z 0 \"|\" zs'Z 4\n\
+         I HAS A c ITZ 0\nIM IN YR k UPPIN YR i TIL BOTH SAEM i AN 3\n\
+         i R SMOOSH i AN \"\" MKAY\nc R SUM OF c AN 1\nIM OUTTA YR k\nVISIBLE c\n\
+         I HAS A q ITZ 12\nq IS NOW A YARN\nq R SMOOSH q AN q MKAY\nVISIBLE q\n\
+         q IS NOW A NUMBR\nVISIBLE SUM OF q AN 1\n\
+         IT R \"it\"\nIT R SMOOSH IT AN IT AN IT MKAY\nVISIBLE IT",
+    );
+    differential_pes("yarn_ownership", &src, &[], &[1, 3]);
+}
+
+/// The peak resident set of a C binary's run, in KiB, from the
+/// `wait4` of that one child (not `RUSAGE_CHILDREN`, which other
+/// tests' compiler runs would swell). The child is spawned sharing
+/// this process's memory until its exec, so the figure is at least
+/// this process's own peak: compare two runs, not one against a bound.
+#[cfg(target_os = "linux")]
+#[allow(clippy::zombie_processes)] // reaped by the wait4 below
+fn peak_rss_kib(bin: &std::path::Path, stdin: &str) -> i64 {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+    #[repr(C)]
+    struct Rusage {
+        utime: [i64; 2],
+        stime: [i64; 2],
+        maxrss: i64,
+        rest: [i64; 13],
+    }
+    extern "C" {
+        fn wait4(pid: i32, status: *mut i32, options: i32, usage: *mut Rusage) -> i32;
+    }
+    let mut child = Command::new(bin)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    child.stdin.take().unwrap().write_all(stdin.as_bytes()).unwrap();
+    let mut status = 0;
+    let mut usage = Rusage { utime: [0; 2], stime: [0; 2], maxrss: 0, rest: [0; 13] };
+    // SAFETY: `child` is our unwaited child, and both pointers are to
+    // live locals of the types wait4 writes.
+    let pid = unsafe { wait4(child.id() as i32, &mut status, 0, &mut usage) };
+    assert_eq!(pid, child.id() as i32, "wait4 failed");
+    assert_eq!(status, 0, "{} exited with wait status {status}", bin.display());
+    usage.maxrss
+}
+
+/// The YARN kernel's C binary runs in flat memory: 20× the loop count
+/// (100k → 2M appends, one fold every 12) stays within 4 MiB of peak
+/// RSS. YARNs used to be `malloc`ed per SMOOSH and never freed, and
+/// the larger run grew by ~70 MiB.
+#[cfg(target_os = "linux")]
+#[test]
+fn yarn_kernel_peak_rss_is_flat_in_n() {
+    if driver::cc().is_none() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    let src = include_str!("../../../perfbench/programs/yarn_kernel.lol");
+    let p = parse(src).expect_program(src);
+    let a = analyze(&p);
+    let binary = driver::build(&emit_c(&p, &a).unwrap()).unwrap();
+    let small = peak_rss_kib(binary.path(), "100000\n12345\n");
+    let large = peak_rss_kib(binary.path(), "2000000\n12345\n");
+    assert!(large - small <= 4096, "peak RSS {small} KiB at n = 100k, {large} KiB at n = 2M");
+}

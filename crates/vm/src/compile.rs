@@ -1048,10 +1048,19 @@ impl<'a> FnCompiler<'a> {
                 Ok(())
             }
             StmtKind::Visible { args, newline } => {
-                for a in args {
+                // Each operand prints as soon as it is evaluated, as on
+                // the other engines: a later operand's call prints, and
+                // its fault ends the run, after the earlier ones print.
+                let Some((last, init)) = args.split_last() else {
+                    self.code.push(Op::Visible { argc: 0, newline: *newline });
+                    return Ok(());
+                };
+                for a in init {
                     self.expr(a)?;
+                    self.code.push(Op::Visible { argc: 1, newline: false });
                 }
-                self.code.push(Op::Visible { argc: args.len() as u8, newline: *newline });
+                self.expr(last)?;
+                self.code.push(Op::Visible { argc: 1, newline: *newline });
                 Ok(())
             }
             StmtKind::Gimmeh(lv) => {

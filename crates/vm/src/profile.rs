@@ -16,9 +16,9 @@
 //! A third plane estimates where the time goes: every
 //! [`SAMPLE_EVERY`]th dispatch is time-stamped, and the time until the
 //! next dispatch, less the calibrated cost of an empty sample, is
-//! charged to the sampled opcode ([`VmProfile::op_time_bp`]). Sampling
-//! one dispatch in 1021 keeps the clock reads out of the measured
-//! shares.
+//! charged to the sampled opcode ([`VmProfile::op_time_bp`]), at most
+//! [`MAX_SAMPLE`] of it. Sampling one dispatch in 1021 keeps the clock
+//! reads out of the measured shares.
 //!
 //! Profiles from different PEs of the same module share a shape and
 //! [merge](VmProfile::merge) by element-wise addition, so a threaded
@@ -32,6 +32,13 @@ use std::time::{Duration, Instant};
 /// sampled only at some of its ops (with 1024, a loop of an even
 /// period never samples half of them).
 pub const SAMPLE_EVERY: u64 = 1021;
+
+/// The most one time sample is charged. A dispatch that takes longer
+/// was, all but always, preempted or interrupted: a sample is one op,
+/// tens of nanoseconds, and a run's samples add up to tens of
+/// microseconds, so a single uncapped 30 µs gap would claim a third of
+/// the shares for whatever op it happened to time.
+pub const MAX_SAMPLE: Duration = Duration::from_micros(2);
 
 /// Execution counters for one run of a [`Module`] (see module docs).
 #[derive(Clone, Debug)]
@@ -90,8 +97,7 @@ impl VmProfile {
     #[inline]
     pub(crate) fn hit(&mut self, chunk: usize, pc: usize, op_idx: usize) {
         if let Some((t0, idx)) = self.open.take() {
-            let took = t0.elapsed().saturating_sub(self.empty);
-            self.time_ns[idx] += took.as_nanos() as u64;
+            self.charge(idx, t0.elapsed());
         }
         self.ops[op_idx] += 1;
         self.heat[chunk][pc] += 1;
@@ -99,6 +105,13 @@ impl VmProfile {
         if self.ticks.is_multiple_of(SAMPLE_EVERY) {
             self.open = Some((Instant::now(), op_idx));
         }
+    }
+
+    /// Charge the sampled opcode `idx` a sample that took `took`, less
+    /// the cost of an empty sample and at most [`MAX_SAMPLE`].
+    fn charge(&mut self, idx: usize, took: Duration) {
+        let took = took.saturating_sub(self.empty).min(MAX_SAMPLE);
+        self.time_ns[idx] += took.as_nanos() as u64;
     }
 
     /// Drop the open time sample (the machine is leaving its dispatch
@@ -298,6 +311,31 @@ mod tests {
         std::thread::sleep(Duration::from_millis(2));
         p.hit(0, 0, Op::Pop.profile_index());
         assert_eq!(p.op_time_bp(), vec![("Halt", 10_000)]);
+    }
+
+    #[test]
+    fn a_preempted_sample_is_charged_at_most_the_cap() {
+        let module = Module {
+            main: crate::ops::Chunk { code: vec![Op::Halt; 2], ..Default::default() },
+            ..Default::default()
+        };
+        let mut p = VmProfile::for_module(&module);
+        p.empty = Duration::ZERO;
+        // 30 jumps sampled at 40 ns and 970 pops at 30 ns: 30.3 µs in
+        // all, of which jumps are 4 %. One jump sample then spans a
+        // 35 ms preemption.
+        let (jump, pop) = (Op::Jump(0).profile_index(), Op::Pop.profile_index());
+        for _ in 0..30 {
+            p.charge(jump, Duration::from_nanos(40));
+        }
+        for _ in 0..970 {
+            p.charge(pop, Duration::from_nanos(30));
+        }
+        p.charge(jump, Duration::from_millis(35));
+        let jump_bp = p.op_time_bp().into_iter().find(|(n, _)| *n == "Jump").unwrap().1;
+        // Uncapped the gap would be 99.9 % of the time; capped at 2 µs
+        // it is 3.2 / 32.3 µs.
+        assert_eq!(jump_bp, 990, "Jump's share in parts per 10 000");
     }
 
     #[test]

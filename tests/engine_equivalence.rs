@@ -956,6 +956,217 @@ fn yarn_appends_agree_on_every_engine() {
     }
 }
 
+/// `VISIBLE` prints each operand as soon as it is evaluated, on every
+/// engine: a call among the operands prints after the operands before
+/// it, and an operand that cannot render faults before a later one
+/// runs.
+#[test]
+fn visible_prints_each_operand_as_it_is_evaluated() {
+    let printed = "HAI 1.2\nHOW IZ I f\n  VISIBLE \"b\"\n  FOUND YR \"r\"\nIF U SAY SO\n\
+                   VISIBLE \"a\" AN I IZ f MKAY\nKTHXBYE\n";
+    let outputs = same_outcome_on_every_engine(printed).unwrap();
+    assert_eq!(outputs[0], "ab\nr\n");
+    let noob_first = "HAI 1.2\nI HAS A s\nVISIBLE s AN QUOSHUNT OF 1 AN 0\nKTHXBYE\n";
+    let line = same_outcome_on_every_engine(noob_first).unwrap_err();
+    assert!(line.starts_with("O NOES! [RUN0003] "), "{line}");
+}
+
+/// NUMBR rendering at the edges of `i64` and at the values the other
+/// YARN tests print, through every path that renders one (VISIBLE,
+/// SMOOSH, a cast, an append, a YARN array element), reads as Rust's
+/// `i64::to_string` on every engine. The C runtime renders NUMBRs with
+/// a digit loop of its own, `LLONG_MIN` included.
+#[test]
+fn numbr_rendering_is_pinned_at_the_edges() {
+    let values = [
+        0,
+        -1,
+        1,
+        7,
+        9,
+        10,
+        -10,
+        16,
+        650,
+        2048,
+        1 << 53,
+        -999_999_999_999,
+        i64::MIN,
+        i64::MIN + 1,
+        i64::MAX,
+        i64::MAX - 1,
+    ];
+    let mut body = String::from("I HAS A y ITZ LOTZ A YARNS AN THAR IZ 1\n");
+    let mut want = Vec::new();
+    for (i, v) in values.iter().enumerate() {
+        body += &format!(
+            "I HAS A n{i} ITZ {v}\nVISIBLE n{i} \" \" SMOOSH \"<\" AN n{i} AN \">\" MKAY \" \" MAEK n{i} A YARN\n\
+             I HAS A s{i} ITZ \"#\"\ns{i} R SMOOSH s{i} AN n{i} MKAY\ny'Z 0 R n{i}\n\
+             VISIBLE s{i} \" \" y'Z 0\n"
+        );
+        want.push(format!("{v} <{v}> {v}"));
+        want.push(format!("#{v} {v}"));
+    }
+    let outputs = same_outcome_on_every_engine(&format!("HAI 1.2\n{body}KTHXBYE\n")).unwrap();
+    assert_eq!(outputs[0].lines().collect::<Vec<_>>(), want);
+}
+
+/// The compiler flags of a sanitized build of `lcc --stub` output.
+const SANITIZE: [&str; 6] = [
+    "-std=c99",
+    "-g",
+    "-O1",
+    "-fsanitize=address,undefined",
+    "-fno-sanitize-recover=undefined",
+    "-fno-omit-frame-pointer",
+];
+
+/// Run `bin` with `env` and `input` on its stdin, killed after 60 s.
+fn run_sanitized(
+    bin: &std::path::Path,
+    env: &[(&str, String)],
+    input: &str,
+) -> std::process::Output {
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(bin)
+        .envs(env.iter().map(|(k, v)| (*k, v.as_str())))
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    child.stdin.take().unwrap().write_all(input.as_bytes()).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while child.try_wait().unwrap().is_none() {
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("{} ran past 60 s", bin.display());
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    child.wait_with_output().unwrap()
+}
+
+/// `lcc --stub` output (the self-contained unit and the one-file stub)
+/// built with AddressSanitizer and UndefinedBehaviorSanitizer: the
+/// YARN kernel, the corpus programs and the YARN-heavy generator
+/// bucket run at 1 and 3 PEs as on the C engine (same stub, same RNG
+/// seed), and no sanitizer reports anything, leaks included. A run
+/// that ends in a fault must print the same fault line and is checked
+/// with the leak
+/// check off: the failing PE's thread ends mid-statement, and the
+/// buffers of its open frames are not unwound. Skipped where the C
+/// compiler cannot build and run a sanitized program.
+#[test]
+fn lcc_stub_output_is_sanitizer_clean() {
+    use icanhas::codegen::{driver, standalone, standalone_stub};
+    use std::process::Command;
+    let Some(cc) = driver::cc() else {
+        eprintln!("skipping: no C compiler");
+        return;
+    };
+    let dir = std::env::temp_dir().join(format!("lolsan-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("shmem.h"), standalone_stub()).unwrap();
+    let build = |name: &str, c: &str| {
+        let src = dir.join(format!("{name}.c"));
+        std::fs::write(&src, c).unwrap();
+        let bin = dir.join(name);
+        let out = Command::new(&cc.path)
+            .args(SANITIZE)
+            .arg("-I")
+            .arg(&dir)
+            .arg(&src)
+            .args(["-lm", "-pthread", "-o"])
+            .arg(&bin)
+            .output()
+            .unwrap();
+        out.status
+            .success()
+            .then_some(bin)
+            .ok_or_else(|| String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    match build("probe", "int main(void) { return 0; }\n") {
+        Ok(bin) if run_sanitized(&bin, &[], "").status.success() => {}
+        _ => {
+            eprintln!("skipping: {} cannot build and run a sanitized program", cc.path);
+            let _ = std::fs::remove_dir_all(&dir);
+            return;
+        }
+    }
+    let mut programs: Vec<(String, String, Vec<String>)> = vec![(
+        "yarn_kernel".to_string(),
+        include_str!("../perfbench/programs/yarn_kernel.lol").to_string(),
+        vec!["20000".to_string(), "12345".to_string()],
+    )];
+    for (name, src, _) in corpus_programs() {
+        programs.push((name.to_string(), src, Vec::new()));
+    }
+    for name in ["heat2d_4x8", "heat2d_bench", "nbody_32x10", "nbody_bench"] {
+        let src = std::fs::read_to_string(format!("corpus/{name}.lol")).unwrap();
+        programs.push((name.to_string(), src, Vec::new()));
+    }
+    let mut gen = ProgramGen::bucketed(0xCA7_5EED, GenBucket::YarnHeavy);
+    for case in 0..40 {
+        programs.push((format!("yarn{case}"), gen.program(), Vec::new()));
+    }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let checked = std::sync::atomic::AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..3 {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some((name, src, input)) = programs.get(i) else { break };
+                let Ok(artifact) = compile(src) else { continue };
+                let c = standalone(&artifact.emit_c().unwrap());
+                let bin = build(name, &c).unwrap_or_else(|e| panic!("{name}: {e}"));
+                let stdin: String = input.iter().map(|l| format!("{l}\n")).collect();
+                for n_pes in [1usize, 3] {
+                    let lines: Vec<&str> = input.iter().map(String::as_str).collect();
+                    let cfg = RunConfig::new(n_pes).seed(7).input(&lines).backend(Backend::C);
+                    let want = engine_for(Backend::C).run(&artifact, &cfg);
+                    let cap = dir.join(format!("{name}.cap{n_pes}"));
+                    let env = [
+                        ("LOL_STUB_NPES", n_pes.to_string()),
+                        ("LOL_STUB_SEED", "7".to_string()),
+                        ("LOL_STUB_OUT", cap.display().to_string()),
+                        ("ASAN_OPTIONS", format!("detect_leaks={}", u8::from(want.is_ok()))),
+                        ("UBSAN_OPTIONS", "print_stacktrace=1".to_string()),
+                    ];
+                    let run = run_sanitized(&bin, &env, &stdin);
+                    let stderr = String::from_utf8_lossy(&run.stderr);
+                    let what = format!("{name} at {n_pes} PEs");
+                    assert!(
+                        !stderr.contains("Sanitizer") && !stderr.contains("runtime error"),
+                        "{what}: {stderr}\n{src}"
+                    );
+                    match want {
+                        Ok(report) => {
+                            assert!(run.status.success(), "{what}: {stderr}\n{src}");
+                            let outputs: Vec<String> = (0..n_pes)
+                                .map(|pe| {
+                                    let path = format!("{}.pe{pe}.out", cap.display());
+                                    std::fs::read_to_string(path).unwrap()
+                                })
+                                .collect();
+                            assert_eq!(outputs, report.outputs, "{what}:\n{src}");
+                        }
+                        Err(e) => {
+                            assert_eq!(run.status.code(), Some(1), "{what}: {stderr}\n{src}");
+                            assert!(stderr.contains(&fault_line(&e)), "{what}: {stderr}\n{src}");
+                        }
+                    }
+                }
+                checked.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            });
+        }
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    let checked = checked.into_inner();
+    assert!(checked >= 35, "only {checked} programs built and ran");
+}
+
 /// A fault on one PE names that PE on every engine, the C engine
 /// included (its stub records the failing PE next to the captures).
 #[test]
