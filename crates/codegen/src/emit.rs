@@ -353,18 +353,12 @@ impl<'a> CEmitter<'a> {
         self.line("lol_value_t v_IT = lol_noob(); (void)v_IT;");
         self.in_function = true;
         self.scopes.push(Scope::default());
-        // IT and the parameters borrow until a store gives them a
-        // buffer: only the slots the body may store a YARN to get one.
-        let mut stored = Vec::new();
-        stored_slots(&f.body, &mut stored);
-        if stored.contains(&Symbol::it()) {
-            self.slot_buffer(Symbol::it());
-        }
+        // IT and the parameters own buffers like any dynamic slot; an
+        // argument still borrows until the first YARN store copies it.
+        self.slot_buffer(Symbol::it());
         for p in &f.params {
             self.declare(p.sym, CKind::Scalar { ty: None });
-            if stored.contains(&p.sym) {
-                self.slot_buffer(p.sym);
-            }
+            self.slot_buffer(p.sym);
         }
         self.body(&f.body)?;
         self.ret(CExpr::new("v_IT", None));
@@ -459,10 +453,6 @@ impl<'a> CEmitter<'a> {
     /// moves to the arena before that.
     fn ret(&mut self, v: CExpr) {
         let frees = self.frees_from(1);
-        if frees.is_empty() {
-            self.line(&format!("return {};", v.boxed()));
-            return;
-        }
         let r = if may_yarn(v.ty) { format!("lol_ret({})", v.code) } else { v.boxed() };
         self.line("{");
         self.indent += 1;
@@ -797,10 +787,8 @@ impl<'a> CEmitter<'a> {
             StmtKind::Declare(d) => self.decl(d)?,
             StmtKind::Assign { target, value } => self.assign(s, target, value)?,
             StmtKind::ExprStmt(e) => {
-                // A function's IT has a buffer only if some statement
-                // may store a YARN to it (`stored_slots`).
                 let v = self.expr(e)?;
-                let rhs = if may_make_yarn(e) && may_yarn(v.ty) {
+                let rhs = if may_yarn(v.ty) {
                     format!("lol_store(&k_IT, {})", v.code)
                 } else {
                     v.boxed()
@@ -1330,10 +1318,6 @@ fn smoosh(mut parts: Vec<CExpr>) -> CExpr {
     let code = match parts.len() {
         0 => "lol_from_str(\"\")".to_string(),
         1 => return parts.pop().expect("one part").cast(LolType::Yarn),
-        2 => {
-            let b = parts.pop().expect("two parts").boxed();
-            format!("lol_smoosh({}, {b})", parts.pop().expect("two parts").boxed())
-        }
         n => {
             let parts: Vec<String> = parts.into_iter().map(CExpr::boxed).collect();
             format!("lol_smoosh_n({n}, (lol_value_t[]){{{}}})", parts.join(", "))
@@ -1348,57 +1332,6 @@ fn may_yarn(ty: Ty) -> bool {
     matches!(ty, None | Some(LolType::Yarn))
 }
 
-/// Whether `e` may evaluate to a YARN, from its form alone: operators
-/// other than SMOOSH never make one.
-fn may_make_yarn(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Lit(l) => matches!(l, Lit::Yarn(_)),
-        ExprKind::Var(_) | ExprKind::Index { .. } | ExprKind::Call { .. } => true,
-        ExprKind::Nary { op, .. } => *op == NaryOp::Smoosh,
-        ExprKind::Cast { ty, .. } => *ty == LolType::Yarn,
-        _ => false,
-    }
-}
-
-/// The local slots, `IT` included, that the statements of `b` may
-/// store a YARN to, pushed onto `out`. A function declares a buffer
-/// for each of its parameters found here, and for `IT`.
-fn stored_slots(b: &[Stmt], out: &mut Vec<Symbol>) {
-    for s in b {
-        match &s.kind {
-            StmtKind::Assign { target: LValue::Var(vr), .. }
-            | StmtKind::Gimmeh(LValue::Var(vr))
-            | StmtKind::IsNowA { target: LValue::Var(vr), .. } => {
-                if let VarName::Named(id) = &vr.name {
-                    out.push(id.sym);
-                }
-            }
-            StmtKind::ExprStmt(e) if may_make_yarn(e) => out.push(Symbol::it()),
-            StmtKind::If(ifs) => {
-                stored_slots(&ifs.then_block, out);
-                for m in &ifs.mebbes {
-                    stored_slots(&m.body, out);
-                }
-                if let Some(e) = &ifs.else_block {
-                    stored_slots(e, out);
-                }
-            }
-            StmtKind::Switch(sw) => {
-                for a in &sw.arms {
-                    stored_slots(&a.body, out);
-                }
-                if let Some(d) = &sw.default {
-                    stored_slots(d, out);
-                }
-            }
-            StmtKind::Loop(lp) => stored_slots(&lp.body, out),
-            StmtKind::TxtStmt { stmt, .. } => stored_slots(std::slice::from_ref(&**stmt), out),
-            StmtKind::TxtBlock { body, .. } => stored_slots(body, out),
-            _ => {}
-        }
-    }
-}
-
 /// Whether the C code `c` calls something that can take memory from
 /// the scratch arena: a SMOOSH, a cast to YARN, GIMMEH or a function
 /// (whose result may be a YARN in the arena).
@@ -1406,7 +1339,7 @@ fn allocates(c: &str) -> bool {
     let call = c
         .match_indices("f_")
         .any(|(at, _)| !c[..at].ends_with(|ch: char| ch.is_ascii_alphanumeric() || ch == '_'));
-    call || ["lol_smoosh", "lol_cast(", "lol_gimmeh("].iter().any(|f| c.contains(f))
+    call || ["lol_smoosh_n(", "lol_cast(", "lol_gimmeh("].iter().any(|f| c.contains(f))
 }
 
 /// The C statement freeing the local array `data` of `elem`s.

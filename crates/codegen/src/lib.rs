@@ -162,7 +162,7 @@ mod tests {
         let c = gen("HAI 1.2\nHOW IZ I add YR a AN YR b\nFOUND YR SUM OF a AN b\nIF U SAY SO\n\
              VISIBLE I IZ add YR 1 AN YR 2 MKAY\nKTHXBYE");
         assert!(c.contains("static lol_value_t f_add(lol_value_t v_a, lol_value_t v_b);"));
-        assert!(c.contains("return lol_sum(v_a, v_b);"));
+        assert!(c.contains("lol_value_t __r = lol_ret(lol_sum(v_a, v_b));"), "{c}");
         assert!(c.contains("f_add(lol_from_int(1LL), lol_from_int(2LL))"));
     }
 
@@ -318,7 +318,7 @@ mod tests {
         let c = gen(include_str!("../../../perfbench/programs/yarn_kernel.lol"));
         let main = &c[c.find("static int lol_main").unwrap()..];
         assert!(main.contains("v_s = lol_append(&k_s, v_s, 1, (lol_value_t[]){"), "{main}");
-        assert!(main.contains("v_last = lol_store(&k_last, lol_smoosh(lol_from_str(\"#\"), v_s));"));
+        assert!(main.contains("v_last = lol_store(&k_last, lol_smoosh_n(2, (lol_value_t[]){lol_from_str(\"#\"), v_s}));"));
         assert_eq!(main.matches("lol_release(__m);").count(), 3, "two GIMMEHs and the fold");
         assert!(main.contains("free(k_s.p);") && main.contains("lol_pe_end();"));
     }
@@ -343,7 +343,10 @@ mod tests {
         ));
         assert!(c.contains("lol_value_t v_x = lol_from_int(2LL);"), "{c}");
         assert!(c.contains("v_p = lol_to_dbl(lol_sum(v_x, lol_from_int(1LL)));"), "{c}");
-        assert!(c.contains("lol_print(lol_smoosh(lol_from_dbl(v_p), v_x));"), "{c}");
+        assert!(
+            c.contains("lol_print(lol_smoosh_n(2, (lol_value_t[]){lol_from_dbl(v_p), v_x}));"),
+            "{c}"
+        );
         assert!(c.contains("v_x = lol_from_dbl((v_p * (double)2LL));"), "{c}");
     }
 }

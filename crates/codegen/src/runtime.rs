@@ -96,8 +96,8 @@ typedef enum { LOL_NOOB, LOL_TROOF, LOL_NUMBR, LOL_NUMBAR, LOL_YARN } lol_type_t
 /* YARNs have no length cap, and their storage follows one rule: slots
    own, values borrow. A YARN value is `s`, pointing at `i` bytes and a
    NUL, and copies of it are free. The bytes belong to one of:
-   * a slot's growable buffer (lol_buf_t): every dynamic local, IT, a
-     parameter that is stored to, and each element of a YARN array. A
+   * a slot's growable buffer (lol_buf_t): every dynamic local, IT,
+     every parameter, and each element of a YARN array. A
      store copies a YARN into the slot's buffer (lol_store); the buffer
      is freed when the slot's C block is left;
    * the per-PE scratch arena: SMOOSH, cast and GIMMEH results and
@@ -149,6 +149,7 @@ LOL_NORETURN void lol_die(const char *code, const char *fmt, ...);
 LOL_NORETURN void lol_die_idx(long long i, long long len, const char *name);
 int lol_numeric_slow(lol_value_t v, long long *out_i, double *out_f);
 size_t lol_fmt_dbl(lol_value_t v, char *dst);
+size_t lol_render(char *dst, lol_value_t v);
 lol_value_t lol_cast(lol_value_t v, lol_type_t ty);
 lol_value_t lol_gimmeh(void);
 void lol_buf_grow(lol_buf_t *k, size_t need);
@@ -320,42 +321,9 @@ static inline lol_value_t lol_ret(lol_value_t v) {
 
 /* -- rendering (VISIBLE, SMOOSH and casts to YARN) -- */
 
-/* NUMBR i in decimal, written backwards so that it ends just before
-   `end`; returns its first byte. LLONG_MIN's magnitude is taken in
-   unsigned arithmetic, where it fits. */
-static inline char *lol_fmt_int(long long i, char *end) {
-    unsigned long long u = i < 0 ? 0ULL - (unsigned long long)i : (unsigned long long)i;
-    do {
-        *--end = (char)('0' + (int)(u % 10));
-        u /= 10;
-    } while (u);
-    if (i < 0) *--end = '-';
-    return end;
-}
-
 /* bytes the rendering of v can take */
 static inline size_t lol_len_bound(lol_value_t v) {
     return v.t == LOL_YARN ? (size_t)v.i : LOL_NUM_BUF;
-}
-
-/* render v at dst, which has room for lol_len_bound(v) bytes; returns
-   the byte count (no NUL is written) */
-static inline size_t lol_render(char *dst, lol_value_t v) {
-    char b[24], *s;
-    switch (v.t) {
-    case LOL_YARN: memcpy(dst, v.s, (size_t)v.i); return (size_t)v.i;
-    case LOL_NUMBR:
-        s = lol_fmt_int(v.i, b + sizeof b);
-        memcpy(dst, s, (size_t)(b + sizeof b - s));
-        return (size_t)(b + sizeof b - s);
-    case LOL_TROOF:
-        memcpy(dst, v.i ? "WIN" : "FAIL", v.i ? 3 : 4);
-        return v.i ? 3 : 4;
-    case LOL_NUMBAR: return lol_fmt_dbl(v, dst);
-    case LOL_NOOB: break;
-    }
-    lol_die("RUN0003", "CANT MAKE A YARN OUT OF NOOB");
-    return 0;
 }
 
 /* SMOOSH p[0] AN … AN p[n-1]: one arena YARN. Every operand has been
@@ -370,12 +338,6 @@ static inline lol_value_t lol_smoosh_n(int n, const lol_value_t *p) {
     d[len] = '\0';
     lol_arena->used -= cap - len - 1; /* the unused tail goes back */
     return lol_yarn(d, len);
-}
-static inline lol_value_t lol_smoosh(lol_value_t a, lol_value_t b) {
-    lol_value_t p[2];
-    p[0] = a;
-    p[1] = b;
-    return lol_smoosh_n(2, p);
 }
 
 /* x R SMOOSH x AN p[0] AN … MKAY for a dynamic slot x (value v, buffer
@@ -559,6 +521,39 @@ size_t lol_fmt_dbl(lol_value_t v, char *dst) {
     if (isnan(v.f)) return (size_t)snprintf(dst, LOL_NUM_BUF, "nan");
     if (isinf(v.f)) return (size_t)snprintf(dst, LOL_NUM_BUF, v.f > 0 ? "inf" : "-inf");
     return (size_t)snprintf(dst, LOL_NUM_BUF, "%.2f", v.f);
+}
+
+/* NUMBR i in decimal, written backwards so that it ends just before
+   `end`; returns its first byte. LLONG_MIN's magnitude is taken in
+   unsigned arithmetic, where it fits. */
+static char *lol_fmt_int(long long i, char *end) {
+    unsigned long long u = i < 0 ? 0ULL - (unsigned long long)i : (unsigned long long)i;
+    do {
+        *--end = (char)('0' + (int)(u % 10));
+        u /= 10;
+    } while (u);
+    if (i < 0) *--end = '-';
+    return end;
+}
+
+/* render v at dst, which has room for lol_len_bound(v) bytes; returns
+   the byte count (no NUL is written) */
+size_t lol_render(char *dst, lol_value_t v) {
+    char b[24], *s;
+    switch (v.t) {
+    case LOL_YARN: memcpy(dst, v.s, (size_t)v.i); return (size_t)v.i;
+    case LOL_NUMBR:
+        s = lol_fmt_int(v.i, b + sizeof b);
+        memcpy(dst, s, (size_t)(b + sizeof b - s));
+        return (size_t)(b + sizeof b - s);
+    case LOL_TROOF:
+        memcpy(dst, v.i ? "WIN" : "FAIL", v.i ? 3 : 4);
+        return v.i ? 3 : 4;
+    case LOL_NUMBAR: return lol_fmt_dbl(v, dst);
+    case LOL_NOOB: break;
+    }
+    lol_die("RUN0003", "CANT MAKE A YARN OUT OF NOOB");
+    return 0;
 }
 
 lol_value_t lol_cast(lol_value_t v, lol_type_t ty) {

@@ -622,59 +622,111 @@ fn yarn_ownership_matches() {
     differential_pes("yarn_ownership", &src, &[], &[1, 3]);
 }
 
-/// The peak resident set of a C binary's run, in KiB, from the
-/// `wait4` of that one child (not `RUSAGE_CHILDREN`, which other
-/// tests' compiler runs would swell). The child is spawned sharing
-/// this process's memory until its exec, so the figure is at least
-/// this process's own peak: compare two runs, not one against a bound.
-#[cfg(target_os = "linux")]
-#[allow(clippy::zombie_processes)] // reaped by the wait4 below
-fn peak_rss_kib(bin: &std::path::Path, stdin: &str) -> i64 {
-    use std::io::Write as _;
-    use std::process::{Command, Stdio};
-    #[repr(C)]
-    struct Rusage {
-        utime: [i64; 2],
-        stime: [i64; 2],
-        maxrss: i64,
-        rest: [i64; 13],
+/// A launcher that runs `PROGRAM` with its stdin read from `INPUT` and
+/// prints the peak resident set of that one child, in KiB, from its
+/// `wait4` (not `RUSAGE_CHILDREN`, which other tests' compiler runs
+/// would swell). The launcher is small and forks before the exec, so
+/// the child starts from the launcher's footprint, not this test
+/// process's.
+const PEAK_RSS_C: &str = r#"
+#define _DEFAULT_SOURCE
+#include <fcntl.h>
+#include <stdio.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+/* usage: peak_rss INPUT PROGRAM [ARG...] */
+int main(int argc, char **argv) {
+    struct rusage ru;
+    int st;
+    pid_t pid;
+    if (argc < 3) return 2;
+    pid = fork();
+    if (pid == 0) {
+        int in = open(argv[1], O_RDONLY), out = open("/dev/null", O_WRONLY);
+        if (in < 0 || out < 0) _exit(126);
+        dup2(in, 0);
+        dup2(out, 1);
+        dup2(out, 2);
+        execv(argv[2], argv + 2);
+        _exit(127);
     }
-    extern "C" {
-        fn wait4(pid: i32, status: *mut i32, options: i32, usage: *mut Rusage) -> i32;
+    if (pid < 0 || wait4(pid, &st, 0, &ru) != pid) return 2;
+    if (!WIFEXITED(st) || WEXITSTATUS(st) != 0) {
+        fprintf(stderr, "wait status %d\n", st);
+        return 3;
     }
-    let mut child = Command::new(bin)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .unwrap();
-    child.stdin.take().unwrap().write_all(stdin.as_bytes()).unwrap();
-    let mut status = 0;
-    let mut usage = Rusage { utime: [0; 2], stime: [0; 2], maxrss: 0, rest: [0; 13] };
-    // SAFETY: `child` is our unwaited child, and both pointers are to
-    // live locals of the types wait4 writes.
-    let pid = unsafe { wait4(child.id() as i32, &mut status, 0, &mut usage) };
-    assert_eq!(pid, child.id() as i32, "wait4 failed");
-    assert_eq!(status, 0, "{} exited with wait status {status}", bin.display());
-    usage.maxrss
+    printf("%ld\n", ru.ru_maxrss);
+    return 0;
+}
+"#;
+
+/// Runs C binaries under the [`PEAK_RSS_C`] launcher, built in a
+/// directory of its own that is removed on drop.
+struct PeakRss {
+    dir: std::path::PathBuf,
+}
+
+impl PeakRss {
+    fn build(cc: &str) -> PeakRss {
+        let dir = std::env::temp_dir().join(format!("lol-peak-rss-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("peak_rss.c"), PEAK_RSS_C).unwrap();
+        let out = std::process::Command::new(cc)
+            .current_dir(&dir)
+            .args(["-O1", "peak_rss.c", "-o", "peak_rss"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        PeakRss { dir }
+    }
+
+    /// The peak RSS of `bin` fed `stdin`, in KiB.
+    fn kib(&self, bin: &std::path::Path, stdin: &str) -> i64 {
+        let input = self.dir.join("input");
+        std::fs::write(&input, stdin).unwrap();
+        let out = std::process::Command::new(self.dir.join("peak_rss"))
+            .arg(&input)
+            .arg(bin)
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{}: {}",
+            bin.display(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        text.trim().parse().unwrap_or_else(|_| panic!("peak_rss printed {text:?}"))
+    }
+}
+
+impl Drop for PeakRss {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
 }
 
 /// The YARN kernel's C binary runs in flat memory: 20× the loop count
 /// (100k → 2M appends, one fold every 12) stays within 4 MiB of peak
-/// RSS. YARNs used to be `malloc`ed per SMOOSH and never freed, and
-/// the larger run grew by ~70 MiB.
+/// RSS, and the larger run within 16 MiB in all. YARNs used to be
+/// `malloc`ed per SMOOSH and never freed, and the larger run reached
+/// ~80 MiB.
 #[cfg(target_os = "linux")]
 #[test]
 fn yarn_kernel_peak_rss_is_flat_in_n() {
-    if driver::cc().is_none() {
+    let Some(cc) = driver::cc() else {
         eprintln!("skipping: no C compiler");
         return;
-    }
+    };
     let src = include_str!("../../../perfbench/programs/yarn_kernel.lol");
     let p = parse(src).expect_program(src);
     let a = analyze(&p);
     let binary = driver::build(&emit_c(&p, &a).unwrap()).unwrap();
-    let small = peak_rss_kib(binary.path(), "100000\n12345\n");
-    let large = peak_rss_kib(binary.path(), "2000000\n12345\n");
-    assert!(large - small <= 4096, "peak RSS {small} KiB at n = 100k, {large} KiB at n = 2M");
+    let rss = PeakRss::build(&cc.path);
+    let small = rss.kib(binary.path(), "100000\n12345\n");
+    let large = rss.kib(binary.path(), "2000000\n12345\n");
+    let runs = format!("peak RSS {small} KiB at n = 100k, {large} KiB at n = 2M");
+    assert!(large - small <= 4096, "{runs}");
+    assert!(large <= 16 * 1024, "{runs}");
 }

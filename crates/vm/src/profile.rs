@@ -16,9 +16,10 @@
 //! A third plane estimates where the time goes: every
 //! [`SAMPLE_EVERY`]th dispatch is time-stamped, and the time until the
 //! next dispatch, less the calibrated cost of an empty sample, is
-//! charged to the sampled opcode ([`VmProfile::op_time_bp`]), at most
-//! [`MAX_SAMPLE`] of it. Sampling one dispatch in 1021 keeps the clock
-//! reads out of the measured shares.
+//! charged to the sampled opcode ([`VmProfile::op_time_bp`]). A sample
+//! far longer than its opcode's median sample (see [`OUTLIER_OCTAVES`])
+//! counts as that median instead. Sampling one dispatch in 1021 keeps
+//! the clock reads out of the measured shares.
 //!
 //! Profiles from different PEs of the same module share a shape and
 //! [merge](VmProfile::merge) by element-wise addition, so a threaded
@@ -33,12 +34,29 @@ use std::time::{Duration, Instant};
 /// period never samples half of them).
 pub const SAMPLE_EVERY: u64 = 1021;
 
-/// The most one time sample is charged. A dispatch that takes longer
-/// was, all but always, preempted or interrupted: a sample is one op,
-/// tens of nanoseconds, and a run's samples add up to tens of
-/// microseconds, so a single uncapped 30 µs gap would claim a third of
-/// the shares for whatever op it happened to time.
-pub const MAX_SAMPLE: Duration = Duration::from_micros(2);
+/// How far above its opcode's median a time sample may lie, in
+/// powers of two, before it counts as an outlier: one that is 2^10 to
+/// 2^11 times the median. An op's cost varies with its operands (a
+/// SMOOSH of a long YARN takes microseconds, of a short one tens of
+/// nanoseconds), but not by a thousandfold within one run, while a
+/// sample that spans a preemption lasts milliseconds, 10^5 dispatches.
+/// Uncut, one such gap once claimed a third of a run's shares for the
+/// `Jump` it happened to time. An outlier is charged the mean of its
+/// opcode's median bucket. An opcode sampled once keeps its sample:
+/// there is nothing to tell it from.
+pub const OUTLIER_OCTAVES: usize = 10;
+
+/// Time samples are counted per opcode in power-of-two buckets of
+/// nanoseconds: bucket `b > 0` holds the samples of `2^(b-1)..2^b` ns,
+/// bucket 0 the empty ones and the last bucket everything longer.
+const BUCKETS: usize = 40;
+
+/// The samples of one bucket: how many, and their nanoseconds.
+#[derive(Clone, Copy, Debug, Default)]
+struct Bucket {
+    n: u64,
+    ns: u64,
+}
 
 /// Execution counters for one run of a [`Module`] (see module docs).
 #[derive(Clone, Debug)]
@@ -48,9 +66,9 @@ pub struct VmProfile {
     /// `heat[chunk][pc]` = times the op at `pc` executed. Chunk 0 is
     /// `main`, chunk `i + 1` is `funcs[i]`.
     heat: Vec<Vec<u64>>,
-    /// `time_ns[Op::profile_index()]` = sampled nanoseconds charged to
-    /// that opcode.
-    time_ns: Vec<u64>,
+    /// `time[Op::profile_index()]` = that opcode's time samples, by
+    /// length.
+    time: Vec<[Bucket; BUCKETS]>,
     /// Dispatches seen, for picking every [`SAMPLE_EVERY`]th.
     ticks: u64,
     /// The open sample: when it was taken and the opcode it times.
@@ -83,7 +101,7 @@ impl VmProfile {
         VmProfile {
             ops: vec![0u64; Op::COUNT],
             heat,
-            time_ns: vec![0u64; Op::COUNT],
+            time: vec![[Bucket::default(); BUCKETS]; Op::COUNT],
             ticks: 0,
             open: None,
             empty: empty_sample(),
@@ -107,11 +125,14 @@ impl VmProfile {
         }
     }
 
-    /// Charge the sampled opcode `idx` a sample that took `took`, less
-    /// the cost of an empty sample and at most [`MAX_SAMPLE`].
+    /// Record for the sampled opcode `idx` a sample that took `took`,
+    /// less the cost of an empty sample.
     fn charge(&mut self, idx: usize, took: Duration) {
-        let took = took.saturating_sub(self.empty).min(MAX_SAMPLE);
-        self.time_ns[idx] += took.as_nanos() as u64;
+        let ns = u64::try_from(took.saturating_sub(self.empty).as_nanos()).unwrap_or(u64::MAX);
+        let b = ((u64::BITS - ns.leading_zeros()) as usize).min(BUCKETS - 1);
+        let cell = &mut self.time[idx][b];
+        cell.n += 1;
+        cell.ns = cell.ns.saturating_add(ns);
     }
 
     /// Drop the open time sample (the machine is leaving its dispatch
@@ -130,25 +151,29 @@ impl VmProfile {
                 *x += y;
             }
         }
-        for (a, b) in self.time_ns.iter_mut().zip(&other.time_ns) {
-            *a += b;
+        for (a, b) in self.time.iter_mut().zip(&other.time) {
+            for (x, y) in a.iter_mut().zip(b) {
+                x.n += y.n;
+                x.ns = x.ns.saturating_add(y.ns);
+            }
         }
     }
 
     /// Each time-sampled opcode's share of the sampled execution time,
-    /// as `(name, parts per 10 000)`, descending (ties by profile
-    /// index). Empty when no sample closed.
+    /// outliers cut (see [`OUTLIER_OCTAVES`]), as `(name, parts per
+    /// 10 000)`, descending (ties by profile index). Empty when no
+    /// sample closed.
     pub fn op_time_bp(&self) -> Vec<(&'static str, u64)> {
-        let total: u64 = self.time_ns.iter().sum();
+        let time: Vec<u64> = self.time.iter().map(charged).collect();
+        let total: u128 = time.iter().map(|&ns| u128::from(ns)).sum();
         if total == 0 {
             return Vec::new();
         }
-        let mut rows: Vec<(usize, u64)> = self
-            .time_ns
+        let mut rows: Vec<(usize, u64)> = time
             .iter()
             .enumerate()
             .filter(|&(_, &ns)| ns > 0)
-            .map(|(i, &ns)| (i, ns * 10_000 / total))
+            .map(|(i, &ns)| (i, (u128::from(ns) * 10_000 / total) as u64))
             .collect();
         rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         rows.into_iter().map(|(i, bp)| (Op::profile_name(i), bp)).collect()
@@ -226,6 +251,25 @@ impl VmProfile {
             module.funcs.get(chunk - 1).map_or_else(|| format!("chunk{chunk}"), |f| f.0.clone())
         }
     }
+}
+
+/// The nanoseconds charged to an opcode with the time samples `hist`:
+/// their sum, with each outlier, a sample more than [`OUTLIER_OCTAVES`]
+/// buckets above the median's, counted as the median bucket's mean.
+fn charged(hist: &[Bucket; BUCKETS]) -> u64 {
+    let n: u64 = hist.iter().map(|b| b.n).sum();
+    let mut seen = 0;
+    let Some(m) = hist.iter().position(|b| {
+        seen += b.n;
+        n > 0 && 2 * seen >= n
+    }) else {
+        return 0;
+    };
+    let typical = hist[m].ns / hist[m].n;
+    hist.iter()
+        .enumerate()
+        .map(|(b, c)| if b > m + OUTLIER_OCTAVES { c.n.saturating_mul(typical) } else { c.ns })
+        .fold(0, u64::saturating_add)
 }
 
 /// The cost of an empty sample: the smallest gap between two
@@ -314,28 +358,37 @@ mod tests {
     }
 
     #[test]
-    fn a_preempted_sample_is_charged_at_most_the_cap() {
+    fn a_preempted_sample_is_cut_and_a_slow_op_keeps_its_share() {
         let module = Module {
             main: crate::ops::Chunk { code: vec![Op::Halt; 2], ..Default::default() },
             ..Default::default()
         };
         let mut p = VmProfile::for_module(&module);
         p.empty = Duration::ZERO;
-        // 30 jumps sampled at 40 ns and 970 pops at 30 ns: 30.3 µs in
-        // all, of which jumps are 4 %. One jump sample then spans a
-        // 35 ms preemption.
+        // 30 jumps sampled at 40 ns, 970 pops at 30 ns and 20 SMOOSHes
+        // of a long YARN at 10 µs. One jump sample then spans a 35 ms
+        // preemption.
         let (jump, pop) = (Op::Jump(0).profile_index(), Op::Pop.profile_index());
+        let smoosh = Op::Smoosh(2).profile_index();
         for _ in 0..30 {
             p.charge(jump, Duration::from_nanos(40));
         }
         for _ in 0..970 {
             p.charge(pop, Duration::from_nanos(30));
         }
+        for _ in 0..20 {
+            p.charge(smoosh, Duration::from_micros(10));
+        }
         p.charge(jump, Duration::from_millis(35));
-        let jump_bp = p.op_time_bp().into_iter().find(|(n, _)| *n == "Jump").unwrap().1;
-        // Uncapped the gap would be 99.9 % of the time; capped at 2 µs
-        // it is 3.2 / 32.3 µs.
-        assert_eq!(jump_bp, 990, "Jump's share in parts per 10 000");
+        // The gap counts as a 40 ns jump: 1.24 µs of 230.34 µs for
+        // Jump, where uncut it would be 99.4 % of the time. The
+        // SMOOSHes are 200 of the 230.34 µs.
+        let bp = p.op_time_bp();
+        assert_eq!(bp, vec![("Smoosh", 8682), ("Pop", 1263), ("Jump", 53)]);
+        // Merged across PEs, the rule reads the pooled samples.
+        let mut q = p.clone();
+        q.merge(&p);
+        assert_eq!(q.op_time_bp(), bp);
     }
 
     #[test]

@@ -1048,10 +1048,36 @@ fn run_sanitized(
     child.wait_with_output().unwrap()
 }
 
+/// YARN-building functions for the sanitizer check: parameters that
+/// are appended to, an implicit IT result, a `FOUND YR` and a `GTFO`
+/// from inside a loop, and recursion.
+const YARN_CALLS: &str = "HAI 1.2\n\
+HOW IZ I grow YR s AN YR k\n\
+  IM IN YR l UPPIN YR i TIL BOTH SAEM i AN k\n\
+    s R SMOOSH s AN i MKAY\n\
+    BOTH SAEM i AN 5, O RLY?\n    YA RLY, FOUND YR s\n    OIC\n\
+  IM OUTTA YR l\n\
+  FOUND YR s\n\
+IF U SAY SO\n\
+HOW IZ I echo YR x\n  SMOOSH x AN \"!\" MKAY\nIF U SAY SO\n\
+HOW IZ I quit YR x\n\
+  IM IN YR l\n    x R SMOOSH x AN x MKAY\n    GTFO\n  IM OUTTA YR l\n\
+  SMOOSH x AN x MKAY\n  GTFO\n\
+IF U SAY SO\n\
+HOW IZ I rec YR n AN YR acc\n\
+  BOTH SAEM n AN 0, O RLY?\n  YA RLY, FOUND YR acc\n  OIC\n\
+  FOUND YR I IZ rec YR DIFF OF n AN 1 AN YR SMOOSH acc AN n MKAY MKAY\n\
+IF U SAY SO\n\
+VISIBLE I IZ grow YR \"m\" AN YR 3 MKAY \" \" I IZ grow YR \"q\" AN YR 9 MKAY\n\
+VISIBLE I IZ echo YR \"hi\" MKAY \" \" I IZ echo YR 4 MKAY\n\
+I IZ quit YR \"z\" MKAY\nVISIBLE \"quit\"\n\
+VISIBLE I IZ rec YR 30 AN YR \">\" MKAY\n\
+KTHXBYE\n";
+
 /// `lcc --stub` output (the self-contained unit and the one-file stub)
 /// built with AddressSanitizer and UndefinedBehaviorSanitizer: the
-/// YARN kernel, the corpus programs and the YARN-heavy generator
-/// bucket run at 1 and 3 PEs as on the C engine (same stub, same RNG
+/// YARN kernel, the corpus programs, YARN-building functions and the
+/// YARN-heavy generator bucket run at 1 and 3 PEs as on the C engine (same stub, same RNG
 /// seed), and no sanitizer reports anything, leaks included. A run
 /// that ends in a fault must print the same fault line and is checked
 /// with the leak
@@ -1103,6 +1129,7 @@ fn lcc_stub_output_is_sanitizer_clean() {
     for (name, src, _) in corpus_programs() {
         programs.push((name.to_string(), src, Vec::new()));
     }
+    programs.push(("calls".to_string(), YARN_CALLS.to_string(), Vec::new()));
     for name in ["heat2d_4x8", "heat2d_bench", "nbody_32x10", "nbody_bench"] {
         let src = std::fs::read_to_string(format!("corpus/{name}.lol")).unwrap();
         programs.push((name.to_string(), src, Vec::new()));
