@@ -12,10 +12,12 @@
 //! its static type ([`Ty`]), inferred bottom-up with the rules of
 //! [`lol_sema::types`] that the bytecode compiler uses too. A NUMBR,
 //! NUMBAR or TROOF value is a native `long long`, `double` or `int`
-//! (0/1) C expression. Pinned (`ITZ SRSLY A`) scalar locals, counted-loop
-//! counters the body never stores to, the elements of NUMBR/NUMBAR/TROOF
-//! local arrays and symmetric cells are native variables. Everything
-//! else — YARNs, NOOBs, unpinned locals, parameters, call results and
+//! (0/1) C expression. Pinned (`ITZ SRSLY A`) scalar locals, unpinned
+//! ones and counted-loop counters whose every store has the one type
+//! sema's inference found ([`Analysis::local_ty`],
+//! [`Analysis::counter_ty`]), the elements of NUMBR/NUMBAR/TROOF local
+//! arrays and symmetric cells are native variables. Everything else — YARNs,
+//! NOOBs, the other unpinned locals, parameters, call results and
 //! `IT` — rides on the runtime's tagged `lol_value_t`, and a native
 //! value is boxed only where such a consumer (`VISIBLE`, `SMOOSH`, a
 //! call, a store to `IT`) takes it. The native operations keep the Rust
@@ -39,7 +41,7 @@
 use crate::runtime::LOL_RUNTIME_H;
 use lol_ast::diag::Diagnostic;
 use lol_ast::*;
-use lol_sema::types::{bin_ty, counter_ty, shared_ty, un_ty, Ty};
+use lol_sema::types::{bin_ty, shared_ty, un_ty, Ty};
 use lol_sema::{Analysis, SharedKind, SharedVar};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -50,9 +52,9 @@ type CResult<T> = Result<T, Diagnostic>;
 #[derive(Clone, Copy)]
 enum CKind {
     /// A scalar local whose values all have static type `ty` when it is
-    /// `Some`: pinned locals cast every store to it, and a counter typed
-    /// NUMBR is never stored to. A native type lives in a native C
-    /// variable, anything else in a `lol_value_t`.
+    /// `Some`: pinned locals cast every store to it, and every store to
+    /// an inferred local or counter has it. A native type lives in a
+    /// native C variable, anything else in a `lol_value_t`.
     Scalar { ty: Ty },
     /// A local array whose elements are always of type `elem`.
     Array { elem: LolType },
@@ -874,16 +876,18 @@ impl<'a> CEmitter<'a> {
                 self.line(&format!("lol_lock_release({cell}, {pe});"));
                 Ok(())
             }
+            // A predicated statement opens no C block: what it declares
+            // stays in scope after it, as in the LOLCODE scope.
             StmtKind::TxtStmt { pe, stmt } => {
-                self.txt_open(pe)?;
+                self.txt_target(pe)?;
                 self.stmt(stmt)?;
-                self.txt_close();
+                self.bff.pop();
                 Ok(())
             }
             StmtKind::TxtBlock { pe, body } => {
-                self.txt_open(pe)?;
-                self.scoped(body)?;
-                self.txt_close();
+                self.txt_target(pe)?;
+                self.block(body)?;
+                self.bff.pop();
                 Ok(())
             }
             _ => unreachable!("a simple statement: CEmitter::stmt"),
@@ -896,8 +900,8 @@ impl<'a> CEmitter<'a> {
             LValue::Var(vr) => {
                 let name = self.named(vr)?;
                 // Only untyped scalars can change type: sema rejects
-                // retyping a pinned local, and a counter that is
-                // retyped is not typed (`counter_ty`).
+                // retyping a pinned local, and inference leaves a local
+                // or counter that is retyped dynamic.
                 match self.lookup(name) {
                     Some(CKind::Scalar { ty: None }) => {
                         let cast = CExpr::new(format!("v_{name}"), None).cast(ty);
@@ -912,23 +916,16 @@ impl<'a> CEmitter<'a> {
         }
     }
 
-    /// Open a `TXT MAH BFF` scope: a C block holding the checked target.
-    fn txt_open(&mut self, pe: &Expr) -> CResult<()> {
+    /// Enter a `TXT MAH BFF`: the checked target, declared in the
+    /// current C block, is the active target until the caller pops it.
+    fn txt_target(&mut self, pe: &Expr) -> CResult<()> {
         let k = self.expr(pe)?.int();
         let var = self.fresh("bff");
-        self.line("{");
-        self.indent += 1;
         let at = self.out.len();
         self.line(&format!("const int {var} = lol_pe({k});"));
         self.release_since(at);
         self.bff.push(var);
         Ok(())
-    }
-
-    fn txt_close(&mut self) {
-        self.bff.pop();
-        self.indent -= 1;
-        self.line("}");
     }
 
     fn lock_cell(&mut self, vr: &VarRef) -> CResult<(String, String)> {
@@ -978,10 +975,12 @@ impl<'a> CEmitter<'a> {
                         (None, Some(ty)) => Some(default_value(ty)),
                         (None, None) => None,
                     };
-                    let pinned = if d.srsly { d.ty } else { None };
+                    // A pinned or inferred NUMBR, NUMBAR or TROOF is a
+                    // native variable.
+                    let ty = self.analysis.local_ty(d);
                     let name = d.name.sym;
-                    let (cty, init) = match (native(pinned), init) {
-                        (Some(cty), Some(v)) => (cty, v.code),
+                    let (cty, init) = match (native(ty).zip(ty), init) {
+                        (Some((cty, ty)), Some(v)) => (cty, v.cast(ty).code),
                         (_, v) => {
                             self.slot_buffer(name);
                             let init = match v {
@@ -995,7 +994,7 @@ impl<'a> CEmitter<'a> {
                         }
                     };
                     self.line(&format!("{cty} v_{name} = {init};"));
-                    self.declare(name, CKind::Scalar { ty: pinned });
+                    self.declare(name, CKind::Scalar { ty });
                 }
                 Ok(())
             }
@@ -1160,16 +1159,15 @@ impl<'a> CEmitter<'a> {
         self.scopes.push(Scope::default());
         // The counter lives in the `for` header, outside the body's
         // block, so a declaration in the body never shadows it. A
-        // counter the body stores to is dynamic, and its buffer lives
-        // in a block around the loop.
-        let wrapped = lp.update.is_some() && counter_ty(lp).is_none();
+        // dynamic counter's buffer lives in a block around the loop.
+        let wrapped = lp.update.is_some() && self.analysis.counter_ty(lp).is_none();
         if wrapped {
             self.line("{");
             self.indent += 1;
         }
         let header = match &lp.update {
             Some((dir, var)) => {
-                let ty = counter_ty(lp);
+                let ty = self.analysis.counter_ty(lp);
                 if ty.is_none() {
                     self.slot_buffer(var.sym);
                 }

@@ -216,7 +216,7 @@ fn parse_yarn_number(s: &str) -> RResult<Num> {
 /// Integer arithmetic (wrapping, like the reference C backend's
 /// two's-complement behavior; division checks for zero).
 #[inline]
-fn arith_int(op: lol_ast::BinOp, x: i64, y: i64) -> RResult<Value> {
+pub fn arith_int(op: lol_ast::BinOp, x: i64, y: i64) -> RResult<i64> {
     use lol_ast::BinOp::*;
     let r = match op {
         Sum => x.wrapping_add(y),
@@ -238,7 +238,7 @@ fn arith_int(op: lol_ast::BinOp, x: i64, y: i64) -> RResult<Value> {
         SmallrOf => x.min(y),
         _ => unreachable!("not an arithmetic op: {op:?}"),
     };
-    Ok(Value::Numbr(r))
+    Ok(r)
 }
 
 /// Float arithmetic (IEEE — division by zero is inf/nan, not a fault).
@@ -266,12 +266,12 @@ fn arith_float(op: lol_ast::BinOp, x: f64, y: f64) -> Value {
 #[inline]
 pub fn arith(op: lol_ast::BinOp, a: &Value, b: &Value) -> RResult<Value> {
     match (a, b) {
-        (Value::Numbr(x), Value::Numbr(y)) => arith_int(op, *x, *y),
+        (Value::Numbr(x), Value::Numbr(y)) => arith_int(op, *x, *y).map(Value::Numbr),
         (Value::Numbar(x), Value::Numbar(y)) => Ok(arith_float(op, *x, *y)),
         (Value::Numbr(x), Value::Numbar(y)) => Ok(arith_float(op, *x as f64, *y)),
         (Value::Numbar(x), Value::Numbr(y)) => Ok(arith_float(op, *x, *y as f64)),
         _ => match (a.to_num()?, b.to_num()?) {
-            (Num::I(x), Num::I(y)) => arith_int(op, x, y),
+            (Num::I(x), Num::I(y)) => arith_int(op, x, y).map(Value::Numbr),
             (na, nb) => Ok(arith_float(op, na.as_f64(), nb.as_f64())),
         },
     }

@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 
 mod const_eval;
+mod infer;
 mod layout;
 pub mod types;
 mod walk;
@@ -28,8 +29,9 @@ pub use const_eval::const_eval_i64;
 pub use layout::{SharedKind, SharedLayout, SharedVar, LOCK_WORDS};
 
 use lol_ast::diag::Diagnostics;
-use lol_ast::{Program, Symbol};
+use lol_ast::{Decl, LolType, LoopStmt, Program, Span, Symbol};
 use std::collections::HashMap;
+use types::Ty;
 
 /// Signature of a `HOW IZ I` function.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +59,11 @@ pub struct Analysis {
     pub funcs: HashMap<Symbol, FuncSig>,
     pub features: Features,
     pub diags: Diagnostics,
+    /// The inferred type of each unpinned local scalar and loop counter
+    /// whose values all have one, keyed by the span of its name where it
+    /// is declared (see [`Analysis::local_ty`] and
+    /// [`Analysis::counter_ty`]). Empty when the program uses `SRS`.
+    pub inferred: HashMap<Span, LolType>,
 }
 
 impl Analysis {
@@ -64,11 +71,34 @@ impl Analysis {
     pub fn is_ok(&self) -> bool {
         !self.diags.has_errors()
     }
+
+    /// The one static type every value of the local scalar `d` declares
+    /// has: its pinned (`ITZ SRSLY A`) type, or the NUMBR, NUMBAR or
+    /// TROOF that inference found every store to it agrees on. `None`
+    /// for a dynamic local.
+    pub fn local_ty(&self, d: &Decl) -> Ty {
+        if d.srsly {
+            return d.ty;
+        }
+        self.inferred.get(&d.name.span).copied()
+    }
+
+    /// The static type of a counted loop's counter: NUMBR, unless a
+    /// store of another type, `GIMMEH`, `IS NOW A` or a nested loop or
+    /// declaration reusing the name leaves it dynamic.
+    pub fn counter_ty(&self, lp: &LoopStmt) -> Ty {
+        let (_, var) = lp.update.as_ref()?;
+        self.inferred.get(&var.span).copied()
+    }
 }
 
 /// Analyze a parsed program.
 pub fn analyze(program: &Program) -> Analysis {
-    walk::Checker::run(program)
+    let mut a = walk::Checker::run(program);
+    if !a.features.uses_srs {
+        a.inferred = infer::local_types(program, &a.shared);
+    }
+    a
 }
 
 #[cfg(test)]

@@ -1,18 +1,69 @@
-//! Static type rules shared by the two compilers.
+//! Static type rules shared by the two compilers and the inference of
+//! unpinned locals' types.
 //!
 //! The bytecode compiler (`lol-vm`) and the C emitter (`lol-c-codegen`)
 //! both infer each expression's static type bottom-up while they emit
 //! it, and both drop the coercions those types prove redundant. The
-//! rules that are not a plain literal or declaration fact live here, so
-//! the two backends can never disagree about what a value is.
+//! rules live here, so the two backends and sema's own inference
+//! ([`crate::Analysis::local_ty`]) can never disagree about what a value
+//! is: [`expr_ty`] types a whole expression given what its variables
+//! hold.
 
-use lol_ast::visit::{walk_stmt, Visitor};
+use crate::{SharedKind, SharedVar};
 use lol_ast::*;
 
 /// The static type of an expression's value: `Some(ty)` when every
 /// evaluation that yields a value yields a `ty` (one that faults yields
 /// none), `None` when unknown.
 pub type Ty = Option<LolType>;
+
+/// What a variable reference names, for typing it: a scalar whose
+/// values all have the static type, or an array whose elements do.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VarTy {
+    Scalar(Ty),
+    Array(Ty),
+}
+
+/// The static type of `e`'s value. `resolve` says what each variable
+/// reference names where `e` reads it (`None` when nothing typed).
+pub fn expr_ty(e: &Expr, resolve: &impl Fn(&VarRef) -> Option<VarTy>) -> Ty {
+    match &e.kind {
+        ExprKind::Lit(l) => Some(match l {
+            Lit::Numbr(_) => LolType::Numbr,
+            Lit::Numbar(_) => LolType::Numbar,
+            Lit::Troof(_) => LolType::Troof,
+            Lit::Noob => LolType::Noob,
+            Lit::Yarn(_) => LolType::Yarn,
+        }),
+        ExprKind::Var(vr) => match resolve(vr)? {
+            VarTy::Scalar(ty) => ty,
+            VarTy::Array(_) => None,
+        },
+        ExprKind::Index { arr, .. } => match resolve(arr)? {
+            VarTy::Array(ty) => ty,
+            VarTy::Scalar(_) => None,
+        },
+        ExprKind::Bin { op, lhs, rhs } => bin_ty(*op, expr_ty(lhs, resolve), expr_ty(rhs, resolve)),
+        ExprKind::Un { op, expr } => un_ty(*op, expr_ty(expr, resolve)),
+        ExprKind::Nary { op: NaryOp::Smoosh, .. } => Some(LolType::Yarn),
+        ExprKind::Nary { .. } => Some(LolType::Troof),
+        ExprKind::Cast { ty, .. } => Some(*ty),
+        ExprKind::Call { .. } => None,
+        ExprKind::Me | ExprKind::MahFrenz | ExprKind::Whatevr => Some(LolType::Numbr),
+        ExprKind::Whatevar => Some(LolType::Numbar),
+    }
+}
+
+/// What a symmetric variable's name names, for [`expr_ty`]: its reads
+/// are typed as [`shared_ty`] materializes them.
+pub fn shared_var_ty(sv: &SharedVar) -> VarTy {
+    let ty = Some(shared_ty(sv.ty));
+    match sv.kind {
+        SharedKind::Scalar => VarTy::Scalar(ty),
+        SharedKind::Array { .. } => VarTy::Array(ty),
+    }
+}
 
 /// How a read materializes an element of a symmetric variable of
 /// declared type `ty`: NUMBAR and TROOF cells keep their type, every
@@ -55,46 +106,4 @@ pub fn un_ty(op: UnOp, t: Ty) -> Ty {
         UnOp::Squar => bin_ty(BinOp::Produkt, t, t),
         UnOp::Unsquar | UnOp::Flip => Some(LolType::Numbar),
     }
-}
-
-/// The static type of a counted loop's counter: it starts at NUMBR 0
-/// and only ever steps by NUMBR 1, so it stays a NUMBR unless the body
-/// may store to it (or it is `IT`, which every expression statement
-/// stores to).
-pub fn counter_ty(lp: &LoopStmt) -> Ty {
-    let (_, var) = lp.update.as_ref()?;
-    (var.sym != Symbol::it() && !may_store(&lp.body, var.sym)).then_some(LolType::Numbr)
-}
-
-/// May `body` store to the local `name`? A conservative syntactic scan:
-/// `name` is the target of `R`, `GIMMEH` or `IS NOW A`, is redeclared,
-/// or is reused as a nested loop's counter. Expressions cannot store to
-/// a local, so the scan never descends into them.
-pub fn may_store(body: &Block, name: Symbol) -> bool {
-    struct Scan {
-        name: Symbol,
-        hit: bool,
-    }
-    impl Visitor for Scan {
-        fn visit_stmt(&mut self, s: &Stmt) {
-            let names = |lv: &LValue| match lv {
-                LValue::Var(vr) | LValue::Index { arr: vr, .. } => {
-                    matches!(&vr.name, VarName::Named(id) if id.sym == self.name)
-                }
-            };
-            self.hit |= match &s.kind {
-                StmtKind::Declare(d) => d.name.sym == self.name,
-                StmtKind::Assign { target: lv, .. }
-                | StmtKind::Gimmeh(lv)
-                | StmtKind::IsNowA { target: lv, .. } => names(lv),
-                StmtKind::Loop(lp) => lp.update.as_ref().is_some_and(|(_, v)| v.sym == self.name),
-                _ => false,
-            };
-            walk_stmt(self, s);
-        }
-        fn visit_expr(&mut self, _: &Expr) {}
-    }
-    let mut scan = Scan { name, hit: false };
-    scan.visit_block(body);
-    scan.hit
 }

@@ -26,8 +26,7 @@ impl VarInfo {
     }
 }
 
-pub(crate) struct Checker<'p> {
-    program: &'p Program,
+pub(crate) struct Checker {
     diags: Diagnostics,
     shared: SharedLayout,
     funcs: HashMap<Symbol, FuncSig>,
@@ -43,10 +42,9 @@ pub(crate) struct Checker<'p> {
     at_top_level: bool,
 }
 
-impl<'p> Checker<'p> {
-    pub(crate) fn run(program: &'p Program) -> Analysis {
+impl Checker {
+    pub(crate) fn run(program: &Program) -> Analysis {
         let mut c = Checker {
-            program,
             diags: Diagnostics::new(),
             shared: SharedLayout::default(),
             funcs: HashMap::new(),
@@ -96,7 +94,13 @@ impl<'p> Checker<'p> {
             c.in_function = false;
         }
 
-        Analysis { shared: c.shared, funcs: c.funcs, features: c.features, diags: c.diags }
+        Analysis {
+            shared: c.shared,
+            funcs: c.funcs,
+            features: c.features,
+            diags: c.diags,
+            inferred: HashMap::new(),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -650,14 +654,5 @@ impl<'p> Checker<'p> {
             VarName::Named(id) => self.resolve(id.sym),
             VarName::Srs(_) => None,
         }
-    }
-}
-
-// `program` is kept for future passes (e.g. type inference) — silence
-// the field-never-read lint without losing the reference.
-impl<'p> Checker<'p> {
-    #[allow(dead_code)]
-    fn program(&self) -> &'p Program {
-        self.program
     }
 }

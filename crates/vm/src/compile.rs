@@ -13,18 +13,21 @@
 //! [`FnCompiler::ty`] gives each expression's static type ([`Ty`]),
 //! and the compiler emits no coercion the types prove redundant. The
 //! type facts are literals, pinned locals (sema's SEM0024 forbids
-//! retyping them), local-array elements (every store casts to the
-//! element type), symmetric scalars and arrays (typed as `shared_read`
-//! materializes them), `MAEK`, arithmetic promotion, the TROOF/YARN/
-//! NUMBAR results of the logic, `SMOOSH` and root/reciprocal operators,
-//! `ME`/`MAH FRENZ`/`WHATEVR`/`WHATEVAR`, and counted-loop counters the
-//! loop body never stores to. Calls, parameters and unpinned locals
-//! are unknown. The operator, symmetric-read and counter rules live in
-//! [`lol_sema::types`], shared with the C emitter's typed lowering.
+//! retyping them), unpinned locals sema's inference found one type for
+//! ([`Analysis::local_ty`]: every store to them has it), local-array
+//! elements (every store casts to the element type), symmetric scalars
+//! and arrays (typed as `shared_read` materializes them), `MAEK`,
+//! arithmetic promotion, the TROOF/YARN/NUMBAR results of the logic,
+//! `SMOOSH` and root/reciprocal operators, `ME`/`MAH FRENZ`/`WHATEVR`/
+//! `WHATEVAR`, and counted-loop counters whose every store is a NUMBR.
+//! Calls, parameters, `IT` and the other unpinned locals are unknown.
+//! The expression walk ([`lol_sema::types::expr_ty`]) and the operator,
+//! symmetric-read and counter rules live in [`lol_sema::types`], shared
+//! with sema's inference and the C emitter's typed lowering.
 //!
 //! Values proven NUMBR, NUMBAR or TROOF live in raw registers of the
-//! frame's bank, not in value slots: pinned locals of those types,
-//! counters whose loop guard compares on registers too, constants (a
+//! frame's bank, not in value slots: pinned and inferred locals of those
+//! types, counters whose loop guard compares on registers too, constants (a
 //! register per distinct literal word, filled in before the frame
 //! runs) and the temporaries of typed subexpressions. [`FnCompiler::rexpr`] emits a typed expression as
 //! three-address ops over them (`AddI d a b`, `MulD`, `SqrtD`, `I2D`,
@@ -47,7 +50,7 @@ use crate::ops::{is_raw, ArrId, ArrLoc, Chunk, Cmp, Module, Op};
 use lol_ast::diag::Diagnostic;
 use lol_ast::*;
 use lol_interp::Value;
-use lol_sema::types::{bin_ty, counter_ty, shared_ty, un_ty, Ty};
+use lol_sema::types::{expr_ty, shared_ty, shared_var_ty, Ty, VarTy};
 use lol_sema::{Analysis, SharedKind, SharedVar};
 use std::collections::HashMap;
 
@@ -97,8 +100,9 @@ enum SlotKind {
     /// when known; `pinned` slots (`ITZ SRSLY A`) coerce every store
     /// to it.
     Scalar { ty: Ty, pinned: bool },
-    /// A raw register holding a NUMBR, NUMBAR or TROOF: a pinned local
-    /// of that type, or a counter its loop body never stores to.
+    /// A raw register holding a NUMBR, NUMBAR or TROOF: a pinned or
+    /// inferred local of that type, or a counter its loop body never
+    /// stores to.
     Reg { ty: LolType },
     /// A local array; its elements are always of type `elem`.
     Array { elem: LolType },
@@ -446,37 +450,19 @@ impl<'a> FnCompiler<'a> {
     /// The static type of `e`'s value: the type [`FnCompiler::expr`]
     /// returns after emitting it, computed without emitting anything.
     fn ty(&self, e: &Expr) -> Ty {
-        match &e.kind {
-            ExprKind::Lit(l) => Some(match l {
-                Lit::Numbr(_) => LolType::Numbr,
-                Lit::Numbar(_) => LolType::Numbar,
-                Lit::Troof(_) => LolType::Troof,
-                Lit::Noob => LolType::Noob,
-                Lit::Yarn(_) => LolType::Yarn,
-            }),
-            ExprKind::Var(vr) => match self.local(vr).map(|ls| ls.kind) {
-                Some(SlotKind::Scalar { ty, .. }) => ty,
-                Some(SlotKind::Reg { ty }) => Some(ty),
-                Some(SlotKind::Array { .. }) => None,
-                None => {
-                    let VarName::Named(id) = &vr.name else { return None };
-                    let sv = self.shared(id.sym)?;
-                    matches!(sv.kind, SharedKind::Scalar).then(|| shared_ty(sv.ty))
-                }
-            },
-            ExprKind::Index { arr, .. } => match self.local(arr).map(|ls| ls.kind) {
-                Some(SlotKind::Array { elem }) => Some(elem),
-                Some(_) => None,
-                None => self.shared_array(arr).map(|(sv, _)| shared_ty(sv.ty)),
-            },
-            ExprKind::Bin { op, lhs, rhs } => bin_ty(*op, self.ty(lhs), self.ty(rhs)),
-            ExprKind::Un { op, expr } => un_ty(*op, self.ty(expr)),
-            ExprKind::Nary { op: NaryOp::Smoosh, .. } => Some(LolType::Yarn),
-            ExprKind::Nary { .. } => Some(LolType::Troof),
-            ExprKind::Cast { ty, .. } => Some(*ty),
-            ExprKind::Call { .. } => None,
-            ExprKind::Me | ExprKind::MahFrenz | ExprKind::Whatevr => Some(LolType::Numbr),
-            ExprKind::Whatevar => Some(LolType::Numbar),
+        expr_ty(e, &|vr: &VarRef| self.var_ty(vr))
+    }
+
+    /// What a reference names here, for [`expr_ty`].
+    fn var_ty(&self, vr: &VarRef) -> Option<VarTy> {
+        match self.local(vr).map(|ls| ls.kind) {
+            Some(SlotKind::Scalar { ty, .. }) => Some(VarTy::Scalar(ty)),
+            Some(SlotKind::Reg { ty }) => Some(VarTy::Scalar(Some(ty))),
+            Some(SlotKind::Array { elem }) => Some(VarTy::Array(Some(elem))),
+            None => {
+                let VarName::Named(id) = &vr.name else { return None };
+                self.shared(id.sym).map(shared_var_ty)
+            }
         }
     }
 
@@ -1200,10 +1186,11 @@ impl<'a> FnCompiler<'a> {
                     self.code.push(Op::LocalArrNew { arr, ty: elem });
                     return Ok(());
                 }
-                if let (true, Some(ty)) = (d.srsly, d.ty.filter(|t| is_raw(*t))) {
-                    // A pinned NUMBR/NUMBAR/TROOF lives in a register.
-                    // The initializer still sees any outer binding of
-                    // the name: bind only after it.
+                let ty = self.analysis.local_ty(d);
+                if let Some(ty) = ty.filter(|t| is_raw(*t)) {
+                    // A pinned or inferred NUMBR/NUMBAR/TROOF lives in a
+                    // register. The initializer still sees any outer
+                    // binding of the name: bind only after it.
                     let r = self.new_reg();
                     match &d.init {
                         Some(init) => self.store_reg(init, r, ty)?,
@@ -1230,8 +1217,7 @@ impl<'a> FnCompiler<'a> {
                     }
                     (None, None) => self.emit_const(Value::Noob),
                 }
-                let pinned = if d.srsly { d.ty } else { None };
-                let kind = SlotKind::Scalar { ty: pinned, pinned: pinned.is_some() };
+                let kind = SlotKind::Scalar { ty, pinned: d.srsly };
                 let slot = self.alloc_slot(d.name.sym, kind);
                 self.code.push(Op::StoreLocal(slot));
                 Ok(())
@@ -1383,14 +1369,14 @@ impl<'a> FnCompiler<'a> {
 
     fn loop_stmt(&mut self, lp: &LoopStmt) -> CResult<()> {
         self.enter_scope();
-        // A counter its body never stores to is a NUMBR. It lives in a
+        // A counter inference types is a NUMBR. It lives in a
         // register when its guard then compares on registers (against
         // a literal, `MAH FRENZ` or a typed local): a guard against an
         // unknown value would box it on every iteration, so such a
         // counter stays a (typed) value slot, as does any other.
         let counter = match &lp.update {
             Some((dir, var)) => {
-                let ty = counter_ty(lp);
+                let ty = self.analysis.counter_ty(lp);
                 let is_reg = ty.is_some() && {
                     let probe =
                         LocalSlot { slot: u16::MAX, kind: SlotKind::Reg { ty: LolType::Numbr } };

@@ -739,12 +739,14 @@ mod tests {
 
     #[test]
     fn typed_register_ops_keep_every_fault_and_edge() {
-        // Each case runs twice: with its locals pinned (`{N}`/`{D}`
+        // Each case runs three times: with its locals pinned (`{N}`/`{D}`
         // expand to `SRSLY A NUMBR/NUMBAR AN ITZ`), so the operators run
-        // on registers, and unpinned (both expand to nothing), so they
-        // run on the stack. Both runs must produce the same output or
-        // the same fault, code and message, and the interpreter the
-        // same output or fault code. `want` is the output, or the code.
+        // on registers; unpinned (both expand to nothing), where
+        // inference puts them in registers too; and unpinned compiled
+        // without inference, so they run on the stack. Every run must
+        // produce the same output or the same fault, code and message,
+        // and the interpreter the same output or fault code. `want` is
+        // the output, or the code.
         let cases: [(&str, &[&str], Result<&str, &str>); 10] = [
             (
                 "I HAS A a ITZ {N} 7\nI HAS A z ITZ {N} 0\nVISIBLE \"GO\"\nVISIBLE QUOSHUNT OF a AN z",
@@ -825,7 +827,12 @@ mod tests {
             for op in ops {
                 assert!(names.contains(op), "no {op} in the typed form of:\n{body}\n{names:?}");
             }
-            let (_, stack_vm, _) = outcomes(&untyped);
+            let (_, inferred_vm, _) = outcomes(&untyped);
+            assert_eq!(vm, inferred_vm, "pinned and inferred registers differ on:\n{body}");
+            let (p, mut a) = build(&untyped);
+            a.inferred.clear();
+            let m = compile(&p, &a).unwrap();
+            let stack_vm = run_spmd(cfg(1), |pe| run_on_pe(&m, pe, &[])).unwrap().pop().unwrap();
             assert_eq!(vm, stack_vm, "register and stack paths differ on:\n{body}");
             match (&vm, &interp, want) {
                 (Ok(out), Ok(i), Ok(want)) => {

@@ -55,7 +55,7 @@
 use crate::ops::{is_raw, ArrId, ArrLoc, Chunk, Cmp, Module, Op};
 use crate::profile::VmProfile;
 use lol_ast::LolType;
-use lol_interp::value::{arith, cast, compare, default_for, RResult, RunError, Value};
+use lol_interp::value::{arith, arith_int, cast, compare, default_for, RResult, RunError, Value};
 use lol_shmem::substrate::{Progress, Substrate};
 use lol_shmem::SymAddr;
 use std::collections::VecDeque;
@@ -625,9 +625,8 @@ impl<'a> Machine<'a> {
                         set_reg(frame, *d, w as u64)?;
                     }
                     Op::ArithI { op, d, a, b } => {
-                        let (x, y) = (Value::Numbr(int(frame, *a)?), Value::Numbr(int(frame, *b)?));
-                        let w = unboxed(&arith(*op, &x, &y)?, LolType::Numbr)?;
-                        set_reg(frame, *d, w)?;
+                        let w = arith_int(*op, int(frame, *a)?, int(frame, *b)?)?;
+                        set_reg(frame, *d, w as u64)?;
                     }
                     Op::AddD { d, a, b } => {
                         let f = flt(frame, *a)? + flt(frame, *b)?;

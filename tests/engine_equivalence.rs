@@ -8,6 +8,7 @@
 //! demonstration that `Engine::run_many` re-executes one artifact
 //! across a config sweep without re-running the front end.
 
+use icanhas::ast::LolType;
 use icanhas::prelude::*;
 use proptest::TestRng;
 use std::time::Duration;
@@ -120,6 +121,8 @@ struct ProgramGen {
     rng: TestRng,
     next_loop: u32,
     bucket: GenBucket,
+    /// The counters of the loops being generated, innermost last.
+    counters: Vec<u32>,
 }
 
 /// Generation bias. The default `Mixed` is the original balanced
@@ -144,7 +147,21 @@ enum GenBucket {
     /// to functions that print their arguments, some after an operand
     /// that faults: every engine must evaluate operands in source order.
     Calls,
+    /// Unpinned locals `u0..u3` that start as a NUMBR, a NUMBAR, a TROOF
+    /// and a NUMBR and are stored to with expressions of that type, which
+    /// sema's inference lets the compilers keep in registers and native
+    /// C variables. Some programs break one or two of them: a store of
+    /// another type, `GIMMEH`, `IS NOW A`, a shadowing redeclaration or
+    /// a call result.
+    Inferred,
 }
+
+/// The types of the [`GenBucket::Inferred`] locals `u0..u3`.
+const U_TYS: [LolType; 4] = [LolType::Numbr, LolType::Numbar, LolType::Troof, LolType::Numbr];
+
+/// `GIMMEH` input for the [`GenBucket::Inferred`] bucket: numeric lines,
+/// so arithmetic on what was read keeps running.
+const U_INPUT: [&str; 6] = ["7", "-3", "2.5", "12", "0.125", "40"];
 
 impl ProgramGen {
     fn new(seed: u64) -> Self {
@@ -152,7 +169,133 @@ impl ProgramGen {
     }
 
     fn bucketed(seed: u64, bucket: GenBucket) -> Self {
-        ProgramGen { rng: TestRng::from_seed(seed), next_loop: 0, bucket }
+        ProgramGen { rng: TestRng::from_seed(seed), next_loop: 0, bucket, counters: Vec::new() }
+    }
+
+    /// The `GIMMEH` input lines the bucket's programs read.
+    fn input(&self) -> Vec<&'static str> {
+        match self.bucket {
+            GenBucket::Inferred => U_INPUT.repeat(20),
+            _ => Vec::new(),
+        }
+    }
+
+    /// An expression whose static type is exactly `ty` (NUMBR, NUMBAR or
+    /// TROOF), over the [`GenBucket::Inferred`] locals of that type, the
+    /// enclosing loops' counters and literals.
+    fn typed_expr(&mut self, ty: LolType, depth: u32) -> String {
+        use LolType::{Numbar, Numbr, Troof};
+        let d = depth.saturating_sub(1);
+        let leaf = depth == 0 || self.rng.below(3) == 0;
+        match (ty, leaf) {
+            (Numbr, true) => match self.rng.below(5) {
+                0 => (self.rng.below(100) as i64 - 50).to_string(),
+                1 => format!("u{}", self.pick(&["0", "3"])),
+                2 if !self.counters.is_empty() => {
+                    let i = self.rng.below(self.counters.len() as u64) as usize;
+                    format!("x{}", self.counters[i])
+                }
+                3 => format!("MAEK {} A NUMBR", self.typed_expr(Numbar, 0)),
+                _ => "u0".to_string(),
+            },
+            (Numbar, true) => match self.rng.below(3) {
+                0 => self.pick(&["2.5", "-0.75", "0.0", "10.125"]).to_string(),
+                1 => format!("MAEK {} A NUMBAR", self.typed_expr(Numbr, 0)),
+                _ => "u1".to_string(),
+            },
+            (Troof, true) => match self.rng.below(3) {
+                0 => self.pick(&["WIN", "FAIL"]).to_string(),
+                _ => "u2".to_string(),
+            },
+            (Numbr, false) => match self.rng.below(6) {
+                0..=2 => {
+                    let op =
+                        self.pick(&["SUM OF", "DIFF OF", "PRODUKT OF", "BIGGR OF", "SMALLR OF"]);
+                    format!("{op} {} AN {}", self.typed_expr(Numbr, d), self.typed_expr(Numbr, d))
+                }
+                // A variable divisor may be zero: RUN0001 on every engine.
+                3 if self.rng.below(4) == 0 => {
+                    let op = self.pick(&["MOD OF", "QUOSHUNT OF"]);
+                    format!("{op} {} AN u{}", self.typed_expr(Numbr, d), self.pick(&["0", "3"]))
+                }
+                3 | 4 => {
+                    let op = self.pick(&["MOD OF", "QUOSHUNT OF"]);
+                    let by = self.pick(&["2", "3", "7", "-5", "2147483647"]);
+                    format!("{op} {} AN {by}", self.typed_expr(Numbr, d))
+                }
+                _ => format!("SQUAR OF {}", self.typed_expr(Numbr, d)),
+            },
+            (Numbar, false) => match self.rng.below(4) {
+                0 | 1 => {
+                    let op = self.pick(&["SUM OF", "DIFF OF", "PRODUKT OF", "QUOSHUNT OF"]);
+                    let rhs = if self.rng.below(2) == 0 { Numbr } else { Numbar };
+                    format!("{op} {} AN {}", self.typed_expr(Numbar, d), self.typed_expr(rhs, d))
+                }
+                2 => format!(
+                    "{} {}",
+                    self.pick(&["FLIP OF", "UNSQUAR OF"]),
+                    self.typed_expr(Numbar, d)
+                ),
+                _ => format!("SQUAR OF {}", self.typed_expr(Numbar, d)),
+            },
+            (_, false) => match self.rng.below(4) {
+                0 => {
+                    let op = self.pick(&["BOTH SAEM", "DIFFRINT", "BIGGER", "SMALLR"]);
+                    format!("{op} {} AN {}", self.typed_expr(Numbr, d), self.typed_expr(Numbr, d))
+                }
+                1 => {
+                    let op = self.pick(&["BIGGER", "SMALLR"]);
+                    format!("{op} {} AN {}", self.typed_expr(Numbar, d), self.typed_expr(Numbr, d))
+                }
+                2 => format!("NOT {}", self.typed_expr(Troof, d)),
+                _ => {
+                    let op = self.pick(&["BOTH OF", "EITHER OF", "WON OF"]);
+                    format!("{op} {} AN {}", self.typed_expr(Troof, d), self.typed_expr(Troof, d))
+                }
+            },
+            _ => unreachable!("only NUMBR, NUMBAR and TROOF locals"),
+        }
+    }
+
+    /// A store to an inferred local of its own type, or a print of all
+    /// four through YARN interpolation.
+    fn inferred_stmt(&mut self) -> String {
+        if self.rng.below(6) == 0 {
+            return "VISIBLE \"U :{u0} :{u1} :{u2} :{u3}\"".to_string();
+        }
+        let k = self.rng.below(4) as usize;
+        format!("u{k} R {}", self.typed_expr(U_TYS[k], 2))
+    }
+
+    /// A statement after which `u{k}` has no one static type.
+    fn inferred_breaker(&mut self) -> String {
+        let k = self.rng.below(4) as usize;
+        match self.rng.below(5) {
+            // A store of another type: NUMBR and NUMBAR are mismatches
+            // of each other, and a YARN of either.
+            0 => {
+                let other = match U_TYS[k] {
+                    LolType::Numbr => "2.5",
+                    LolType::Numbar => "3",
+                    _ => "1",
+                };
+                format!("u{k} R {}", self.pick(&[other, "\"7\""]))
+            }
+            1 => format!("GIMMEH u{k}"),
+            2 => format!("u{k} IS NOW A {}", self.pick(&["NUMBR", "NUMBAR", "YARN"])),
+            // The shadowing declaration's initializer does not read the
+            // name it shadows: on the C engine such a read sees the new,
+            // uninitialized C variable, whose scope starts at its own
+            // declarator, and on interp, in a loop, the previous
+            // iteration's binding. The engines disagree there whether
+            // or not the local is typed.
+            3 => {
+                let v = self.pick(&["4", "0.5", "WIN", "\"9\""]);
+                format!("WIN, O RLY?\nYA RLY\nI HAS A u{k} ITZ {v}\nVISIBLE \"S \" u{k}\nOIC")
+            }
+            // A call result of the local's own type.
+            _ => format!("u{k} R I IZ idn YR {} MKAY", self.typed_expr(U_TYS[k], 1)),
+        }
     }
 
     /// A YARN-flavoured expression: concat trees over (mostly numeric,
@@ -270,6 +413,10 @@ impl ProgramGen {
             GenBucket::OverflowHeavy if self.rng.below(2) == 0 => return self.overflow_expr(depth),
             GenBucket::Pinned if self.rng.below(2) == 0 => return self.pinned_expr(depth),
             GenBucket::Calls if self.rng.below(3) == 0 => return self.calls_expr(depth),
+            GenBucket::Inferred if self.rng.below(2) == 0 => {
+                let ty = U_TYS[self.rng.below(3) as usize];
+                return self.typed_expr(ty, depth);
+            }
             _ => {}
         }
         if depth == 0 || self.rng.below(3) == 0 {
@@ -309,6 +456,8 @@ impl ProgramGen {
             // The C engine's RNG is a different stream: the calls
             // battery, which runs on it, calls instead.
             _ if self.bucket == GenBucket::Calls => self.call(depth - 1),
+            // Likewise for the inferred battery, which runs on it too.
+            _ if self.bucket == GenBucket::Inferred => self.typed_expr(LolType::Numbr, depth - 1),
             // Seeded per-PE stream: same seed => same values on both
             // engines. Keep it bounded so arithmetic stays tame.
             _ => "MOD OF WHATEVR AN 97".to_string(),
@@ -319,6 +468,9 @@ impl ProgramGen {
     fn stmt(&mut self, depth: u32) -> String {
         if self.bucket == GenBucket::Pinned && self.rng.below(3) == 0 {
             return self.pinned_stmt();
+        }
+        if self.bucket == GenBucket::Inferred && self.rng.below(2) == 0 {
+            return self.inferred_stmt();
         }
         let simple_kinds = 6u64;
         let kinds = if depth == 0 { simple_kinds } else { simple_kinds + 3 };
@@ -351,7 +503,9 @@ impl ProgramGen {
                 // Bounded counted loop, UPPIN/NERFIN x TIL/WILE.
                 let id = self.next_loop;
                 self.next_loop += 1;
+                self.counters.push(id);
                 let mut body = self.block(depth - 1);
+                self.counters.pop();
                 if self.bucket == GenBucket::Pinned {
                     // Store the counter to a typed local, in some bodies
                     // after retyping it: it still steps by 1 and meets
@@ -417,20 +571,50 @@ impl ProgramGen {
         } else {
             (String::new(), "")
         };
-        let funcs = if self.bucket == GenBucket::Calls {
-            "HOW IZ I f YR x\nVISIBLE \"F \" x\nFOUND YR x\nIF U SAY SO\n\
-             HOW IZ I g YR x AN YR y\nVISIBLE \"G \" x \" \" y\nFOUND YR y\nIF U SAY SO\n"
+        let (inferred_decls, inferred_print) = if self.bucket == GenBucket::Inferred {
+            (
+                format!(
+                    "I HAS A u0 ITZ {}\nI HAS A u1 ITZ {}\nI HAS A u2 ITZ {}\n\
+                     I HAS A u3 ITZ A NUMBR AN ITZ {}\n",
+                    self.rng.below(100) as i64 - 50,
+                    self.pick(&["2.5", "-0.75", "7.0"]),
+                    self.pick(&["WIN", "FAIL"]),
+                    self.pick(&["\"12\"", "3.75", "WIN", "-8"]),
+                ),
+                "VISIBLE u0 \" \" u1 \" \" u2 \" \" u3\n",
+            )
         } else {
-            ""
+            (String::new(), "")
         };
-        let phase1 = self.block(2);
+        let funcs = match self.bucket {
+            GenBucket::Calls => {
+                "HOW IZ I f YR x\nVISIBLE \"F \" x\nFOUND YR x\nIF U SAY SO\n\
+                 HOW IZ I g YR x AN YR y\nVISIBLE \"G \" x \" \" y\nFOUND YR y\nIF U SAY SO\n"
+            }
+            // `idn` hands back its argument; `tri` sums the counter into
+            // a local inference types.
+            GenBucket::Inferred => {
+                "HOW IZ I idn YR x\nFOUND YR x\nIF U SAY SO\n\
+                 HOW IZ I tri YR x\nI HAS A n ITZ 0\n\
+                 IM IN YR t UPPIN YR i TIL BOTH SAEM i AN 4\nn R SUM OF n AN i\nIM OUTTA YR t\n\
+                 FOUND YR SMOOSH x AN \" \" AN n MKAY\nIF U SAY SO\n"
+            }
+            _ => "",
+        };
+        let mut phase1 = self.block(2);
+        if self.bucket == GenBucket::Inferred {
+            for _ in 0..self.rng.below(3) {
+                phase1 = format!("{phase1}\n{}", self.inferred_breaker());
+            }
+            phase1 = format!("{phase1}\nVISIBLE I IZ tri YR u0 MKAY");
+        }
         let phase2 = self.block(2);
         format!(
             "HAI 1.2\n\
              {funcs}WE HAS A s0 ITZ SRSLY A NUMBR\n\
              I HAS A a0 ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 8\n\
              I HAS A g0 ITZ 0\n\
-             {pinned_decls}{decls}{phase1}\n\
+             {pinned_decls}{inferred_decls}{decls}{phase1}\n\
              s0 R SUM OF PRODUKT OF ME AN 10 AN v0\n\
              HUGZ\n\
              TXT MAH BFF MOD OF SUM OF ME AN 1 AN MAH FRENZ, g0 R UR s0\n\
@@ -438,7 +622,7 @@ impl ProgramGen {
              {phase2}\n\
              SUM OF v0 AN 1\n\
              VISIBLE v0 \" \" v1 \" \" v2 \" \" v3 \" \" v4 \" \" s0 \" \" g0 \" \" IT\n\
-             {pinned_print}KTHXBYE\n"
+             {pinned_print}{inferred_print}KTHXBYE\n"
         )
     }
 }
@@ -449,7 +633,7 @@ impl ProgramGen {
 /// with grammar-directed coverage of casts, switches and loop forms.
 #[test]
 fn generated_grammar_programs_agree_across_engines() {
-    battery(ProgramGen::new(0x1CA4_BEEF));
+    battery(ProgramGen::new(0x1CA4_BEEF), None);
 }
 
 /// The same 200-program battery over the [`GenBucket::Pinned`] bucket:
@@ -457,10 +641,44 @@ fn generated_grammar_programs_agree_across_engines() {
 /// where the VM compiles stores without a runtime cast.
 #[test]
 fn pinned_bucket_programs_agree_across_engines() {
-    let typed = battery(ProgramGen::bucketed(0x5125_1A7E, GenBucket::Pinned));
+    let typed = battery(ProgramGen::bucketed(0x5125_1A7E, GenBucket::Pinned), None);
     eprintln!("pinned: {typed} register-op dispatches");
     // The battery must reach the VM's register path, not only the stack.
     assert!(typed >= 5_000, "only {typed} register-op dispatches in the pinned battery");
+}
+
+/// The 200-program battery over the [`GenBucket::Inferred`] bucket, on
+/// the C engine too (where a C compiler is installed): unpinned locals
+/// that inference types, and the stores, `GIMMEH`, `IS NOW A`,
+/// shadowing and call results that leave them dynamic, must behave the
+/// same on interp, vm, sim and c.
+#[test]
+fn inferred_bucket_programs_agree_across_engines() {
+    let c_engine = engine_for(Backend::C);
+    let c = c_engine.available().then_some(c_engine);
+    if c.is_none() {
+        eprintln!("no C compiler: the inferred battery runs without the C engine");
+    }
+    // The battery holds both kinds of program: all four locals typed,
+    // and some of them left dynamic.
+    let mut gen = ProgramGen::bucketed(0x1AFE_77ED, GenBucket::Inferred);
+    let (mut all_typed, mut some_dynamic) = (0, 0);
+    for _ in 0..200 {
+        let src = gen.program();
+        let Ok(artifact) = compile(&src) else { continue };
+        let inferred = &artifact.analysis().inferred;
+        let name = |s: &&icanhas::ast::Span| &src[s.lo as usize..s.hi as usize];
+        match inferred.keys().filter(|s| name(s).starts_with('u')).count() {
+            4 => all_typed += 1,
+            _ => some_dynamic += 1,
+        }
+    }
+    assert!(all_typed >= 40 && some_dynamic >= 40, "{all_typed} typed, {some_dynamic} not");
+    let typed = battery(ProgramGen::bucketed(0x1AFE_77ED, GenBucket::Inferred), c);
+    eprintln!("inferred: {all_typed} programs all typed, {some_dynamic} not, {typed} register-op dispatches");
+    // Only the inferred locals and the counters give this bucket's
+    // programs typed values to keep in registers.
+    assert!(typed >= 5_000, "only {typed} register-op dispatches in the inferred battery");
 }
 
 /// The register ops a profiled vm run dispatched (its typed path; `Box`
@@ -486,11 +704,15 @@ fn fault_line(e: &LolError) -> String {
 }
 
 /// Drive 200 programs from `gen` through interp, vm and sim at 1 and
-/// 3 PEs; returns the register ops the vm runs dispatched.
-fn battery(mut gen: ProgramGen) -> u64 {
+/// 3 PEs, and through `c` too when given (for the programs that do not
+/// draw on `WHATEVR`/`WHATEVAR`: the C stub's RNG is a different
+/// stream); returns the register ops the vm runs dispatched.
+fn battery(mut gen: ProgramGen, c: Option<&dyn Engine>) -> u64 {
     let mut typed = 0u64;
     let mut compiled = 0usize;
     let mut faulted = 0usize;
+    let mut on_c = 0usize;
+    let input = gen.input();
     for case in 0..200 {
         let src = gen.program();
         // The generator can produce semantically invalid programs
@@ -498,11 +720,24 @@ fn battery(mut gen: ProgramGen) -> u64 {
         // front end, so those reject identically by construction.
         let Ok(artifact) = compile(&src) else { continue };
         compiled += 1;
-        for n_pes in [1usize, 3] {
-            let cfg = RunConfig::new(n_pes).seed(case as u64).timeout(Duration::from_secs(20));
-            let a = InterpEngine.run(&artifact, &cfg);
+        let configs: Vec<RunConfig> = [1usize, 3]
+            .into_iter()
+            .map(|n| {
+                RunConfig::new(n).seed(case as u64).timeout(Duration::from_secs(20)).input(&input)
+            })
+            .collect();
+        let c_runs: Vec<Option<Result<RunReport, LolError>>> = match c {
+            Some(c) if !src.contains("WHATEV") => {
+                on_c += 1;
+                c.run_many(&artifact, &configs).into_iter().map(Some).collect()
+            }
+            _ => configs.iter().map(|_| None).collect(),
+        };
+        for (cfg, c_run) in configs.iter().zip(c_runs) {
+            let n_pes = cfg.n_pes;
+            let a = InterpEngine.run(&artifact, cfg);
             let b = VmEngine.run(&artifact, &cfg.clone().profile(true));
-            let s = SimEngine.run(&artifact, &cfg);
+            let s = SimEngine.run(&artifact, cfg);
             match (a, b, s) {
                 (Ok(x), Ok(y), Ok(z)) => {
                     typed += register_dispatches(&y);
@@ -514,6 +749,14 @@ fn battery(mut gen: ProgramGen) -> u64 {
                         x.outputs, z.outputs,
                         "case {case}: sim divergence at {n_pes} PEs on:\n{src}"
                     );
+                    if let Some(c_run) = c_run {
+                        let outputs = c_run.map(|r| r.outputs).map_err(|e| fault_line(&e));
+                        assert_eq!(
+                            Ok(x.outputs),
+                            outputs,
+                            "case {case}: c diverges at {n_pes} PEs on:\n{src}"
+                        );
+                    }
                 }
                 (Err(x), Err(y), Err(z)) => {
                     faulted += 1;
@@ -527,6 +770,14 @@ fn battery(mut gen: ProgramGen) -> u64 {
                         fault_line(&z),
                         "case {case}: sim faults differently at {n_pes} PEs on:\n{src}"
                     );
+                    if let Some(c_run) = c_run {
+                        let c_fault = c_run.map(|r| r.outputs).map_err(|e| fault_line(&e));
+                        assert_eq!(
+                            Err(fault_line(&x)),
+                            c_fault,
+                            "case {case}: c faults differently at {n_pes} PEs on:\n{src}"
+                        );
+                    }
                 }
                 (a, b, s) => panic!(
                     "case {case}: backends disagree about faulting at {n_pes} PEs: \
@@ -542,6 +793,9 @@ fn battery(mut gen: ProgramGen) -> u64 {
     // front end or at runtime.
     assert!(compiled >= 150, "only {compiled}/200 programs compiled — generator drifted");
     assert!(faulted <= compiled / 2, "{faulted} runtime faults in {compiled} programs");
+    if c.is_some() {
+        assert!(on_c >= 150, "only {on_c} programs ran on the C engine");
+    }
     typed
 }
 
@@ -774,6 +1028,31 @@ VISIBLE BOTH SAEM w'Z 1 AN NOOB
 KTHXBYE
 ";
     agree_on_every_backend(src, &["3 3.00", "20", "FAIL WIN FAIL", "3.14||", "3.14|7|", "WIN"]);
+}
+
+/// A declaration a single-statement `TXT MAH BFF` makes is in scope
+/// after it, on every backend: the C emitter declares it in the
+/// enclosing C block. Typed (`x`, inferred; `t`, pinned) and dynamic
+/// (`y`) locals alike, the last one in a function.
+#[test]
+fn a_predicated_declaration_stays_in_scope_on_every_backend() {
+    let src = "\
+HAI 1.2
+HOW IZ I f YR k
+  TXT MAH BFF k, I HAS A z ITZ SMOOSH \"z\" AN k MKAY
+  FOUND YR z
+IF U SAY SO
+I HAS A k ITZ MOD OF SUM OF ME AN 1 AN MAH FRENZ
+TXT MAH BFF k, I HAS A x ITZ 5
+VISIBLE x
+x R SUM OF x AN 1
+TXT MAH BFF k, I HAS A y ITZ \"a\"
+TXT MAH BFF k, I HAS A t ITZ SRSLY A NUMBAR AN ITZ x
+VISIBLE SMOOSH x \" \" y \" \" t MKAY
+VISIBLE I IZ f YR k MKAY
+KTHXBYE
+";
+    agree_on_every_backend(src, &["5", "6 a 6.00", "z1"]);
 }
 
 /// Every operand of `BOTH OF`, `EITHER OF`, `WON OF`, `ALL OF` and
@@ -1457,6 +1736,34 @@ fn calls_bucket_programs_agree_on_every_engine() {
     assert!(clean >= 30, "only {clean} clean runs of {compiled} programs");
     if with_c {
         assert!(on_c >= 20, "only {on_c} programs ran on the C engine");
+    }
+}
+
+/// yarn_kernel's `n`, `h`, `acc` and `len` are unpinned NUMBR locals
+/// whose every store is a NUMBR. Inference types them, so the program
+/// compiles to what pinning the four by hand gives: the same opcode
+/// counts on the VM (1,812,533 dispatches at n = 150,000, none of them
+/// the stack path's `BinLCS`/`BinLC`/`BinSC`/`BinSL`) and native
+/// `long long`s in C.
+#[test]
+fn yarn_kernel_numbr_locals_are_inferred() {
+    let src = include_str!("../perfbench/programs/yarn_kernel.lol");
+    let pinned = src.replace("ITZ A NUMBR", "ITZ SRSLY A NUMBR");
+    assert_eq!(pinned.matches("SRSLY").count(), 4, "{pinned}");
+    let cfg = RunConfig::new(1).input(&["150000", "48271"]).profile(true);
+    let run = |src: &str| VmEngine.run(&compile(src).unwrap(), &cfg).unwrap();
+    let (inferred, by_hand) = (run(src), run(&pinned));
+    assert_eq!(inferred.outputs, by_hand.outputs);
+    let ops = |r: &RunReport| r.profile.clone().expect("a profiled run").ops;
+    assert_eq!(ops(&inferred), ops(&by_hand));
+    let p = inferred.profile.as_ref().unwrap();
+    assert_eq!(p.total_ops, 1_812_533);
+    for (name, count, _) in &p.ops {
+        assert!(!["BinLCS", "BinLC", "BinSC", "BinSL"].contains(&name.as_str()), "{count} {name}");
+    }
+    let c = compile(src).unwrap().emit_c().unwrap();
+    for local in ["n", "h", "acc", "len"] {
+        assert!(c.contains(&format!("long long v_{local} = ")), "v_{local} is not native");
     }
 }
 
