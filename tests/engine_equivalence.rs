@@ -660,10 +660,13 @@ fn inferred_bucket_programs_agree_across_engines() {
         eprintln!("no C compiler: the inferred battery runs without the C engine");
     }
     // The battery holds both kinds of program: all four locals typed,
-    // and some of them left dynamic.
+    // and some of them left dynamic. The sim's sharded scheduler must
+    // match its sequential one on each: outputs, per-PE stats and the
+    // virtual wall, or the fault.
     let mut gen = ProgramGen::bucketed(0x1AFE_77ED, GenBucket::Inferred);
+    let input = gen.input();
     let (mut all_typed, mut some_dynamic) = (0, 0);
-    for _ in 0..200 {
+    for case in 0..200u64 {
         let src = gen.program();
         let Ok(artifact) = compile(&src) else { continue };
         let inferred = &artifact.analysis().inferred;
@@ -672,6 +675,18 @@ fn inferred_bucket_programs_agree_across_engines() {
             4 => all_typed += 1,
             _ => some_dynamic += 1,
         }
+        let cfg = RunConfig::new(3)
+            .seed(case)
+            .input(&input)
+            .clock(ClockMode::Virtual)
+            .latency(LatencyModel::epiphany16());
+        let sim = |jobs| {
+            SimEngine
+                .run(&artifact, &cfg.clone().sim_jobs(jobs))
+                .map(|r| (r.outputs, r.stats, r.virtual_wall))
+                .map_err(|e| fault_line(&e))
+        };
+        assert_eq!(sim(1), sim(2), "case {case}: sim jobs=2 diverges from jobs=1 on:\n{src}");
     }
     assert!(all_typed >= 40 && some_dynamic >= 40, "{all_typed} typed, {some_dynamic} not");
     let typed = battery(ProgramGen::bucketed(0x1AFE_77ED, GenBucket::Inferred), c);
